@@ -8,7 +8,6 @@ factorizations), sampled isometry checks, and canonical (w, B, J) triples.
 
 __version__ = "0.1.0"
 
-from ._kernels import ACTIVE_BACKEND, HAVE_NUMBA, available_backends
 from .linalg import (
     DEFAULT_TOL,
     DimMismatch,

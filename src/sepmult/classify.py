@@ -1,15 +1,18 @@
 """Classification of linear maps on matrix and group von Neumann algebras.
 
-The objects under test are linear maps T stored by their images on the
-canonical algebra basis (matrix units for a full matrix algebra, left
-translations for a group algebra).  Three questions are answered:
+The objects under test are linear maps T on a full matrix algebra or a
+group algebra.  Fourier and Schur multipliers are held by their symbols and
+act by scaling basis coefficients; other maps (the transpose, the Jordan
+part of a Yeadon triple) are held by their images on the canonical basis
+(matrix units, left translations).  Three questions are answered:
 
 * is T separating, i.e. does it send disjoint pairs (a*b = ab* = 0) to
   disjoint pairs?  Refutation is sound: a verified witness ends the matter.
   Confirmation is only ever issued alongside an algebraic certificate
   (scalar multiple of a character for Fourier multipliers, rank-one
   unimodular factorization for Schur multipliers); sampling alone reports
-  "inconclusive" rather than "separating".
+  "inconclusive" rather than "separating", and a certificate contradicted
+  by a witness gives "inconclusive" carrying both.
 * is T an isometry for a Schatten p-norm? (sampled, with max deviation)
 * what is the canonical factorization T(a) = w B J(a) (partial isometry,
   psd weight, Jordan *-homomorphism)?  ``yeadon_extract`` computes the
@@ -19,17 +22,20 @@ translations for a group algebra).  Three questions are answered:
 
 Witness searches run a deterministic probe family first (Hadamard-rotated
 coordinate splittings, involution pairs lambda(e) +- lambda(s)), then seeded
-random disjoint pairs; draws are memoized per (algebra, seed) because suite
-runs reuse the same seed across many symbols.
+random disjoint pairs.  Pairs are evaluated as stacks, in chunks of 1, 32,
+32, ... pairs with early exit; the chunks are kept in one least-recently-used
+cache capped in bytes (``PAIR_CACHE``), shared by every map on the same
+algebra, because suite runs reuse the same seed across many symbols.
 """
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .groups import FiniteGroup, fit_scalar_character
+from .groups import fit_scalar_character
 from .linalg import (
     DEFAULT_TOL,
     InvalidExponent,
@@ -48,8 +54,9 @@ from .vna import (
     ExhaustedRetries,
     FourierMultiplier,
     GroupAlgebraElement,
+    _rebuild_grid,
     derive_seed,
-    disjointness_defect,
+    disjointness_defects,
     is_disjoint,
     random_disjoint_pair,
     regular_representation,
@@ -87,16 +94,22 @@ class NotSeparating(ClassifyError):
 
 
 class LinearMap:
-    """Linear map on an operator algebra, stored by basis images.
+    """Linear map on an operator algebra, held by its symbol or its images.
 
     ``algebra`` is "matrix" (full matrix algebra, basis e_ij in row-major
     order, trace weight 1) or "group" (group von Neumann algebra, basis
-    lambda(s), trace weight 1/|G|).  ``images[k]`` is T applied to the k-th
-    basis element.  Inputs to ``apply`` are decomposed in the same basis, so
-    for "group" maps the argument must lie in the group algebra.
+    lambda(s), trace weight 1/|G|).  ``LinearMap(images, algebra, group)``
+    holds a general map by its basis images, ``images[k]`` being T applied
+    to the k-th basis element.  Fourier and Schur multipliers are diagonal
+    in the basis and are held by their symbol alone
+    (:func:`fourier_multiplier_map`, :func:`schur_multiplier_map`): they
+    scale basis coefficients, and their ``images`` stack is built on first
+    read.  Inputs to ``apply`` are decomposed in the basis, so for "group"
+    maps the argument must lie in the group algebra; ``apply`` takes one
+    matrix or a stack of shape (..., n, n).
     """
 
-    __slots__ = ("images", "algebra", "group", "_flat")
+    __slots__ = ("algebra", "group", "_n", "_weights", "_images", "_flat")
 
     def __init__(self, images, algebra, group=None):
         images = np.asarray(images, dtype=np.complex128)
@@ -118,18 +131,38 @@ class LinearMap:
                 raise ValueError("group algebra needs one image per element")
         else:
             raise ValueError("algebra must be 'matrix' or 'group'")
-        self.images = images
         self.algebra = algebra
         self.group = group
+        self._n = n
+        self._weights = None
+        self._images = images
         self._flat = np.ascontiguousarray(images.reshape(images.shape[0], n * n))
+
+    @classmethod
+    def _multiplier(cls, weights, algebra, n, group=None):
+        """The map scaling the k-th basis coefficient by ``weights[k]``."""
+        t = cls.__new__(cls)
+        t.algebra = algebra
+        t.group = group
+        t._n = n
+        t._weights = weights
+        t._images = None
+        t._flat = None
+        return t
+
+    @property
+    def images(self):
+        if self._images is None:
+            self._images = self._realize(np.diag(self._weights))
+        return self._images
 
     @property
     def matrix_dim(self):
-        return int(self.images.shape[1])
+        return self._n
 
     @property
     def algebra_dim(self):
-        return int(self.images.shape[0])
+        return self._n if self.algebra == "group" else self._n * self._n
 
     @property
     def trace_weight(self):
@@ -151,19 +184,28 @@ class LinearMap:
         return np.eye(self.matrix_dim, dtype=np.complex128)
 
     def decompose(self, x):
+        """Basis coefficients of a matrix, or of each matrix of a stack."""
         x = np.asarray(x, dtype=np.complex128)
-        n = self.matrix_dim
-        if x.shape != (n, n):
+        n = self._n
+        if x.shape[-2:] != (n, n):
             raise ValueError("operand shape %r does not match dim %d" % (x.shape, n))
         if self.algebra == "group":
             cols = np.arange(n)
-            return x[self.group.mul, cols[None, :]].mean(axis=1)
-        return x.reshape(-1)
+            return x[..., self.group.mul, cols].sum(axis=-1) / n
+        return x.reshape(x.shape[:-2] + (n * n,))
+
+    def _realize(self, coeffs):
+        """The matrices with the given basis coefficients (last axis)."""
+        if self.algebra == "group":
+            return coeffs[..., _rebuild_grid(self.group)]
+        return coeffs.reshape(coeffs.shape[:-1] + (self._n, self._n))
 
     def apply(self, x):
         coeffs = self.decompose(x)
-        n = self.matrix_dim
-        return (coeffs @ self._flat).reshape(n, n)
+        if self._weights is not None:
+            return self._realize(coeffs * self._weights)
+        n = self._n
+        return (coeffs @ self._flat).reshape(coeffs.shape[:-1] + (n, n))
 
     def random_element(self, rng):
         n = self.matrix_dim
@@ -176,23 +218,13 @@ class LinearMap:
 def fourier_multiplier_map(g, phi):
     """LinearMap of the Fourier multiplier lambda(s) -> phi[s] lambda(s)."""
     mult = FourierMultiplier(g, phi)
-    n = g.order
-    images = np.zeros((n, n, n), dtype=np.complex128)
-    cols = np.arange(n)
-    for s in range(n):
-        images[s, g.mul[s], cols] = mult.symbol[s]
-    return LinearMap(images, "group", g)
+    return LinearMap._multiplier(mult.symbol, "group", g.order, g)
 
 
 def schur_multiplier_map(m):
     """LinearMap of the entrywise action x -> m .* x on a matrix algebra."""
     mm = as_complex_matrix(m)
-    n = mm.shape[0]
-    images = np.zeros((n * n, n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            images[i * n + j, i, j] = mm[i, j]
-    return LinearMap(images, "matrix")
+    return LinearMap._multiplier(mm.reshape(-1), "matrix", mm.shape[0])
 
 
 def transpose_map(n):
@@ -275,10 +307,72 @@ def verdict_to_json(v):
 
 # ---------------------------------------------------------------------------
 # disjoint pair supply
+#
+# The witness search reads pairs in chunks: a (2, K, n, n) stack holding the
+# first legs and the second legs of K pairs, together with the disjointness
+# defect of each pair.  Chunks hold 1, 32, 32, ... pairs, so a map refuted by
+# its first pair pays for that pair only.
+
+_FIRST_CHUNK = 1
+_CHUNK = 32
 
 
-_MATRIX_PAIR_CACHE = {}
-_MATRIX_PAIR_CACHE_CAP = 250_000
+class PairCache:
+    """Least-recently-used store of pair chunks, capped in bytes.
+
+    ``get(key, build)`` returns the stored tuple of arrays for ``key`` or
+    calls ``build()`` and stores its result, evicting the least recently
+    used chunks until the total stays within ``cap_bytes``; a result larger
+    than the cap is returned without being stored.  Stored arrays are
+    read-only.  ``hits`` and ``misses`` count lookups.
+    """
+
+    def __init__(self, cap_bytes):
+        self.cap_bytes = int(cap_bytes)
+        self.nbytes = 0
+        self.hits = 0
+        self.misses = 0
+        self._entries = OrderedDict()
+
+    def __len__(self):
+        return len(self._entries)
+
+    def get(self, key, build):
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return entry
+        self.misses += 1
+        entry = build()
+        size = sum(x.nbytes for x in entry)
+        if size <= self.cap_bytes:
+            for x in entry:
+                x.setflags(write=False)
+            self._entries[key] = entry
+            self.nbytes += size
+            while self.nbytes > self.cap_bytes:
+                _, old = self._entries.popitem(last=False)
+                self.nbytes -= sum(x.nbytes for x in old)
+        return entry
+
+
+#: the probe and trial chunks of every algebra, keyed by the algebra's
+#: dimension or group table, so equal algebras share their pairs
+PAIR_CACHE = PairCache(64 << 20)
+
+
+def _chunks(total):
+    """(start, stop) bounds that cover range(total) in order: 1, 32, 32, ..."""
+    start, size = 0, _FIRST_CHUNK
+    while start < total:
+        stop = min(start + size, total)
+        yield start, stop
+        start, size = stop, _CHUNK
+
+
+def _with_defects(pairs):
+    return pairs, disjointness_defects(pairs)
 
 
 def _random_subset_mask(rng, n):
@@ -321,57 +415,78 @@ def random_disjoint_pair_matrix(n, seed):
     raise ExhaustedRetries("could not draw a matrix-algebra disjoint pair")
 
 
-def _drawn_pair(t, pair_seed):
+def _trial_stack(t, seed, start, stop):
+    """Trial pairs start..stop-1, drawn from derive_seed(seed, i), stacked."""
+    n = t.matrix_dim
+    pairs = np.empty((2, stop - start, n, n), dtype=np.complex128)
+    for k, i in enumerate(range(start, stop)):
+        pair_seed = derive_seed(seed, i)
+        if t.algebra == "group":
+            a, b = random_disjoint_pair(t.group, pair_seed)
+            pairs[0, k], pairs[1, k] = a.matrix, b.matrix
+        else:
+            pairs[0, k], pairs[1, k] = random_disjoint_pair_matrix(n, pair_seed)
+    return pairs
+
+
+def _probe_count(t):
     if t.algebra == "group":
+        return len(t.group.involutions())
+    n = t.matrix_dim
+    return n * (n - 1) // 2
+
+
+def _hadamard_indices(n, k):
+    """(i, j) of the k-th index pair i < j < n in row-major order; k may be
+    an array."""
+    rows = np.arange(n - 1)
+    starts = rows * (n - 1) - rows * (rows - 1) // 2
+    i = np.searchsorted(starts, k, side="right") - 1
+    return i, k - starts[i] + i + 1
+
+
+def _probe_label(t, k):
+    if t.algebra == "group":
+        return "probe:involution:%s" % t.group.names[t.group.involutions()[k]]
+    return "probe:hadamard:%d,%d" % _hadamard_indices(t.matrix_dim, k)
+
+
+def _probe_stack(t, start, stop):
+    """Probes start..stop-1 as a (2, K, n, n) stack of pair legs."""
+    n = t.matrix_dim
+    k = np.arange(stop - start)
+    pairs = np.zeros((2, stop - start, n, n), dtype=np.complex128)
+    if t.algebra == "group":
+        # 1 + lambda(s) and 1 - lambda(s) for the involutions s, in index
+        # order; lambda(s) has no diagonal entry
         g = t.group
-        cache = getattr(g, "_disjoint_pair_cache", None)
-        if cache is None:
-            cache = {}
-            g._disjoint_pair_cache = cache
-        hit = cache.get(pair_seed)
-        if hit is None:
-            a, b = random_disjoint_pair(g, pair_seed)
-            hit = (a.matrix, b.matrix)
-            cache[pair_seed] = hit
-        return hit
-    key = (t.matrix_dim, pair_seed)
-    hit = _MATRIX_PAIR_CACHE.get(key)
-    if hit is None:
-        if len(_MATRIX_PAIR_CACHE) >= _MATRIX_PAIR_CACHE_CAP:
-            _MATRIX_PAIR_CACHE.clear()
-        hit = random_disjoint_pair_matrix(t.matrix_dim, pair_seed)
-        _MATRIX_PAIR_CACHE[key] = hit
-    return hit
-
-
-def _hadamard_probe(n, i, j):
-    h = np.eye(n, dtype=np.complex128)
-    r = 1.0 / math.sqrt(2.0)
-    h[i, i] = r
-    h[i, j] = r
-    h[j, i] = r
-    h[j, j] = -r
-    a = np.outer(h[:, i], h[:, i].conj())
-    b = np.outer(h[:, j], h[:, j].conj())
-    return a, b
+        cols = np.arange(n)
+        rows = g.mul[g.involutions()[start:stop]]
+        pairs[:, :, cols, cols] = 1.0
+        pairs[0, k[:, None], rows, cols] = 1.0
+        pairs[1, k[:, None], rows, cols] = -1.0
+    else:
+        # the coordinate split {i}, {j} rotated by the Hadamard block on
+        # (i, j), for i < j in row-major order: (e_i +- e_j)(e_i +- e_j)* / 2
+        i, j = _hadamard_indices(n, np.arange(start, stop))
+        r = 1.0 / math.sqrt(2.0)
+        half = r * r    # as the outer products of the rotated columns give it
+        pairs[:, k, i, i] = half
+        pairs[:, k, j, j] = half
+        pairs[0, k, i, j] = pairs[0, k, j, i] = half
+        pairs[1, k, i, j] = pairs[1, k, j, i] = -half
+    return pairs
 
 
 def deterministic_probes(t):
-    """The fixed probe pairs checked before any random draw."""
-    probes = []
-    n = t.matrix_dim
-    if t.algebra == "group":
-        g = t.group
-        e = regular_representation(g, g.identity)
-        for s in g.involutions():
-            ls = regular_representation(g, s)
-            probes.append((e + ls, e - ls, "probe:involution:%s" % g.names[s]))
-    else:
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = _hadamard_probe(n, i, j)
-                probes.append((a, b, "probe:hadamard:%d,%d" % (i, j)))
-    return probes
+    """The fixed probe pairs checked before any random draw, as (a, b, label).
+
+    Involution pairs 1 +- lambda(s) for group algebras, Hadamard-rotated
+    coordinate splittings for matrix algebras.
+    """
+    count = _probe_count(t)
+    pairs = _probe_stack(t, 0, count)
+    return [(pairs[0, k], pairs[1, k], _probe_label(t, k)) for k in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +509,16 @@ def _check_trials(trials):
 def separating_test(t, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL):
     """Search for a disjoint pair whose images are not disjoint.
 
-    Deterministic probes run first, then ``trials`` seeded random pairs;
-    the first verified witness (pair disjoint within tol, image defect
-    above tol) yields status "not-separating".  With no witness the status
-    is "separating" in the sampled sense only; callers that need a sound
+    Deterministic probes run first, then ``trials`` seeded random pairs
+    (trial i drawn from ``derive_seed(seed, i)``); the first verified
+    witness in that order (pair disjoint within tol, image defect above tol)
+    yields status "not-separating".  With no witness the status is
+    "separating" in the sampled sense only; callers that need a sound
     positive answer must pair this with an algebraic certificate.  The
     exponent p is recorded for reporting and does not influence the search.
+
+    Pairs are evaluated in chunks (see ``_chunks``), each with one batched
+    application of ``t``; chunks come from ``PAIR_CACHE``.
 
     A one-dimensional algebra has no disjoint pair with two nonzero legs,
     so every map on it is separating outright (trials recorded as 0).
@@ -410,30 +529,43 @@ def separating_test(t, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL):
     if t.algebra_dim == 1:
         return Verdict(SEPARATING, p=p, trials=0, seed=seed,
                        note="one-dimensional algebra: separating vacuously")
-    for a, b, label in deterministic_probes(t):
-        witness = _pair_witness(t, a, b, tol, label, None)
-        if witness is not None:
+    algebra = t.group.mul.tobytes() if t.algebra == "group" else t.matrix_dim
+    for start, stop in _chunks(_probe_count(t)):
+        pairs, defects = PAIR_CACHE.get(
+            ("probe", algebra, start, stop),
+            lambda: _with_defects(_probe_stack(t, start, stop)))
+        hit = _first_witness(t, pairs, defects, tol)
+        if hit is not None:
+            k, witness = hit
+            witness.label = _probe_label(t, start + k)
             return Verdict(NOT_SEPARATING, p=p, trials=trials, seed=seed,
                            witness=witness)
-    for i in range(trials):
-        pair_seed = derive_seed(seed, i)
-        a, b = _drawn_pair(t, pair_seed)
-        witness = _pair_witness(t, a, b, tol, "trial:%d" % i, pair_seed)
-        if witness is not None:
+    for start, stop in _chunks(trials):
+        pairs, defects = PAIR_CACHE.get(
+            ("trial", algebra, seed, start, stop),
+            lambda: _with_defects(_trial_stack(t, seed, start, stop)))
+        hit = _first_witness(t, pairs, defects, tol)
+        if hit is not None:
+            k, witness = hit
+            witness.label = "trial:%d" % (start + k)
+            witness.seed = derive_seed(seed, start + k)
             return Verdict(NOT_SEPARATING, p=p, trials=trials, seed=seed,
                            witness=witness)
     return Verdict(SEPARATING, p=p, trials=trials, seed=seed)
 
 
-def _pair_witness(t, a, b, tol, label, pair_seed):
-    if not is_disjoint(a, b, tol):
+def _first_witness(t, pairs, defects, tol):
+    """(index, Witness) of the chunk's first disjoint pair with non-disjoint
+    images, or None."""
+    images = t.apply(pairs)
+    violations = disjointness_defects(images)
+    hits = np.flatnonzero((defects <= tol) & (violations > tol))
+    if hits.size == 0:
         return None
-    image_a = t.apply(a)
-    image_b = t.apply(b)
-    violation = disjointness_defect(image_a, image_b)
-    if violation > tol:
-        return Witness(a, b, image_a, image_b, float(violation), label, pair_seed)
-    return None
+    k = int(hits[0])
+    return k, Witness(pairs[0, k].copy(), pairs[1, k].copy(),
+                      images[0, k].copy(), images[1, k].copy(),
+                      float(violations[k]))
 
 
 def isometry_test(t, p=2.0, trials=50, seed=0, tol=DEFAULT_TOL):
@@ -594,6 +726,18 @@ def positive_definite_test(g, phi, tol=DEFAULT_TOL):
     return ok, min_eig
 
 
+def _contradiction(verdict, certificate):
+    """A certificate and a witness that disagree: report both, decide nothing.
+
+    A refutation never carries a certificate; reaching this means a
+    tolerance let through a certificate or a witness it should not have.
+    """
+    return Verdict(INCONCLUSIVE, p=verdict.p, trials=verdict.trials,
+                   seed=verdict.seed, certificate=certificate,
+                   witness=verdict.witness,
+                   note="witness contradicts certificate; check tolerances")
+
+
 def classify_fourier(g, phi, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL,
                      isometry_trials=12):
     """Verdict for the Fourier multiplier with the given symbol.
@@ -620,9 +764,7 @@ def classify_fourier(g, phi, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL,
         "character": psi.values.copy(),
     }
     if verdict.status == NOT_SEPARATING:
-        verdict.certificate = certificate
-        verdict.note = "witness contradicts certificate; check tolerances"
-        return verdict
+        return _contradiction(verdict, certificate)
     max_dev = None
     if abs(abs(c) - 1.0) <= tol:
         _, max_dev = isometry_test(tmap, p=p, trials=isometry_trials,
@@ -656,9 +798,7 @@ def classify_schur(m, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL,
         "beta": cert.beta.copy(),
     }
     if verdict.status == NOT_SEPARATING:
-        verdict.certificate = certificate
-        verdict.note = "witness contradicts certificate; check tolerances"
-        return verdict
+        return _contradiction(verdict, certificate)
     max_dev = None
     if abs(abs(cert.c) - 1.0) <= tol:
         _, max_dev = isometry_test(tmap, p=p, trials=isometry_trials,

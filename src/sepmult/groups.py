@@ -117,8 +117,9 @@ class FiniteGroup:
 
     def involutions(self):
         """Indices of the order-2 elements."""
-        return [s for s in range(self.order)
-                if s != self.identity and self.mul[s, s] == self.identity]
+        squares_to_identity = self.mul.diagonal() == self.identity
+        squares_to_identity[self.identity] = False
+        return np.flatnonzero(squares_to_identity).tolist()
 
     def is_abelian(self):
         return bool(np.array_equal(self.mul, self.mul.T))
@@ -420,7 +421,8 @@ def fit_scalar_character(g, phi, tol=DEFAULT_TOL):
     """Fit ``phi = c * psi`` for an enumerated character psi, gauge c = phi(e).
 
     Returns ``(c, psi)`` on success, ``None`` when no enumerated character
-    matches within ``tol`` (max-norm, absolute).  The zero symbol fits as
+    matches within ``tol`` (max-norm, relative to ``max |phi|``, so the
+    answer does not change when phi is rescaled).  The zero symbol fits as
     ``(0, trivial character)``.
     """
     phi = np.asarray(phi, dtype=np.complex128)
@@ -429,11 +431,12 @@ def fit_scalar_character(g, phi, tol=DEFAULT_TOL):
     if not np.all(np.isfinite(phi.view(np.float64))):
         raise ValueError("symbol values must be finite")
     chars = enumerate_characters(g)
-    if float(np.max(np.abs(phi))) <= tol:
+    scale = float(np.max(np.abs(phi)))
+    if scale == 0.0:
         return 0j, chars[0]
     c = complex(phi[g.identity])
     for psi in chars:
-        if float(np.max(np.abs(phi - c * psi.values))) <= tol:
+        if float(np.max(np.abs(phi - c * psi.values))) <= tol * scale:
             return c, psi
     return None
 

@@ -226,6 +226,29 @@ def disjointness_defect(a, b):
     return max(left, right) / (na * nb)
 
 
+def _sq_norms(x):
+    """Squared Frobenius norm of each matrix of a (..., n, n) stack."""
+    # each matrix as one real row (re, im interleaved) dotted with itself:
+    # one batched product, no complex temporaries
+    w = np.ascontiguousarray(x).view(np.float64).reshape(x.shape[:-2] + (1, -1))
+    return (w @ w.swapaxes(-1, -2))[..., 0, 0]
+
+
+def disjointness_defects(pairs):
+    """:func:`disjointness_defect` of every pair of a (2, ..., n, n) stack.
+
+    ``pairs[0]`` holds the first legs and ``pairs[1]`` the second legs; the
+    result has the shape of the leg stacks without their matrix axes.
+    """
+    a, b = pairs
+    na, nb = np.sqrt(_sq_norms(pairs))
+    cross = np.sqrt(np.maximum(_sq_norms(a.conj().swapaxes(-1, -2) @ b),
+                               _sq_norms(a @ b.conj().swapaxes(-1, -2))))
+    out = np.zeros(na.shape)
+    np.divide(cross, na * nb, out=out, where=np.minimum(na, nb) > 0.0)
+    return out
+
+
 def is_disjoint(a, b, tol=DEFAULT_TOL):
     """Whether a* b and a b* both vanish within relative tolerance."""
     return disjointness_defect(a, b) <= tol

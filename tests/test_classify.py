@@ -4,7 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sepmult import classify
 from sepmult.classify import (
     INCONCLUSIVE,
     NOT_SEPARATING,
@@ -26,9 +29,10 @@ from sepmult.classify import (
     verdict_to_json,
     yeadon_extract,
 )
-from sepmult.groups import builtin_group, enumerate_characters
+from sepmult.groups import builtin_group, enumerate_characters, trivial_character
 from sepmult.linalg import InvalidExponent, frobenius
-from sepmult.vna import ExhaustedRetries, is_disjoint
+from sepmult.schur import RankOneCertificate
+from sepmult.vna import ExhaustedRetries, GroupAlgebraElement, is_disjoint
 
 RESIDUAL_KEYS = {
     "initial_projection",
@@ -77,6 +81,28 @@ def test_transpose_map_transposes():
     t = transpose_map(3)
     x = np.arange(9.0).reshape(3, 3) + 1j
     np.testing.assert_allclose(t.apply(x), x.T)
+
+
+def test_maps_apply_to_stacks():
+    rng = np.random.default_rng(13)
+    g = builtin_group("dihedral(3)")
+    coeffs = rng.standard_normal((2, 3, 6)) + 1j * rng.standard_normal((2, 3, 6))
+    group_stack = np.stack([[GroupAlgebraElement(g, c).matrix for c in row]
+                            for row in coeffs])
+    matrix_stack = rng.standard_normal((2, 3, 3, 3)) + 1j * rng.standard_normal((2, 3, 3, 3))
+    cases = ((fourier_multiplier_map(g, rng.standard_normal(6)), group_stack),
+             (schur_multiplier_map(rng.standard_normal((3, 3))), matrix_stack),
+             (transpose_map(3), matrix_stack))
+    for t, xs in cases:
+        out = t.apply(xs)
+        assert out.shape == xs.shape
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_allclose(out[idx], t.apply(xs[idx]), atol=1e-14)
+
+
+def test_transpose_map_is_separating():
+    verdict = separating_test(transpose_map(3), trials=40, seed=0)
+    assert verdict.status == SEPARATING
 
 
 def test_linear_map_validation():
@@ -492,3 +518,93 @@ def test_verdict_json_inconclusive_note():
     assert blob["status"] == INCONCLUSIVE
     assert blob["note"] == "no certificate and no witness found"
     assert blob["max_deviation"] is None
+
+
+# ---------------------------------------------------------------------------
+# scale invariance and contradicting evidence
+
+
+SCALE_GROUPS = ("cyclic(2)", "cyclic(3)", "cyclic(5)", "symmetric(3)",
+                "quaternion8")
+SYMBOL_KINDS = ("certified", "perturbed", "random")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SCALE_GROUPS), st.sampled_from(SYMBOL_KINDS),
+       st.integers(0, 2 ** 32 - 1), st.integers(-12, 12))
+def test_fourier_status_is_scale_invariant(label, kind, draw, k):
+    g = builtin_group(label)
+    rng = np.random.default_rng(draw)
+    chars = enumerate_characters(g)
+    phi = complex(rng.standard_normal(), rng.standard_normal()) \
+        * chars[int(rng.integers(len(chars)))].values
+    if kind == "perturbed":
+        phi = phi * (1.0 + 1e-13 * rng.standard_normal(g.order))
+    elif kind == "random":
+        phi = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
+
+    def run(symbol):
+        return classify_fourier(g, symbol, trials=20, seed=0)
+
+    assert run(10.0 ** k * phi).status == run(phi).status
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.sampled_from(SYMBOL_KINDS),
+       st.integers(0, 2 ** 32 - 1), st.integers(-12, 12))
+def test_schur_status_is_scale_invariant(n, kind, draw, k):
+    rng = np.random.default_rng(draw)
+    m = complex(rng.standard_normal(), rng.standard_normal()) \
+        * np.outer(_unimodular(rng, n), _unimodular(rng, n))
+    if kind == "perturbed":
+        m = m * (1.0 + 1e-13 * rng.standard_normal((n, n)))
+    elif kind == "random":
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    def run(symbol):
+        return classify_schur(symbol, trials=20, seed=0)
+
+    assert run(10.0 ** k * m).status == run(m).status
+
+
+def test_large_perturbed_character_still_certified():
+    g = builtin_group("cyclic(5)")
+    psi = enumerate_characters(g)[1].values
+    perturbed = psi * (1.0 + 1e-13 * np.random.default_rng(5).standard_normal(5))
+    for scale in (1.0, 1e6):
+        verdict = classify_fourier(g, scale * perturbed, p=3.0, seed=0)
+        assert verdict.status == SEPARATING
+        assert verdict.certificate["c"] == pytest.approx(scale * perturbed[0])
+
+
+def test_tiny_symbol_refuted_without_certificate():
+    g = builtin_group("cyclic(5)")
+    verdict = classify_fourier(g, 1e-10 * np.arange(1, 6), seed=0)
+    assert verdict.status == NOT_SEPARATING
+    assert verdict.certificate is None
+    assert verdict.witness is not None
+
+
+def test_contradicted_certificate_is_inconclusive(monkeypatch):
+    # a fit that lets the indicator symbol through must not turn the
+    # witness search's refutation into a certified refutation
+    g = builtin_group("cyclic(2)")
+    monkeypatch.setattr(classify, "fit_scalar_character",
+                        lambda g, phi, tol: (1.0, trivial_character(g)))
+    verdict = classify_fourier(g, [1.0, 0.0], trials=10, seed=0)
+    assert verdict.status == INCONCLUSIVE
+    assert verdict.certificate["kind"] == "scalar-character"
+    assert verdict.witness.label == "probe:involution:1"
+    assert "contradicts" in verdict.note
+    blob = verdict_to_json(verdict)
+    assert {"certificate", "witness"} <= set(blob)
+
+
+def test_contradicted_schur_certificate_is_inconclusive(monkeypatch):
+    ones = np.ones(2)
+    monkeypatch.setattr(classify, "rank_one_unimodular_factor",
+                        lambda m, tol: RankOneCertificate(1.0, ones, ones))
+    verdict = classify_schur(np.array([[1.0, 1.0], [1.0, -1.0]]), trials=10)
+    assert verdict.status == INCONCLUSIVE
+    assert verdict.certificate["kind"] == "rank-one-unimodular"
+    assert verdict.witness.label == "probe:hadamard:0,1"
