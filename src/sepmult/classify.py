@@ -40,12 +40,15 @@ from .linalg import (
     DEFAULT_TOL,
     InvalidExponent,
     as_complex_matrix,
+    complex_gaussians,
     frobenius,
+    frobenius_each,
     hermitian_eig,
     matrix_to_json,
     polar_decompose,
     psd_pseudo_inverse,
-    random_unitary,
+    random_unitaries,
+    redraw_rejected,
     schatten_norm,
     support_projection,
 )
@@ -53,12 +56,9 @@ from .schur import rank_one_unimodular_factor, herz_schur_symbol
 from .vna import (
     ExhaustedRetries,
     FourierMultiplier,
-    GroupAlgebraElement,
-    _rebuild_grid,
     derive_seed,
     disjointness_defects,
-    is_disjoint,
-    random_disjoint_pair,
+    random_disjoint_pairs,
     regular_representation,
 )
 
@@ -197,7 +197,7 @@ class LinearMap:
     def _realize(self, coeffs):
         """The matrices with the given basis coefficients (last axis)."""
         if self.algebra == "group":
-            return coeffs[..., _rebuild_grid(self.group)]
+            return coeffs[..., self.group.rebuild_grid]
         return coeffs.reshape(coeffs.shape[:-1] + (self._n, self._n))
 
     def apply(self, x):
@@ -207,12 +207,14 @@ class LinearMap:
         n = self._n
         return (coeffs @ self._flat).reshape(coeffs.shape[:-1] + (n, n))
 
-    def random_element(self, rng):
+    def random_elements(self, rng, count):
+        """``count`` Gaussian elements of the algebra as a (count, n, n)
+        stack; each draws the real, then the imaginary parts of its basis
+        coefficients."""
         n = self.matrix_dim
         if self.algebra == "group":
-            coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            return GroupAlgebraElement(self.group, coeffs).matrix
-        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            return self._realize(complex_gaussians([rng] * count, (n,)))
+        return complex_gaussians([rng] * count, (n, n))
 
 
 def fourier_multiplier_map(g, phi):
@@ -390,43 +392,57 @@ def random_disjoint_pair_matrix(n, seed):
     proper subset S (and an independent split (r, s)); the pair is
     a = p x r, b = q y s for Gaussian x, y.  Requires n >= 2.
     """
+    legs, _ = random_disjoint_pairs_matrix(n, [seed])
+    return legs[0, 0], legs[1, 0]
+
+
+def random_disjoint_pairs_matrix(n, seeds):
+    """:func:`random_disjoint_pair_matrix` for each seed, drawn together.
+
+    Returns the (2, K, n, n) stack of the legs a and b for the K seeds, and
+    the disjointness defect of each pair (the acceptance check's,
+    ``disjointness_defects`` of that stack).
+    Each seed's generator draws, per attempt, u, then v (see
+    ``random_unitaries``), the subsets S and T, then x and y; the pairs
+    rejected as degenerate or not disjoint within 1e-10 retry together, up
+    to 64 attempts.
+    """
     if n < 2:
         raise ExhaustedRetries("no nonzero disjoint pairs exist in dimension %d" % n)
-    rng = np.random.default_rng(seed)
-    for _ in range(64):
-        u = random_unitary(n, rng)
-        v = random_unitary(n, rng)
-        mask1 = _random_subset_mask(rng, n)
-        mask2 = _random_subset_mask(rng, n)
-        p = (u * mask1) @ u.conj().T
-        q = (u * ~mask1) @ u.conj().T
-        r = (v * mask2) @ v.conj().T
-        s = (v * ~mask2) @ v.conj().T
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        a = p @ x @ r
-        b = q @ y @ s
-        scale = max(frobenius(x), frobenius(y))
-        if frobenius(a) <= 1e-8 * scale or frobenius(b) <= 1e-8 * scale:
-            continue
-        if not is_disjoint(a, b, 1e-10):
-            continue
-        return a, b
-    raise ExhaustedRetries("could not draw a matrix-algebra disjoint pair")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+
+    def draw(_, rows):
+        live = [rngs[i] for i in rows]
+        u = random_unitaries(n, live)
+        v = random_unitaries(n, live)
+        subsets = np.array([[_random_subset_mask(rng, n), _random_subset_mask(rng, n)]
+                            for rng in live])[:, :, None, :]
+        x = complex_gaussians(live, (n, n))
+        y = complex_gaussians(live, (n, n))
+        scale = np.maximum(frobenius_each(x), frobenius_each(y))
+        # a = p x r and b = q y s: the projections keep the columns of u
+        # and v in the subsets (p, r) or in their complements (q, s)
+        uh, vh = u.conj().swapaxes(-1, -2), v.conj().swapaxes(-1, -2)
+        legs = np.empty((2, len(rows), n, n), dtype=np.complex128)
+        np.matmul((u * subsets[:, 0]) @ uh @ x, (v * subsets[:, 1]) @ vh, out=legs[0])
+        np.matmul((u * ~subsets[:, 0]) @ uh @ y, (v * ~subsets[:, 1]) @ vh, out=legs[1])
+        ok = (frobenius_each(legs) > 1e-8 * scale).all(axis=0)
+        defects = disjointness_defects(legs)
+        ok &= defects <= 1e-10
+        return (legs.swapaxes(0, 1), defects), ok
+
+    legs, defects = redraw_rejected(len(rngs), 64, draw, ExhaustedRetries(
+        "could not draw a matrix-algebra disjoint pair"))
+    return legs.swapaxes(0, 1), defects
 
 
 def _trial_stack(t, seed, start, stop):
-    """Trial pairs start..stop-1, drawn from derive_seed(seed, i), stacked."""
-    n = t.matrix_dim
-    pairs = np.empty((2, stop - start, n, n), dtype=np.complex128)
-    for k, i in enumerate(range(start, stop)):
-        pair_seed = derive_seed(seed, i)
-        if t.algebra == "group":
-            a, b = random_disjoint_pair(t.group, pair_seed)
-            pairs[0, k], pairs[1, k] = a.matrix, b.matrix
-        else:
-            pairs[0, k], pairs[1, k] = random_disjoint_pair_matrix(n, pair_seed)
-    return pairs
+    """Trial pairs start..stop-1, drawn from derive_seed(seed, i): the
+    (2, K, n, n) stack of pair legs and the disjointness defect of each."""
+    seeds = [derive_seed(seed, i) for i in range(start, stop)]
+    if t.algebra == "group":
+        return random_disjoint_pairs(t.group, seeds)
+    return random_disjoint_pairs_matrix(t.matrix_dim, seeds)
 
 
 def _probe_count(t):
@@ -543,7 +559,7 @@ def separating_test(t, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL):
     for start, stop in _chunks(trials):
         pairs, defects = PAIR_CACHE.get(
             ("trial", algebra, seed, start, stop),
-            lambda: _with_defects(_trial_stack(t, seed, start, stop)))
+            lambda: _trial_stack(t, seed, start, stop))
         hit = _first_witness(t, pairs, defects, tol)
         if hit is not None:
             k, witness = hit
@@ -573,15 +589,11 @@ def isometry_test(t, p=2.0, trials=50, seed=0, tol=DEFAULT_TOL):
     p = _check_p(p)
     trials = _check_trials(trials)
     rng = np.random.default_rng(derive_seed(seed, 0x150))
-    worst = 0.0
-    weight = t.trace_weight
-    for _ in range(trials):
-        x = t.random_element(rng)
-        norm_in = schatten_norm(x, p, weight)
-        if norm_in == 0.0:
-            continue
-        norm_out = schatten_norm(t.apply(x), p, weight)
-        worst = max(worst, abs(norm_out / norm_in - 1.0))
+    x = t.random_elements(rng, trials)
+    norm_in = schatten_norm(x, p, t.trace_weight)
+    norm_out = schatten_norm(t.apply(x), p, t.trace_weight)
+    drawn = norm_in != 0.0      # a zero sample has no relative deviation
+    worst = float(np.max(np.abs(norm_out[drawn] / norm_in[drawn] - 1.0), initial=0.0))
     return worst <= tol, worst
 
 
@@ -674,8 +686,7 @@ def yeadon_extract(t, tol=DEFAULT_TOL, random_checks=8):
     samples = []
     for a in basis:
         samples.append(a / frobenius(a))
-    for _ in range(random_checks):
-        x = t.random_element(rng)
+    for x in t.random_elements(rng, random_checks):
         samples.append(x / max(frobenius(x), 1e-300))
     worst_square = 0.0
     worst_star = 0.0

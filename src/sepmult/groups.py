@@ -51,7 +51,8 @@ class FiniteGroup:
 
     ``mul[s][t]`` is the index of the product s*t.  The identity and the
     inverse table are derived, not stored.  ``names`` is a parallel list of
-    element labels used only for I/O.
+    element labels used only for I/O.  ``rebuild_grid`` is built on first
+    read.
     """
 
     def __init__(self, mul, names=None):
@@ -97,10 +98,25 @@ class FiniteGroup:
         self.identity = e
         self.names = names
         self._characters = None
+        self._rebuild_grid = None
 
     @property
     def order(self):
         return int(self.mul.shape[0])
+
+    @property
+    def rebuild_grid(self):
+        """Index grid I with I[u, t] = mul[u, inv[t]], read-only.
+
+        ``f[I]`` is the matrix of ``sum_s f(s) lambda(s)`` on l2(G), so the
+        grid turns coefficient vectors into matrices and, through
+        ``f[I] @ h``, computes the coefficients of the product f h.
+        """
+        if self._rebuild_grid is None:
+            grid = np.ascontiguousarray(self.mul[:, self.inv])
+            grid.setflags(write=False)
+            self._rebuild_grid = grid
+        return self._rebuild_grid
 
     def multiply(self, s, t):
         return int(self.mul[s, t])

@@ -6,6 +6,8 @@ behind this module's contracts (validated input, exact symmetrization,
 ascending eigenvalues, descending singular values, unitary factors, fixed
 answers for the zero matrix, and package exception types); polar
 decomposition / support projections / Schatten norms are built on those two.
+The decompositions, ``schatten_norm`` and ``polar_decompose`` also take
+stacks of shape (..., n, n) and apply their contract to each matrix.
 Intended scale is dim <= ~200; no sparsity, no rectangular SVD.
 
 Tolerance convention: one package-wide default ``DEFAULT_TOL = 1e-9``, always
@@ -54,6 +56,18 @@ class EigenDecomposition(NamedTuple):
     vectors: np.ndarray
 
 
+def _as_complex_stack(a):
+    """Validate ``a`` as a C-ordered complex128 stack of square matrices,
+    shape (..., n, n), copying only to convert; a single matrix is the stack
+    of shape (n, n)."""
+    arr = np.ascontiguousarray(a, dtype=np.complex128)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError("expected a square matrix, got shape %r" % (arr.shape,))
+    if not np.isfinite(arr.view(np.float64)).all():
+        raise ValueError("matrix entries must be finite")
+    return arr
+
+
 def as_complex_matrix(a):
     """Validate and return ``a`` as a square complex128 ndarray.
 
@@ -61,17 +75,28 @@ def as_complex_matrix(a):
     that are not finite square 2-d arrays.  Always returns a fresh C-ordered
     copy so callers can mutate the result safely.
     """
-    arr = np.array(a, dtype=np.complex128, order="C")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    arr = _as_complex_stack(np.array(a, dtype=np.complex128, order="C"))
+    if arr.ndim != 2:
         raise ValueError("expected a square matrix, got shape %r" % (arr.shape,))
-    if not np.all(np.isfinite(arr.view(np.float64))):
-        raise ValueError("matrix entries must be finite")
     return arr
 
 
 def frobenius(a):
     """Frobenius norm of an ndarray."""
     return float(np.linalg.norm(np.asarray(a)))
+
+
+def frobenius_each(a):
+    """Frobenius norm of each matrix of a float64 or complex128 (..., n, n)
+    stack."""
+    # each matrix as one real row (re, im interleaved) dotted with itself:
+    # one batched product, no complex temporaries
+    w = np.ascontiguousarray(a).view(np.float64).reshape(a.shape[:-2] + (1, -1))
+    return np.sqrt((w @ w.swapaxes(-1, -2))[..., 0, 0])
+
+
+def _adjoint(a):
+    return a.conj().swapaxes(-1, -2)
 
 
 def lapack_backend():
@@ -96,34 +121,40 @@ def hermitian_eig(h, tol=DEFAULT_TOL):
     symmetrized exactly before decomposing, so returned eigenvalues are real
     and the eigenvector matrix is unitary to machine precision.  Eigenvalues
     come back ascending with eigenvector columns in matching order.  The zero
-    matrix returns ``(zeros, I)``.
+    matrix returns ``(zeros, I)``.  A stack (..., n, n) is decomposed matrix
+    by matrix, and fails if any of its matrices does.
 
     Raises ``NotHermitian`` on asymmetric input and ``NoConvergence`` if
     LAPACK reports failure.
     """
-    a = as_complex_matrix(h)
-    n = a.shape[0]
-    scale = frobenius(a)
-    if frobenius(a - a.conj().T) > tol * max(scale, 1e-300):
+    a = _as_complex_stack(h)
+    symmetrized = _adjoint(a)
+    scale = frobenius_each(a)
+    if (frobenius_each(a - symmetrized) > tol * scale).any():
         raise NotHermitian(
             "matrix is not Hermitian within relative tolerance %g" % tol
         )
-    if scale == 0.0:
-        return EigenDecomposition(np.zeros(n), np.eye(n, dtype=np.complex128))
+    symmetrized += a
+    symmetrized *= 0.5
     try:
-        vals, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
+        vals, vecs = np.linalg.eigh(symmetrized)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence("Hermitian eigensolver: %s" % exc) from exc
+    if not scale.all():
+        zero = scale == 0.0
+        vals[zero] = 0.0
+        vecs[zero] = np.eye(a.shape[-1])
     return EigenDecomposition(vals, vecs)
 
 
 def singular_values(a):
-    """Singular values of a square matrix, descending.
+    """Singular values of a square matrix, or of each matrix of a stack,
+    descending.
 
     Cheap path used by the norm routines: no singular vectors are formed.
     Raises ``NoConvergence`` if LAPACK reports failure.
     """
-    a = as_complex_matrix(a)
+    a = _as_complex_stack(a)
     try:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -135,18 +166,20 @@ def svd(a):
 
     Returns ``(U, sigma, V)`` with sigma descending, U and V unitary and
     ``V = Vh*`` for LAPACK's ``Vh``.  The zero matrix returns ``(I, 0, I)``.
-    Raises ``NoConvergence`` if LAPACK reports failure.
+    A stack (..., n, n) is decomposed matrix by matrix.  Raises
+    ``NoConvergence`` if LAPACK reports failure.
     """
-    a = as_complex_matrix(a)
-    n = a.shape[0]
-    if frobenius(a) == 0.0:
-        eye = np.eye(n, dtype=np.complex128)
-        return eye, np.zeros(n), eye.copy()
+    a = _as_complex_stack(a)
     try:
         u, sigma, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence("SVD: %s" % exc) from exc
-    return u, sigma, vh.conj().T
+    v = _adjoint(vh)
+    zero = ~sigma.any(axis=-1)     # LAPACK gives the zero matrix sigma = 0
+    if zero.any():
+        eye = np.eye(a.shape[-1])
+        u[zero], sigma[zero], v[zero] = eye, 0.0, eye
+    return u, sigma, v
 
 
 def schatten_norm(a, p, trace_weight=1.0):
@@ -155,7 +188,8 @@ def schatten_norm(a, p, trace_weight=1.0):
     ``trace_weight`` is the weight of the trace functional: 1 for plain
     matrix algebras, 1/n for a group von Neumann algebra of order n.  The
     exponent must satisfy ``p >= 1``; ``p = math.inf`` gives the operator
-    norm (largest singular value, weight-free, as the limit demands).
+    norm (largest singular value, weight-free, as the limit demands).  A
+    matrix gives a float, a stack (..., n, n) an array of shape (...).
     """
     if not (isinstance(p, (int, float)) and p >= 1.0):
         raise InvalidExponent("Schatten exponent must satisfy p >= 1, got %r" % (p,))
@@ -164,8 +198,10 @@ def schatten_norm(a, p, trace_weight=1.0):
         raise ValueError("trace_weight must be positive, got %r" % (trace_weight,))
     sigma = singular_values(a)
     if math.isinf(p):
-        return float(sigma[0]) if sigma.size else 0.0
-    return float((weight * np.sum(sigma ** float(p))) ** (1.0 / float(p)))
+        norms = sigma[..., 0] if sigma.shape[-1] else np.zeros(sigma.shape[:-1])
+    else:
+        norms = (weight * np.sum(sigma ** float(p), axis=-1)) ** (1.0 / float(p))
+    return float(norms) if sigma.ndim == 1 else norms
 
 
 def polar_decompose(a, tol=DEFAULT_TOL):
@@ -174,16 +210,18 @@ def polar_decompose(a, tol=DEFAULT_TOL):
     ``B = (A*A)^(1/2)`` and ``w`` carries the support of B onto the closure
     of the range of A, so ``w* w = support_projection(B)``.  Singular values
     at or below ``tol * sigma_max`` are treated as zero and excluded from w.
+    A stack (..., n, n) is decomposed matrix by matrix.
     """
     u, sigma, v = svd(a)
-    b = (v * sigma) @ v.conj().T
-    b = 0.5 * (b + b.conj().T)
-    smax = float(sigma[0]) if sigma.size else 0.0
-    keep = sigma > tol * smax if smax > 0.0 else np.zeros(sigma.shape, dtype=bool)
-    uk = u[:, keep]
-    vk = v[:, keep]
-    w = uk @ vk.conj().T
-    return w, b
+    b = (v * sigma[..., None, :]) @ _adjoint(v)
+    b = 0.5 * (b + _adjoint(b))
+    return _partial_isometry(u, sigma, v, tol), b
+
+
+def _partial_isometry(u, sigma, v, tol):
+    """``U_k V_k*`` over the singular values above ``tol * sigma_max``."""
+    keep = sigma > tol * sigma[..., :1]
+    return (u * keep[..., None, :]) @ _adjoint(v)
 
 
 def support_projection(b, tol=DEFAULT_TOL):
@@ -220,15 +258,70 @@ def psd_pseudo_inverse(b, rel_cutoff=1e-9, tol=DEFAULT_TOL):
     return (vecs * inv) @ vecs.conj().T
 
 
+def complex_gaussians(rngs, shape):
+    """One complex Gaussian array of the given shape per generator, stacked.
+
+    Each generator draws what ``rng.standard_normal(shape) + 1j *
+    rng.standard_normal(shape)`` draws: the real parts, then the imaginary
+    parts.
+    """
+    out = np.empty((len(rngs),) + tuple(shape), dtype=np.complex128)
+    for row, rng in zip(out, rngs):
+        row.real, row.imag = rng.standard_normal((2,) + tuple(shape))
+    return out
+
+
 def random_unitary(n, rng):
     """Haar-ish random unitary: polar factor of a Gaussian complex matrix."""
-    eye = np.eye(n, dtype=np.complex128)
-    for _ in range(8):
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        w, _ = polar_decompose(z)
-        if frobenius(w.conj().T @ w - eye) <= 1e-10 * math.sqrt(n):
-            return w
-    raise NoConvergence("failed to draw an invertible Gaussian matrix")
+    return random_unitaries(n, [rng])[0]
+
+
+def random_unitaries(n, rngs):
+    """One :func:`random_unitary` per generator, as a (K, n, n) stack.
+
+    Each generator draws exactly what ``random_unitary`` would draw from it:
+    a Gaussian matrix, redrawn while its polar factor is not unitary within
+    1e-10 sqrt(n), at most 8 times.  The polar factors of each round's
+    draws come from one stacked SVD.
+    """
+    eye = np.eye(n)
+
+    def draw(_, rows):
+        z = complex_gaussians([rngs[i] for i in rows], (n, n))
+        w = _partial_isometry(*svd(z), DEFAULT_TOL)
+        gram = _adjoint(w) @ w
+        gram -= eye
+        return (w,), frobenius_each(gram) <= 1e-10 * math.sqrt(n)
+
+    (w,) = redraw_rejected(len(rngs), 8, draw, NoConvergence(
+        "failed to draw an invertible Gaussian matrix"))
+    return w
+
+
+def redraw_rejected(count, attempts, draw, failure):
+    """Rows 0..count-1 of a rejection sampler that draws rows together.
+
+    ``draw(attempt, rows)`` returns a tuple of arrays, each holding one value
+    per entry of ``rows`` on its axis 0, and a mask of the accepted entries;
+    the rejected rows are drawn again, together, at the next attempt.
+    Returns the tuple of (count, ...) stacks of accepted values, each laid
+    out in memory like the first draw's, and raises ``failure`` when rows
+    are still rejected after ``attempts`` attempts.
+    """
+    rows = np.arange(count)
+    out = None
+    for attempt in range(attempts):
+        values, ok = draw(attempt, rows)
+        if out is None:
+            if ok.all():
+                return values
+            out = tuple(np.empty_like(v, shape=(count,) + v.shape[1:]) for v in values)
+        for stack, v in zip(out, values):
+            stack[rows[ok]] = v[ok]
+        rows = rows[~ok]
+        if rows.size == 0:
+            return out
+    raise failure
 
 
 def matrix_to_json(a):

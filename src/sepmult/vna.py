@@ -15,7 +15,10 @@ are re-projected through the coefficient extraction
 Seeded randomness: every draw is a pure function of (group, seed).  Spectral
 projection pairs come from splitting the spectrum of a random self-adjoint
 element at the midpoint of its largest gap; disjoint pairs are ``p x r`` and
-``q y s`` for two independent projection splits.
+``q y s`` for two independent projection splits.  Draws for many seeds run
+together (``random_projection_pairs``, ``random_disjoint_pairs``): one
+stacked eigendecomposition per round of splits, each seed drawing from its
+own generator exactly what a draw for that seed alone would.
 """
 
 from dataclasses import dataclass, field
@@ -26,8 +29,11 @@ from .groups import FiniteGroup, same_group
 from .linalg import (
     DEFAULT_TOL,
     DimMismatch,
+    complex_gaussians,
     frobenius,
+    frobenius_each,
     hermitian_eig,
+    redraw_rejected,
     schatten_norm,
 )
 
@@ -63,13 +69,14 @@ def derive_seed(*parts):
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 
-def _rebuild_grid(g):
-    """Index grid I with I[u, t] = mul[u, inv[t]], memoized on the group."""
-    grid = getattr(g, "_vna_rebuild_grid", None)
-    if grid is None:
-        grid = np.ascontiguousarray(g.mul[:, g.inv])
-        g._vna_rebuild_grid = grid
-    return grid
+def convolve(g, x, y):
+    """Coefficients of the products x y of group-algebra elements.
+
+    ``x`` and ``y`` are coefficient arrays (..., n) that broadcast against
+    each other; ``(x y)(u) = sum_t x(u t^-1) y(t)`` is the matrix of x, read
+    off the group's rebuild grid, applied to y.
+    """
+    return (x[..., g.rebuild_grid] @ y[..., None])[..., 0]
 
 
 class GroupAlgebraElement:
@@ -92,7 +99,7 @@ class GroupAlgebraElement:
     @property
     def matrix(self):
         if self._matrix is None:
-            self._matrix = self.coeffs[_rebuild_grid(self.group)]
+            self._matrix = self.coeffs[self.group.rebuild_grid]
         return self._matrix
 
     @classmethod
@@ -133,13 +140,8 @@ class GroupAlgebraElement:
     def __mul__(self, other):
         if isinstance(other, GroupAlgebraElement):
             self._check(other)
-            out = np.zeros(self.group.order, dtype=np.complex128)
-            mul = self.group.mul
-            for s in range(self.group.order):
-                fs = self.coeffs[s]
-                if fs != 0:
-                    out[mul[s]] += fs * other.coeffs
-            return GroupAlgebraElement(self.group, out)
+            return GroupAlgebraElement(
+                self.group, convolve(self.group, self.coeffs, other.coeffs))
         return GroupAlgebraElement(self.group, self.coeffs * complex(other))
 
     def __rmul__(self, scalar):
@@ -226,14 +228,6 @@ def disjointness_defect(a, b):
     return max(left, right) / (na * nb)
 
 
-def _sq_norms(x):
-    """Squared Frobenius norm of each matrix of a (..., n, n) stack."""
-    # each matrix as one real row (re, im interleaved) dotted with itself:
-    # one batched product, no complex temporaries
-    w = np.ascontiguousarray(x).view(np.float64).reshape(x.shape[:-2] + (1, -1))
-    return (w @ w.swapaxes(-1, -2))[..., 0, 0]
-
-
 def disjointness_defects(pairs):
     """:func:`disjointness_defect` of every pair of a (2, ..., n, n) stack.
 
@@ -241,9 +235,9 @@ def disjointness_defects(pairs):
     result has the shape of the leg stacks without their matrix axes.
     """
     a, b = pairs
-    na, nb = np.sqrt(_sq_norms(pairs))
-    cross = np.sqrt(np.maximum(_sq_norms(a.conj().swapaxes(-1, -2) @ b),
-                               _sq_norms(a @ b.conj().swapaxes(-1, -2))))
+    na, nb = frobenius_each(pairs)
+    cross = np.maximum(frobenius_each(a.conj().swapaxes(-1, -2) @ b),
+                       frobenius_each(a @ b.conj().swapaxes(-1, -2)))
     out = np.zeros(na.shape)
     np.divide(cross, na * nb, out=out, where=np.minimum(na, nb) > 0.0)
     return out
@@ -274,37 +268,48 @@ def random_projection_pair(g, seed):
     The one-element group has one-point spectra, so the only splits are
     (0, 1) and (1, 0), chosen by the seed.
     """
-    rng = np.random.default_rng(seed)
-    if g.order == 1:
-        zero = GroupAlgebraElement(g, [0.0])
-        one = algebra_unit(g)
-        return (zero, one) if int(rng.integers(2)) == 0 else (one, zero)
-    unit_coeffs = algebra_unit(g).coeffs
-    for _ in range(_PROJECTION_RETRIES):
-        x = random_self_adjoint(g, rng)
-        vals, vecs = hermitian_eig(x.matrix)
-        radius = float(np.max(np.abs(vals)))
-        if radius == 0.0:
-            continue
-        gaps = np.diff(vals)
-        cut = int(np.argmax(gaps))
-        if gaps[cut] <= _GAP_FLOOR * radius:
-            continue
-        low = vecs[:, : cut + 1]
-        pmat = low @ low.conj().T
-        try:
-            p = GroupAlgebraElement.from_matrix(g, pmat)
-        except ValueError:
-            continue
-        q = GroupAlgebraElement(g, unit_coeffs - p.coeffs)
-        defect = frobenius(_as_matrix(p * p) - p.matrix)
-        if defect > 1e-9 * max(1.0, frobenius(p.matrix)):
-            continue
-        return p, q
-    raise DegenerateSpectrum(
+    p, q = random_projection_pairs(g, [seed])[0]
+    return GroupAlgebraElement(g, p), GroupAlgebraElement(g, q)
+
+
+def random_projection_pairs(g, seeds):
+    """:func:`random_projection_pair` for each seed, drawn together.
+
+    Returns a (K, 2, n) array: the coefficients of p and of q for each of
+    the K seeds.  The splits rejected by the gap, membership or idempotence
+    check are redrawn together, each from where its generator stands.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    n = g.order
+    if n == 1:
+        return np.array([[0.0, 1.0] if int(rng.integers(2)) == 0 else [1.0, 0.0]
+                         for rng in rngs], dtype=np.complex128).reshape(-1, 2, 1)
+    grid = g.rebuild_grid
+    cols = np.arange(n)
+    unit = algebra_unit(g).coeffs
+
+    def draw(_, rows):
+        x = complex_gaussians([rngs[i] for i in rows], (n,))
+        vals, vecs = hermitian_eig((x + np.conj(x[:, g.inv]))[:, grid])
+        radius = np.max(np.abs(vals), axis=-1)
+        gaps = np.diff(vals, axis=-1)
+        cut = np.argmax(gaps, axis=-1)
+        ok = gaps[np.arange(cut.size), cut] > _GAP_FLOOR * radius
+        # the spectral projection onto the eigenvalues up to the cut
+        pmat = (vecs * (cols <= cut[:, None])[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+        del vecs
+        p = pmat[:, g.mul, cols].mean(axis=-1)
+        ok &= (frobenius_each(p[:, grid] - pmat)
+               <= MEMBERSHIP_TOL * np.maximum(frobenius_each(pmat), 1e-300))
+        # a matrix realized from n coefficients has sqrt(n) times their norm
+        ok &= (np.linalg.norm(convolve(g, p, p) - p, axis=-1)
+               <= 1e-9 * np.maximum(1.0 / np.sqrt(n), np.linalg.norm(p, axis=-1)))
+        return (np.stack([p, unit - p], axis=1),), ok
+
+    (pq,) = redraw_rejected(len(rngs), _PROJECTION_RETRIES, draw, DegenerateSpectrum(
         "no spectral gap above %g of the radius after %d draws"
-        % (_GAP_FLOOR, _PROJECTION_RETRIES)
-    )
+        % (_GAP_FLOOR, _PROJECTION_RETRIES)))
+    return pq
 
 
 def random_disjoint_pair(g, seed):
@@ -315,32 +320,49 @@ def random_disjoint_pair(g, seed):
     with a vanishing factor are rejected and redrawn; on the one-element
     group every pair degenerates, so ``ExhaustedRetries`` is immediate.
     """
+    legs, _ = random_disjoint_pairs(g, [seed])
+    # column e of the matrix of f is f itself: the grid's column e is 0..n-1
+    a, b = legs[:, 0, :, g.identity]
+    return GroupAlgebraElement(g, a), GroupAlgebraElement(g, b)
+
+
+def random_disjoint_pairs(g, seeds):
+    """:func:`random_disjoint_pair` for each seed, drawn together.
+
+    Returns the (2, K, n, n) stack of the matrices of a and of b for the K
+    seeds, and the disjointness defect of each pair (the acceptance check's,
+    ``disjointness_defects`` of that stack).  Attempt k of the pair for
+    ``seed`` splits with ``derive_seed(seed, 2k)`` and
+    ``derive_seed(seed, 2k + 1)`` and draws x and y from the generator of
+    ``derive_seed(seed, 0x0E1E)``; the rejected pairs of an attempt retry
+    together, up to 64 attempts.
+    """
     if g.order == 1:
         raise ExhaustedRetries(
             "the one-dimensional algebra has no nonzero disjoint pairs"
         )
-    rng = np.random.default_rng(derive_seed(seed, 0x0E1E))
-    for attempt in range(_PAIR_RETRIES):
-        p, q = random_projection_pair(g, derive_seed(seed, 2 * attempt))
-        r, s = random_projection_pair(g, derive_seed(seed, 2 * attempt + 1))
-        x = random_element(g, rng)
-        y = random_element(g, rng)
-        a = p * x * r
-        b = q * y * s
-        scale = max(
-            float(np.linalg.norm(x.coeffs)), float(np.linalg.norm(y.coeffs))
-        )
-        if (
-            np.linalg.norm(a.coeffs) <= 1e-8 * scale
-            or np.linalg.norm(b.coeffs) <= 1e-8 * scale
-        ):
-            continue
-        if not is_disjoint(a, b, 1e-10):
-            continue
-        return a, b
-    raise ExhaustedRetries(
-        "could not draw a nonzero disjoint pair in %d attempts" % _PAIR_RETRIES
-    )
+    seeds = list(seeds)
+    rngs = [np.random.default_rng(derive_seed(seed, 0x0E1E)) for seed in seeds]
+
+    def draw(attempt, rows):
+        # [p, q] from the even splits, [r, s] from the odd ones
+        splits = random_projection_pairs(
+            g, [derive_seed(seeds[i], 2 * attempt + e) for i in rows for e in (0, 1)])
+        live = [rngs[i] for i in rows]
+        xy = np.stack([complex_gaussians(live, (g.order,)),
+                       complex_gaussians(live, (g.order,))])
+        legs = convolve(g, convolve(g, splits[0::2].swapaxes(0, 1), xy),
+                        splits[1::2].swapaxes(0, 1))
+        scale = np.max(np.linalg.norm(xy, axis=-1), axis=0)
+        ok = (np.linalg.norm(legs, axis=-1) > 1e-8 * scale).all(axis=0)
+        mats = legs[..., g.rebuild_grid]
+        defects = disjointness_defects(mats)
+        ok &= defects <= 1e-10
+        return (mats.swapaxes(0, 1), defects), ok
+
+    mats, defects = redraw_rejected(len(rngs), _PAIR_RETRIES, draw, ExhaustedRetries(
+        "could not draw a nonzero disjoint pair in %d attempts" % _PAIR_RETRIES))
+    return mats.swapaxes(0, 1), defects
 
 
 def symbol_to_json(phi):

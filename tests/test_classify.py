@@ -32,7 +32,7 @@ from sepmult.classify import (
 from sepmult.groups import builtin_group, enumerate_characters, trivial_character
 from sepmult.linalg import InvalidExponent, frobenius
 from sepmult.schur import RankOneCertificate
-from sepmult.vna import ExhaustedRetries, GroupAlgebraElement, is_disjoint
+from sepmult.vna import ExhaustedRetries, GroupAlgebraElement, derive_seed, is_disjoint
 
 RESIDUAL_KEYS = {
     "initial_projection",
@@ -265,6 +265,46 @@ def test_unimodular_schur_isometric_at_fractional_p():
     ok, dev = isometry_test(schur_multiplier_map(m), p=1.5, trials=15, seed=4)
     assert ok
     assert dev < 1e-9
+
+
+def _per_sample_deviation(t, p, trials, seed):
+    """The largest |‖T x‖_p / ‖x‖_p - 1| over samples drawn one at a time,
+    normed by numpy's singular values."""
+    rng = np.random.default_rng(derive_seed(seed, 0x150))
+    n = t.matrix_dim
+
+    def norm(x):
+        sigma = np.linalg.svd(x, compute_uv=False)
+        if np.isinf(p):
+            return sigma[0]
+        return (t.trace_weight * np.sum(sigma ** p)) ** (1.0 / p)
+
+    worst = 0.0
+    for _ in range(trials):
+        if t.algebra == "group":
+            coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            x = GroupAlgebraElement(t.group, coeffs).matrix
+        else:
+            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        worst = max(worst, abs(norm(t.apply(x)) / norm(x) - 1.0))
+    return worst
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5, float("inf")])
+def test_isometry_sample_matches_per_sample_loop(p):
+    rng = np.random.default_rng(48)
+    g = builtin_group("symmetric(3)")
+    maps = [
+        fourier_multiplier_map(g, rng.standard_normal(6) + 1j * rng.standard_normal(6)),
+        fourier_multiplier_map(g, _sign_character(g).values),
+        schur_multiplier_map(rng.standard_normal((5, 5))),
+        schur_multiplier_map(np.outer(_unimodular(rng, 5), _unimodular(rng, 5))),
+    ]
+    for t in maps:
+        want = _per_sample_deviation(t, p, 17, 9)
+        ok, got = isometry_test(t, p=p, trials=17, seed=9)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+        assert ok == (got <= 1e-9)
 
 
 # ---------------------------------------------------------------------------

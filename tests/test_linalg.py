@@ -161,6 +161,53 @@ def test_lapack_failure_raises_no_convergence(monkeypatch):
             call(a)
 
 
+def _stack_with_zero(rng_seed, n, count):
+    rng = np.random.default_rng(rng_seed)
+    stack = np.stack([_random_complex(rng, n) for _ in range(count)])
+    stack[1] = 0.0
+    return stack
+
+
+def test_decompositions_of_a_stack_are_those_of_its_matrices():
+    a = _stack_with_zero(16, 4, 3)
+    h = a + a.conj().swapaxes(-1, -2)
+    vals, vecs = hermitian_eig(h)
+    u, sigma, v = svd(a)
+    w, b = polar_decompose(a)
+    np.testing.assert_allclose(singular_values(a), sigma, atol=1e-12)
+    for k in range(3):
+        for got, want in zip((vals[k], vecs[k]), hermitian_eig(h[k])):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip((u[k], sigma[k], v[k]), svd(a[k])):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip((w[k], b[k]), polar_decompose(a[k])):
+            np.testing.assert_allclose(got, want, atol=1e-14)
+    # the zero matrix keeps its fixed answers inside a stack
+    np.testing.assert_array_equal(vals[1], np.zeros(4))
+    np.testing.assert_array_equal(vecs[1], np.eye(4))
+    np.testing.assert_array_equal(u[1], np.eye(4))
+    np.testing.assert_array_equal(v[1], np.eye(4))
+
+
+def test_stack_with_one_non_hermitian_matrix_is_rejected():
+    h = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2))])
+    with pytest.raises(NotHermitian):
+        hermitian_eig(h)
+    with pytest.raises(ValueError):
+        hermitian_eig(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.5, math.inf])
+def test_schatten_norm_of_a_stack(p):
+    a = _stack_with_zero(17, 5, 4)
+    got = schatten_norm(a, p, 0.2)
+    assert got.shape == (4,)
+    for k in range(4):
+        assert got[k] == pytest.approx(schatten_norm(a[k], p, 0.2), rel=1e-14, abs=0.0)
+    assert got[1] == 0.0
+    assert isinstance(schatten_norm(a[0], p, 0.2), float)
+
+
 # ---------------------------------------------------------------------------
 # schatten norms
 

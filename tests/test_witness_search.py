@@ -159,7 +159,9 @@ def test_schur_search_matches_per_pair_reference(case):
 @pytest.mark.parametrize("kind", ["fourier", "schur"])
 def test_late_trial_witness_matches_reference(kind):
     # a tolerance above every violation of the first 40 trials pushes the
-    # first witness into a later chunk
+    # first witness into a later chunk; it lies a relative 1e-9 above the
+    # largest, so that round-off between the batched and the per-pair
+    # evaluation of that pair cannot decide the comparison
     if kind == "fourier":
         g = builtin_group("cyclic(5)")
         phi = np.exp(2j * np.pi * np.random.default_rng(46).random(5))
@@ -170,7 +172,7 @@ def test_late_trial_witness_matches_reference(kind):
         t, dense = schur_multiplier_map(m), _dense_schur(m)
     scored = [(label, violation) for label, _, _, violation
               in _reference_pairs(t, dense, TRIALS, SEED) if label.startswith("trial:")]
-    tol = max(violation for _, violation in scored[:40])
+    tol = max(violation for _, violation in scored[:40]) * (1.0 + 1e-9)
     assert any(violation > tol for _, violation in scored[40:])
     _assert_matches_reference(t, dense, tol)
     verdict = separating_test(t, trials=TRIALS, seed=SEED, tol=tol)
