@@ -12,7 +12,8 @@ part of a Yeadon triple) are held by their images on the canonical basis
   (scalar multiple of a character for Fourier multipliers, rank-one
   unimodular factorization for Schur multipliers); sampling alone reports
   "inconclusive" rather than "separating", and a certificate contradicted
-  by a witness gives "inconclusive" carrying both.
+  by a witness gives "inconclusive" carrying both.  Both families go
+  through one verdict path and differ only in their map and certificate.
 * is T an isometry for a Schatten p-norm? (sampled, with max deviation)
 * what is the canonical factorization T(a) = w B J(a) (partial isometry,
   psd weight, Jordan *-homomorphism)?  ``yeadon_extract`` computes the
@@ -286,12 +287,12 @@ def verdict_to_json(v):
     if v.note:
         out["note"] = v.note
     if v.certificate is not None:
+        # a certificate is its kind, its scale c and vectors (the character,
+        # or the factors alpha and beta), whichever the family
         cert = {"kind": v.certificate["kind"], "c": _complex_pair(v.certificate["c"])}
-        if "character" in v.certificate:
-            cert["character"] = _vector_json(v.certificate["character"])
-        if "alpha" in v.certificate:
-            cert["alpha"] = _vector_json(v.certificate["alpha"])
-            cert["beta"] = _vector_json(v.certificate["beta"])
+        for key, value in v.certificate.items():
+            if key not in cert:
+                cert[key] = _vector_json(value)
         out["certificate"] = cert
     if v.witness is not None:
         w = v.witness
@@ -611,8 +612,7 @@ class YeadonTriple:
     residuals: dict = field(default_factory=dict)
 
     def reconstruct_map(self):
-        wb = self.w @ self.b
-        images = np.stack([wb @ img for img in self.jmap.images])
+        images = (self.w @ self.b) @ self.jmap.images
         return LinearMap(images, self.jmap.algebra, self.jmap.group)
 
 
@@ -737,16 +737,33 @@ def positive_definite_test(g, phi, tol=DEFAULT_TOL):
     return ok, min_eig
 
 
-def _contradiction(verdict, certificate):
-    """A certificate and a witness that disagree: report both, decide nothing.
+def _classify(tmap, certificate, p, trials, seed, tol, isometry_trials):
+    """The verdict on ``tmap`` given its family's certificate dict or None,
+    by the rules of :func:`classify_fourier`.
 
-    A refutation never carries a certificate; reaching this means a
+    A witness against a certificate gives "inconclusive" carrying both: a
+    refutation never carries a certificate, so reaching that means a
     tolerance let through a certificate or a witness it should not have.
     """
-    return Verdict(INCONCLUSIVE, p=verdict.p, trials=verdict.trials,
+    verdict = separating_test(tmap, p=p, trials=trials, seed=seed, tol=tol)
+    if certificate is None:
+        if verdict.status == NOT_SEPARATING:
+            return verdict
+        return Verdict(INCONCLUSIVE, p=verdict.p, trials=verdict.trials,
+                       seed=verdict.seed,
+                       note="no certificate and no witness found")
+    if verdict.status == NOT_SEPARATING:
+        return Verdict(INCONCLUSIVE, p=verdict.p, trials=verdict.trials,
+                       seed=verdict.seed, certificate=certificate,
+                       witness=verdict.witness,
+                       note="witness contradicts certificate; check tolerances")
+    max_dev = None
+    if abs(abs(certificate["c"]) - 1.0) <= tol:
+        _, max_dev = isometry_test(tmap, p=p, trials=isometry_trials,
+                                   seed=seed, tol=tol)
+    return Verdict(SEPARATING, p=verdict.p, trials=verdict.trials,
                    seed=verdict.seed, certificate=certificate,
-                   witness=verdict.witness,
-                   note="witness contradicts certificate; check tolerances")
+                   max_deviation=max_dev)
 
 
 def classify_fourier(g, phi, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL,
@@ -761,59 +778,34 @@ def classify_fourier(g, phi, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL,
     """
     tmap = fourier_multiplier_map(g, phi)
     fit = fit_scalar_character(g, phi, tol)
-    verdict = separating_test(tmap, p=p, trials=trials, seed=seed, tol=tol)
-    if fit is None:
-        if verdict.status == NOT_SEPARATING:
-            return verdict
-        return Verdict(INCONCLUSIVE, p=verdict.p, trials=verdict.trials,
-                       seed=verdict.seed,
-                       note="no certificate and no witness found")
-    c, psi = fit
-    certificate = {
-        "kind": "scalar-character",
-        "c": complex(c),
-        "character": psi.values.copy(),
-    }
-    if verdict.status == NOT_SEPARATING:
-        return _contradiction(verdict, certificate)
-    max_dev = None
-    if abs(abs(c) - 1.0) <= tol:
-        _, max_dev = isometry_test(tmap, p=p, trials=isometry_trials,
-                                   seed=seed, tol=tol)
-    return Verdict(SEPARATING, p=verdict.p, trials=verdict.trials,
-                   seed=verdict.seed, certificate=certificate,
-                   max_deviation=max_dev)
+    certificate = None
+    if fit is not None:
+        c, psi = fit
+        certificate = {
+            "kind": "scalar-character",
+            "c": complex(c),
+            "character": psi.values.copy(),
+        }
+    return _classify(tmap, certificate, p, trials, seed, tol, isometry_trials)
 
 
 def classify_schur(m, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL,
                    isometry_trials=12):
     """Verdict for the Schur multiplier with symbol matrix m.
 
-    Mirror of :func:`classify_fourier` with the rank-one unimodular
-    factorization as the certificate.
+    Separating iff m = c * alpha(s) beta(t) with alpha, beta unimodular; the
+    rank-one unimodular factorization is the certificate, cross-validated as
+    in :func:`classify_fourier`, and the verdict rules are the same.
     """
     mm = as_complex_matrix(m)
     tmap = schur_multiplier_map(mm)
     cert = rank_one_unimodular_factor(mm, tol)
-    verdict = separating_test(tmap, p=p, trials=trials, seed=seed, tol=tol)
-    if cert is None:
-        if verdict.status == NOT_SEPARATING:
-            return verdict
-        return Verdict(INCONCLUSIVE, p=verdict.p, trials=verdict.trials,
-                       seed=verdict.seed,
-                       note="no certificate and no witness found")
-    certificate = {
-        "kind": "rank-one-unimodular",
-        "c": complex(cert.c),
-        "alpha": cert.alpha.copy(),
-        "beta": cert.beta.copy(),
-    }
-    if verdict.status == NOT_SEPARATING:
-        return _contradiction(verdict, certificate)
-    max_dev = None
-    if abs(abs(cert.c) - 1.0) <= tol:
-        _, max_dev = isometry_test(tmap, p=p, trials=isometry_trials,
-                                   seed=seed, tol=tol)
-    return Verdict(SEPARATING, p=verdict.p, trials=verdict.trials,
-                   seed=verdict.seed, certificate=certificate,
-                   max_deviation=max_dev)
+    certificate = None
+    if cert is not None:
+        certificate = {
+            "kind": "rank-one-unimodular",
+            "c": complex(cert.c),
+            "alpha": cert.alpha.copy(),
+            "beta": cert.beta.copy(),
+        }
+    return _classify(tmap, certificate, p, trials, seed, tol, isometry_trials)

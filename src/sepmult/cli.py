@@ -8,6 +8,7 @@ witness / suite failed, 2 inconclusive / empty suite, 4 data or IO problems,
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -221,16 +222,11 @@ def cmd_verify_theorems(args):
             raise DataError(str(exc))
     else:
         config = default_config()
-    if args.group:
-        config.groups = tuple(args.group)
-    if args.trials is not None:
-        config.trials = args.trials
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.tol is not None:
-        config.tol = args.tol
-    if args.output is not None:
-        config.output = args.output
+    # replace() runs the config's validation on the overridden values too
+    overrides = {"groups": args.group, "trials": args.trials, "seed": args.seed,
+                 "tol": args.tol, "output": args.output}
+    config = dataclasses.replace(config, **{
+        key: value for key, value in overrides.items() if value is not None})
     try:
         report = run_suite(config)
     except EmptySuite as exc:

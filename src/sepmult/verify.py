@@ -114,6 +114,11 @@ class SuiteConfig:
             raise InvalidTrials("trials must be a positive integer")
         if not (self.tol > 0.0):
             raise SuiteError("tol must be positive")
+        for name in ("converse_samples", "schur_samples", "cp_samples",
+                     "norm_samples", "linalg_samples"):
+            count = getattr(self, name)
+            if not isinstance(count, int) or count < 1:
+                raise SuiteError("%s must be a positive integer" % name)
         if any(n < 1 for n in self.matrix_dims):
             raise SuiteError("matrix dims must be positive")
         for item in self.injected:
@@ -260,25 +265,31 @@ def _draw_nonfitting_symbol(g, rng, reject_tol=1e-6):
     raise SuiteError("could not draw a symbol without a character fit")
 
 
-def _cell_fourier_converse(g, label, config):
-    if g.order < 2:
-        return True, 0.0, "vacuous: every symbol is a multiple of the character"
-    rng = np.random.default_rng(derive_seed(config.seed, _tag("fourier-converse"),
-                                            _tag(label)))
+def _converse(samples, classify):
+    """Cell result for symbols without a certificate: each must be refuted
+    by a witness; the residual is the smallest witness violation."""
     min_violation = math.inf
     misses = 0
-    for _ in range(config.converse_samples):
-        phi = _draw_nonfitting_symbol(g, rng)
-        verdict = classify_fourier(g, phi, p=2.0, trials=config.trials,
-                                   seed=config.seed, tol=config.tol)
+    for symbol in samples:
+        verdict = classify(symbol)
         if verdict.status != NOT_SEPARATING or verdict.witness is None:
             misses += 1
         else:
             min_violation = min(min_violation, verdict.witness.violation)
     ok = misses == 0 and min_violation > 1e-6
     detail = "%d symbols, %d without witness, smallest violation %.3g" % (
-        config.converse_samples, misses, min_violation)
+        len(samples), misses, min_violation)
     return ok, min_violation if misses == 0 else math.inf, detail
+
+
+def _cell_fourier_converse(g, label, config):
+    if g.order < 2:
+        return True, 0.0, "vacuous: every symbol is a multiple of the character"
+    rng = np.random.default_rng(derive_seed(config.seed, _tag("fourier-converse"),
+                                            _tag(label)))
+    symbols = [_draw_nonfitting_symbol(g, rng) for _ in range(config.converse_samples)]
+    return _converse(symbols, lambda phi: classify_fourier(
+        g, phi, p=2.0, trials=config.trials, seed=config.seed, tol=config.tol))
 
 
 def _cell_cross_p(g, label, config):
@@ -308,29 +319,38 @@ def _cell_cross_p(g, label, config):
     return ok, float(disagreements), detail
 
 
+def _yeadon_round_trip(tmap):
+    """Worst residual of the triple of ``tmap`` and of its re-extraction
+    from the reconstructed map w B J."""
+    triple = yeadon_extract(tmap, tol=1e-8)
+    again = yeadon_extract(triple.reconstruct_map(), tol=1e-8)
+    return max(max(triple.residuals.values()),
+               frobenius(triple.w - again.w),
+               frobenius(triple.b - again.b),
+               float(np.max(np.abs(triple.jmap.images - again.jmap.images))))
+
+
+def _yeadon_refused(tmap):
+    try:
+        yeadon_extract(tmap, tol=1e-8)
+    except NotSeparating:
+        return True
+    return False
+
+
 def _cell_yeadon_group(g, label, config):
     chars = enumerate_characters(g)
     worst = 0.0
     for ch in chars[:2]:
         for c in (1.0, 1.5j):
-            tmap = fourier_multiplier_map(g, c * ch.values)
-            triple = yeadon_extract(tmap, tol=1e-8)
-            worst = max(worst, max(triple.residuals.values()))
-            again = yeadon_extract(triple.reconstruct_map(), tol=1e-8)
-            worst = max(worst, frobenius(triple.w - again.w))
-            worst = max(worst, frobenius(triple.b - again.b))
-            worst = max(worst, float(np.max(np.abs(
-                triple.jmap.images - again.jmap.images))))
+            worst = max(worst, _yeadon_round_trip(
+                fourier_multiplier_map(g, c * ch.values)))
     refused = True
     if g.order >= 2:
         rng = np.random.default_rng(derive_seed(config.seed, _tag("yeadon-neg"),
                                                 _tag(label)))
         phi = _draw_nonfitting_symbol(g, rng)
-        try:
-            yeadon_extract(fourier_multiplier_map(g, phi), tol=1e-8)
-            refused = False
-        except NotSeparating:
-            refused = True
+        refused = _yeadon_refused(fourier_multiplier_map(g, phi))
     ok = worst <= 1e-8 and refused
     detail = ("multiplier triples within %.3g; non-multiplier %s" %
               (worst, "rejected" if refused else "WRONGLY ACCEPTED"))
@@ -475,20 +495,9 @@ def _cell_schur_converse(n, config):
         return True, 0.0, "vacuous in dimension 1"
     rng = np.random.default_rng(derive_seed(config.seed, _tag("schur-converse"),
                                             _tag(str(n))))
-    min_violation = math.inf
-    misses = 0
-    for _ in range(config.schur_samples):
-        m = _draw_nonfactorable_matrix(rng, n)
-        verdict = classify_schur(m, p=2.0, trials=config.trials,
-                                 seed=config.seed, tol=config.tol)
-        if verdict.status != NOT_SEPARATING or verdict.witness is None:
-            misses += 1
-        else:
-            min_violation = min(min_violation, verdict.witness.violation)
-    ok = misses == 0 and min_violation > 1e-6
-    detail = "%d symbols, %d without witness, smallest violation %.3g" % (
-        config.schur_samples, misses, min_violation)
-    return ok, min_violation if misses == 0 else math.inf, detail
+    symbols = [_draw_nonfactorable_matrix(rng, n) for _ in range(config.schur_samples)]
+    return _converse(symbols, lambda m: classify_schur(
+        m, p=2.0, trials=config.trials, seed=config.seed, tol=config.tol))
 
 
 def _cell_transpose(n, config):
@@ -518,23 +527,13 @@ def _cell_yeadon_matrix(n, config):
         beta = _random_unimodular_vector(rng, n)
         c = 2.5 if index == 0 else complex(
             rng.standard_normal() + 1j * rng.standard_normal())
-        tmap = schur_multiplier_map(c * np.outer(alpha, beta))
-        triple = yeadon_extract(tmap, tol=1e-8)
-        worst = max(worst, max(triple.residuals.values()))
-        again = yeadon_extract(triple.reconstruct_map(), tol=1e-8)
-        worst = max(worst, frobenius(triple.w - again.w))
-        worst = max(worst, frobenius(triple.b - again.b))
-        worst = max(worst, float(np.max(np.abs(
-            triple.jmap.images - again.jmap.images))))
+        worst = max(worst, _yeadon_round_trip(
+            schur_multiplier_map(c * np.outer(alpha, beta))))
     refused = True
     if n >= 2:
         m = _draw_nonfactorable_matrix(rng, n)
         np.fill_diagonal(m, m.diagonal() + 2.0)  # keep T(1) invertible
-        try:
-            yeadon_extract(schur_multiplier_map(m), tol=1e-8)
-            refused = False
-        except NotSeparating:
-            refused = True
+        refused = _yeadon_refused(schur_multiplier_map(m))
     ok = worst <= 1e-8 and refused
     detail = ("factored triples within %.3g; non-factorable symbol %s" %
               (worst, "rejected" if refused else "WRONGLY ACCEPTED"))

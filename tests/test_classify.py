@@ -201,6 +201,19 @@ def test_one_dimensional_algebra_is_vacuously_separating():
     assert verdict.note is not None
 
 
+@pytest.mark.parametrize("classify_one", [
+    lambda: classify_fourier(builtin_group("cyclic(1)"), [2.0]),
+    lambda: classify_schur([[2.0]]),
+], ids=["fourier", "schur"])
+def test_one_dimensional_classification_is_certified_without_note(classify_one):
+    # the certified verdict does not carry the search's "vacuous" note
+    verdict = classify_one()
+    assert verdict.status == SEPARATING
+    assert verdict.trials == 0
+    assert verdict.certificate is not None
+    assert verdict.note is None
+
+
 def test_separating_test_is_deterministic():
     g = builtin_group("cyclic(3)")
     t = fourier_multiplier_map(g, np.ones(3))

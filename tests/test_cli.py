@@ -335,6 +335,16 @@ def test_verify_group_override(tmp_path, capsys):
     assert "cyclic(2)\n" not in out
 
 
+@pytest.mark.parametrize("override", [["--trials", "0"], ["--tol", "-1"]])
+def test_verify_invalid_override_is_data_error(tmp_path, capsys, override):
+    # overrides go through the same validation as config-file values
+    config = _write_json(tmp_path, "config.json", SMALL_SUITE)
+    code, out, err = _run(capsys, ["verify-theorems", "--config", config] + override)
+    assert code == EXIT_DATA
+    assert out == ""
+    assert "must be positive" in err or "positive integer" in err
+
+
 def test_verify_unknown_config_key_is_data_error(tmp_path, capsys):
     config = _write_json(tmp_path, "config.json", {"groups": ["cyclic(2)"],
                                                    "bogus": 1})

@@ -45,6 +45,11 @@ def test_config_rejects_bad_values():
         SuiteConfig(tol=0.0)
     with pytest.raises(SuiteError):
         SuiteConfig(matrix_dims=(0,))
+    for name in ("converse_samples", "schur_samples", "cp_samples",
+                 "norm_samples", "linalg_samples"):
+        for count in (0, -1):
+            with pytest.raises(SuiteError):
+                SuiteConfig(**{name: count})
     with pytest.raises(SuiteError):
         SuiteConfig(injected=({"kind": "mystery", "expect": "separating"},))
     with pytest.raises(SuiteError):
