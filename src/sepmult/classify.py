@@ -60,7 +60,6 @@ from .vna import (
     derive_seed,
     disjointness_defects,
     random_disjoint_pairs,
-    regular_representation,
 )
 
 SEPARATING = "separating"
@@ -113,7 +112,7 @@ class LinearMap:
     __slots__ = ("algebra", "group", "_n", "_weights", "_images", "_flat")
 
     def __init__(self, images, algebra, group=None):
-        images = np.asarray(images, dtype=np.complex128)
+        images = np.ascontiguousarray(images, dtype=np.complex128)
         if images.ndim != 3 or images.shape[1] != images.shape[2]:
             raise ValueError("images must be a stack of square matrices")
         if not np.all(np.isfinite(images.view(np.float64))):
@@ -170,16 +169,8 @@ class LinearMap:
         return 1.0 / self.group.order if self.algebra == "group" else 1.0
 
     def basis(self):
-        n = self.matrix_dim
-        if self.algebra == "group":
-            for s in range(n):
-                yield regular_representation(self.group, s)
-        else:
-            for i in range(n):
-                for j in range(n):
-                    e = np.zeros((n, n), dtype=np.complex128)
-                    e[i, j] = 1.0
-                    yield e
+        """The canonical basis as a (algebra_dim, n, n) stack."""
+        return self._realize(np.eye(self.algebra_dim, dtype=np.complex128))
 
     def unit(self):
         return np.eye(self.matrix_dim, dtype=np.complex128)
@@ -231,11 +222,9 @@ def schur_multiplier_map(m):
 
 
 def transpose_map(n):
-    images = np.zeros((n * n, n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            images[i * n + j, j, i] = 1.0
-    return LinearMap(images, "matrix")
+    """LinearMap of the transpose x -> x^T on the n x n matrices."""
+    units = schur_multiplier_map(np.ones((n, n))).basis()
+    return LinearMap(units.swapaxes(1, 2), "matrix")
 
 
 # ---------------------------------------------------------------------------
@@ -618,19 +607,22 @@ class YeadonTriple:
 
 def _b_cluster_projections(b):
     vals, vecs = hermitian_eig(b)
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
+    scale = float(np.max(np.abs(vals), initial=0.0))
     if scale == 0.0:
         return []
-    cuts = [0]
-    for k in range(1, vals.size):
-        if vals[k] - vals[k - 1] > _CLUSTER_GAP * scale:
-            cuts.append(k)
-    cuts.append(vals.size)
-    projections = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        vk = vecs[:, lo:hi]
-        projections.append(vk @ vk.conj().T)
-    return projections
+    cuts = np.flatnonzero(np.diff(vals) > _CLUSTER_GAP * scale) + 1
+    return [vk @ vk.conj().T for vk in np.split(vecs, cuts, axis=1)]
+
+
+def _worst(stack):
+    """Largest Frobenius norm over a stack of matrices (0 for none), taken
+    on the stack divided by its largest real or imaginary part so that no
+    square underflows or overflows."""
+    parts = np.ascontiguousarray(stack).view(np.float64)
+    peak = float(np.max(np.abs(parts), initial=0.0))
+    if peak == 0.0:
+        return 0.0
+    return peak * float(np.max(frobenius_each(parts / peak)))
 
 
 def yeadon_extract(t, tol=DEFAULT_TOL, random_checks=8):
@@ -645,61 +637,50 @@ def yeadon_extract(t, tol=DEFAULT_TOL, random_checks=8):
     * every spectral projection of B commutes with every J(basis element),
     * J(a^2) = J(a)^2 and J(a*) = J(a)* on basis and random elements.
 
-    Any breach beyond ``tol`` raises ``NotSeparating`` carrying the residual
-    table, so a successful return is a deterministic structural certificate.
+    J is applied as ``B^+ w* T`` to whole stacks: the basis, and one sample
+    stack of the normalized basis followed by ``random_checks`` normalized
+    random elements.  Any breach beyond ``tol`` raises ``NotSeparating``
+    carrying the residual table, so a successful return is a deterministic
+    structural certificate.
     """
-    unit = t.unit()
-    t_unit = t.apply(unit)
+    t_unit = t.apply(t.unit())
     w, b = polar_decompose(t_unit, _PINV_CUTOFF)
-    bp = psd_pseudo_inverse(b, _PINV_CUTOFF)
-    bpw = bp @ w.conj().T
-    basis = list(t.basis())
-    t_images = [t.apply(a) for a in basis]
-    j_images = np.stack([bpw @ img for img in t_images])
-    jmap = LinearMap(j_images, t.algebra, t.group)
+    bpw = psd_pseudo_inverse(b, _PINV_CUTOFF) @ w.conj().T
+    basis = t.basis()
+    t_images = t.apply(basis)
+    jmap = LinearMap(bpw @ t_images, t.algebra, t.group)
+    j_images = jmap.images
 
-    scale_t = max([frobenius(img) for img in t_images] + [1.0])
     residuals = {}
     supp = support_projection(b, _PINV_CUTOFF)
     supp_scale = max(1.0, frobenius(supp))
     residuals["initial_projection"] = frobenius(w.conj().T @ w - supp) / supp_scale
-    residuals["jordan_unit"] = frobenius(jmap.apply(unit) - supp) / supp_scale
+    residuals["jordan_unit"] = frobenius(bpw @ t_unit - supp) / supp_scale
 
-    worst_recon = 0.0
-    wb = w @ b
-    for a, img in zip(basis, t_images):
-        worst_recon = max(
-            worst_recon, frobenius(img - wb @ jmap.apply(a)) / scale_t
-        )
-    residuals["reconstruction"] = worst_recon
+    # each dense (d, n, n) stack is dropped once read, so that at most about
+    # five are alive at a time
+    recon = (w @ b) @ j_images
+    recon -= t_images
+    residuals["reconstruction"] = _worst(recon) / max(_worst(t_images), 1.0)
+    del recon, t_images
 
-    worst_comm = 0.0
-    for proj in _b_cluster_projections(b):
-        for img in jmap.images:
-            denom = max(1.0, frobenius(img))
-            worst_comm = max(
-                worst_comm, frobenius(proj @ img - img @ proj) / denom
-            )
-    residuals["weight_commutation"] = worst_comm
+    denom = np.maximum(frobenius_each(j_images), 1.0)
+    residuals["weight_commutation"] = max(
+        (float(np.max(frobenius_each(proj @ j_images - j_images @ proj) / denom))
+         for proj in _b_cluster_projections(b)), default=0.0)
 
     rng = np.random.default_rng(derive_seed(_EXTRACT_SEED))
-    samples = []
-    for a in basis:
-        samples.append(a / frobenius(a))
-    for x in t.random_elements(rng, random_checks):
-        samples.append(x / max(frobenius(x), 1e-300))
-    worst_square = 0.0
-    worst_star = 0.0
-    for a in samples:
-        ja = jmap.apply(a)
-        worst_square = max(
-            worst_square, frobenius(jmap.apply(a @ a) - ja @ ja)
-        )
-        worst_star = max(
-            worst_star, frobenius(jmap.apply(a.conj().T) - ja.conj().T)
-        )
-    residuals["jordan_square"] = worst_square
-    residuals["jordan_adjoint"] = worst_star
+    samples = np.concatenate([basis, t.random_elements(rng, random_checks)])
+    del basis
+    samples /= np.maximum(frobenius_each(samples), 1e-300)[:, None, None]
+    j_samples = bpw @ t.apply(samples)
+    square = bpw @ t.apply(samples @ samples)
+    square -= j_samples @ j_samples
+    residuals["jordan_square"] = _worst(square)
+    del square
+    star = bpw @ t.apply(np.conj(samples.swapaxes(-1, -2), order="C"))
+    star -= j_samples.conj().swapaxes(-1, -2)
+    residuals["jordan_adjoint"] = _worst(star)
 
     worst = max(residuals.values())
     if worst > tol:

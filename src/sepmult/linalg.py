@@ -128,20 +128,24 @@ def hermitian_eig(h, tol=DEFAULT_TOL):
     LAPACK reports failure.
     """
     a = _as_complex_stack(h)
-    symmetrized = _adjoint(a)
-    scale = frobenius_each(a)
-    if (frobenius_each(a - symmetrized) > tol * scale).any():
+    # the gate sees each matrix divided by its largest entry, so its norms
+    # neither underflow nor overflow whatever the matrix's scale; only an
+    # exactly zero matrix counts as zero
+    peak = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    zero = peak == 0.0
+    scaled = a / np.where(zero, 1.0, peak)[..., None, None]
+    if (frobenius_each(scaled - _adjoint(scaled)) > tol * frobenius_each(scaled)).any():
         raise NotHermitian(
             "matrix is not Hermitian within relative tolerance %g" % tol
         )
+    symmetrized = _adjoint(a)
     symmetrized += a
     symmetrized *= 0.5
     try:
         vals, vecs = np.linalg.eigh(symmetrized)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence("Hermitian eigensolver: %s" % exc) from exc
-    if not scale.all():
-        zero = scale == 0.0
+    if zero.any():
         vals[zero] = 0.0
         vecs[zero] = np.eye(a.shape[-1])
     return EigenDecomposition(vals, vecs)

@@ -108,8 +108,8 @@ class SuiteConfig:
         self.p_values = tuple(float(p) for p in self.p_values)
         self.matrix_dims = tuple(int(n) for n in self.matrix_dims)
         self.injected = tuple(self.injected)
-        if any(p < 1.0 or math.isnan(p) for p in self.p_values):
-            raise SuiteError("p_values must all satisfy p >= 1")
+        if not self.p_values or any(p < 1.0 or math.isnan(p) for p in self.p_values):
+            raise SuiteError("p_values must be a nonempty list of p >= 1")
         if not isinstance(self.trials, int) or self.trials < 1:
             raise InvalidTrials("trials must be a positive integer")
         if not (self.tol > 0.0):

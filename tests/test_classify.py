@@ -1,6 +1,7 @@
 """Separating/isometric classification and Yeadon triple extraction."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,9 +31,22 @@ from sepmult.classify import (
     yeadon_extract,
 )
 from sepmult.groups import builtin_group, enumerate_characters, trivial_character
-from sepmult.linalg import InvalidExponent, frobenius
+from sepmult.linalg import (
+    InvalidExponent,
+    frobenius,
+    hermitian_eig,
+    polar_decompose,
+    psd_pseudo_inverse,
+    support_projection,
+)
 from sepmult.schur import RankOneCertificate
-from sepmult.vna import ExhaustedRetries, GroupAlgebraElement, derive_seed, is_disjoint
+from sepmult.vna import (
+    ExhaustedRetries,
+    GroupAlgebraElement,
+    derive_seed,
+    is_disjoint,
+    regular_representation,
+)
 
 RESIDUAL_KEYS = {
     "initial_projection",
@@ -75,6 +89,17 @@ def test_schur_map_applies_entrywise():
     np.testing.assert_allclose(t.apply(x), m)
     assert t.trace_weight == 1.0
     assert t.algebra_dim == 4
+
+
+def test_basis_is_the_canonical_stack():
+    g = builtin_group("dihedral(3)")
+    lam = fourier_multiplier_map(g, np.ones(6)).basis()
+    assert lam.shape == (6, 6, 6)
+    for s in range(6):
+        np.testing.assert_array_equal(lam[s], regular_representation(g, s))
+    units = schur_multiplier_map(np.ones((2, 2))).basis()
+    assert units.shape == (4, 2, 2)
+    np.testing.assert_array_equal(units.reshape(4, 4), np.eye(4))
 
 
 def test_transpose_map_transposes():
@@ -397,6 +422,172 @@ def test_extraction_is_stable_under_reextraction():
     second = yeadon_extract(first.reconstruct_map())
     np.testing.assert_allclose(second.b, first.b, atol=1e-8)
     np.testing.assert_allclose(second.jmap.images, first.jmap.images, atol=1e-8)
+
+
+def _reference_basis(t):
+    n = t.matrix_dim
+    if t.algebra == "group":
+        for s in range(n):
+            yield regular_representation(t.group, s)
+    else:
+        for i in range(n):
+            for j in range(n):
+                e = np.zeros((n, n), dtype=np.complex128)
+                e[i, j] = 1.0
+                yield e
+
+
+def _reference_yeadon(t):
+    """Per-element Yeadon extraction: one ``apply`` of T or of the dense J
+    per basis element and per sample, one cluster cut at a time."""
+    cutoff = classify._PINV_CUTOFF
+    unit = t.unit()
+    w, b = polar_decompose(t.apply(unit), cutoff)
+    bpw = psd_pseudo_inverse(b, cutoff) @ w.conj().T
+    basis = list(_reference_basis(t))
+    t_images = [t.apply(a) for a in basis]
+    jmap = LinearMap(np.stack([bpw @ img for img in t_images]), t.algebra, t.group)
+
+    scale_t = max([frobenius(img) for img in t_images] + [1.0])
+    residuals = {}
+    supp = support_projection(b, cutoff)
+    supp_scale = max(1.0, frobenius(supp))
+    residuals["initial_projection"] = frobenius(w.conj().T @ w - supp) / supp_scale
+    residuals["jordan_unit"] = frobenius(jmap.apply(unit) - supp) / supp_scale
+    residuals["reconstruction"] = max(
+        frobenius(img - w @ b @ jmap.apply(a)) / scale_t
+        for a, img in zip(basis, t_images))
+
+    vals, vecs = hermitian_eig(b)
+    scale = float(np.max(np.abs(vals)))
+    projections = []
+    if scale > 0.0:
+        cuts = [0]
+        for k in range(1, vals.size):
+            if vals[k] - vals[k - 1] > classify._CLUSTER_GAP * scale:
+                cuts.append(k)
+        cuts.append(vals.size)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            vk = vecs[:, lo:hi]
+            projections.append(vk @ vk.conj().T)
+    worst_comm = 0.0
+    for proj in projections:
+        for img in jmap.images:
+            worst_comm = max(worst_comm, frobenius(proj @ img - img @ proj)
+                             / max(1.0, frobenius(img)))
+    residuals["weight_commutation"] = worst_comm
+
+    rng = np.random.default_rng(derive_seed(classify._EXTRACT_SEED))
+    samples = [a / frobenius(a) for a in basis]
+    for x in t.random_elements(rng, 8):
+        samples.append(x / max(frobenius(x), 1e-300))
+    worst_square = worst_star = 0.0
+    for a in samples:
+        ja = jmap.apply(a)
+        worst_square = max(worst_square, frobenius(jmap.apply(a @ a) - ja @ ja))
+        worst_star = max(worst_star, frobenius(jmap.apply(a.conj().T) - ja.conj().T))
+    residuals["jordan_square"] = worst_square
+    residuals["jordan_adjoint"] = worst_star
+
+    failing = max(residuals, key=residuals.get)
+    if residuals[failing] > 1e-9:
+        raise NotSeparating(failing, residuals)
+    return classify.YeadonTriple(w, b, jmap, residuals)
+
+
+def _extraction_outcome(extract, t):
+    try:
+        return extract(t)
+    except NotSeparating as exc:
+        return exc
+
+
+def _fourier_extraction_cases():
+    rng = np.random.default_rng(31)
+    for name in ("cyclic(1)", "cyclic(3)", "symmetric(3)", "quaternion8", "dihedral(4)"):
+        g = builtin_group(name)
+        for psi in enumerate_characters(g):
+            for c in (1.0, 1.5j):
+                yield fourier_multiplier_map(g, c * psi.values)
+        yield fourier_multiplier_map(g, rng.standard_normal(g.order)
+                                     + 1j * rng.standard_normal(g.order))
+
+
+def _rank_one_extraction_cases():
+    rng = np.random.default_rng(32)
+    for n in range(1, 9):
+        yield schur_multiplier_map(np.outer(_unimodular(rng, n), _unimodular(rng, n)))
+
+
+def _nonfactorable_extraction_cases():
+    rng = np.random.default_rng(33)
+    for n in range(2, 9):
+        m = np.outer(_unimodular(rng, n), _unimodular(rng, n)) + 2.0 * np.eye(n)
+        yield schur_multiplier_map(m)
+
+
+def _transpose_extraction_cases():
+    for n in range(2, 6):
+        yield transpose_map(n)
+
+
+@pytest.mark.parametrize("cases, refusals", [
+    (_fourier_extraction_cases, 4),       # the random symbols but cyclic(1)'s
+    (_rank_one_extraction_cases, 0),
+    (_nonfactorable_extraction_cases, 7),
+    (_transpose_extraction_cases, 0),
+])
+def test_stacked_extraction_matches_per_element_reference(cases, refusals):
+    refused = 0
+    for t in cases():
+        want = _extraction_outcome(_reference_yeadon, t)
+        got = _extraction_outcome(yeadon_extract, t)
+        assert type(got) is type(want)
+        assert set(got.residuals) == set(want.residuals) == RESIDUAL_KEYS
+        for key, value in want.residuals.items():
+            assert got.residuals[key] == pytest.approx(value, rel=0, abs=1e-13), key
+        if isinstance(want, NotSeparating):
+            refused += 1
+            assert max(got.residuals, key=got.residuals.get) == str(want)
+            assert str(want) in str(got)
+        else:
+            np.testing.assert_allclose(got.jmap.images, want.jmap.images, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(got.w, want.w, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(got.b, want.b, rtol=0, atol=1e-13)
+    assert refused == refusals
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_extraction_accepts_rescaled_rank_one_schur_map(scale):
+    # B, its support and the residuals are decided at the scale of T, so no
+    # norm underflows or overflows
+    rng = np.random.default_rng(34)
+    m = scale * np.outer(_unimodular(rng, 3), _unimodular(rng, 3))
+    triple = yeadon_extract(schur_multiplier_map(m))
+    assert max(triple.residuals.values()) <= 1e-9
+    assert all(np.isfinite(list(triple.residuals.values())))
+    np.testing.assert_allclose(triple.b / scale, np.eye(3), atol=1e-12)
+
+
+@pytest.mark.parametrize("moduli", ["unimodular", "distinct"])
+def test_extraction_memory_stays_within_ten_basis_stacks(moduli):
+    # a handful of dense (n^2, n, n) stacks: the basis, T and J of it, the
+    # samples; never a (clusters x basis) or n^5 broadcast.  Distinct moduli
+    # give B = |T(1)| one spectral cluster per eigenvalue.
+    n = 24
+    rng = np.random.default_rng(35)
+    alpha = _unimodular(rng, n)
+    if moduli == "distinct":
+        alpha *= np.arange(1.0, n + 1.0)
+    t = schur_multiplier_map(np.outer(alpha, _unimodular(rng, n)))
+    stack_bytes = n ** 4 * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        _extraction_outcome(yeadon_extract, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * stack_bytes
 
 
 # ---------------------------------------------------------------------------

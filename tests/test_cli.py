@@ -345,6 +345,14 @@ def test_verify_invalid_override_is_data_error(tmp_path, capsys, override):
     assert "must be positive" in err or "positive integer" in err
 
 
+def test_verify_empty_p_values_is_data_error(tmp_path, capsys):
+    config = _write_json(tmp_path, "config.json", dict(SMALL_SUITE, p_values=[]))
+    code, out, err = _run(capsys, ["verify-theorems", "--config", config])
+    assert code == EXIT_DATA
+    assert out == ""
+    assert "p_values" in err
+
+
 def test_verify_unknown_config_key_is_data_error(tmp_path, capsys):
     config = _write_json(tmp_path, "config.json", {"groups": ["cyclic(2)"],
                                                    "bogus": 1})

@@ -91,6 +91,26 @@ def test_eig_zero_matrix():
     np.testing.assert_allclose(vecs, np.eye(3))
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_eig_of_rescaled_matrix_rescales_eigenvalues(scale):
+    # Frobenius norms of these matrices underflow or overflow; neither the
+    # zero test nor the Hermitian gate may depend on them
+    rng = np.random.default_rng(15)
+    a = _random_complex(rng, 4)
+    h = a + a.conj().T
+    want = np.linalg.eigvalsh(h)
+    vals, vecs = hermitian_eig(scale * h)
+    np.testing.assert_allclose(vals / scale, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(h @ vecs, vecs * (vals / scale), atol=1e-10)
+    assert frobenius(vecs.conj().T @ vecs - np.eye(4)) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1.0, 1e100, 1e200])
+def test_eig_rejects_non_hermitian_at_every_scale(scale):
+    with pytest.raises(NotHermitian):
+        hermitian_eig(scale * np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
 # ---------------------------------------------------------------------------
 # svd and singular values
 

@@ -37,8 +37,9 @@ def test_config_round_trip_preserves_overrides():
 
 
 def test_config_rejects_bad_values():
-    with pytest.raises(SuiteError):
-        SuiteConfig(p_values=(0.5,))
+    for p_values in ((0.5,), ()):
+        with pytest.raises(SuiteError):
+            SuiteConfig(p_values=p_values)
     with pytest.raises(InvalidTrials):
         SuiteConfig(trials=0)
     with pytest.raises(SuiteError):
