@@ -57,9 +57,11 @@ from .schur import rank_one_unimodular_factor, herz_schur_symbol
 from .vna import (
     ExhaustedRetries,
     FourierMultiplier,
+    coefficients,
     derive_seed,
     disjointness_defects,
     random_disjoint_pairs,
+    symbol_to_json,
 )
 
 SEPARATING = "separating"
@@ -182,8 +184,7 @@ class LinearMap:
         if x.shape[-2:] != (n, n):
             raise ValueError("operand shape %r does not match dim %d" % (x.shape, n))
         if self.algebra == "group":
-            cols = np.arange(n)
-            return x[..., self.group.mul, cols].sum(axis=-1) / n
+            return coefficients(self.group, x)
         return x.reshape(x.shape[:-2] + (n * n,))
 
     def _realize(self, coeffs):
@@ -261,10 +262,6 @@ def _complex_pair(z):
     return [z.real, z.imag]
 
 
-def _vector_json(v):
-    return [_complex_pair(z) for z in np.asarray(v, dtype=np.complex128)]
-
-
 def verdict_to_json(v):
     out = {
         "status": v.status,
@@ -281,7 +278,7 @@ def verdict_to_json(v):
         cert = {"kind": v.certificate["kind"], "c": _complex_pair(v.certificate["c"])}
         for key, value in v.certificate.items():
             if key not in cert:
-                cert[key] = _vector_json(value)
+                cert[key] = symbol_to_json(value)
         out["certificate"] = cert
     if v.witness is not None:
         w = v.witness
@@ -661,7 +658,7 @@ def yeadon_extract(t, tol=DEFAULT_TOL, random_checks=8):
     # five are alive at a time
     recon = (w @ b) @ j_images
     recon -= t_images
-    residuals["reconstruction"] = _worst(recon) / max(_worst(t_images), 1.0)
+    residuals["reconstruction"] = _worst(recon) / (_worst(t_images) or 1.0)
     del recon, t_images
 
     denom = np.maximum(frobenius_each(j_images), 1.0)
@@ -706,15 +703,12 @@ def positive_definite_test(g, phi, tol=DEFAULT_TOL):
     Hermiticity gate already fails).
     """
     m = herz_schur_symbol(g, phi)
-    scale = frobenius(m)
-    hermitian_defect = 0.0
-    if scale > 0.0:
-        hermitian_defect = frobenius(m - m.conj().T) / scale
-    h = 0.5 * (m + m.conj().T)
-    vals, _ = hermitian_eig(h)
-    min_eig = float(vals[0]) if vals.size else 0.0
-    eig_scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    ok = hermitian_defect <= tol and min_eig >= -tol * max(eig_scale, 1.0)
+    # the defect is read on m / max|m| so that no square under- or overflows
+    unit = m / max(float(np.max(np.abs(m))), 1e-300)
+    hermitian_defect = frobenius(unit - unit.conj().T) / max(frobenius(unit), 1e-300)
+    vals, _ = hermitian_eig(0.5 * (m + m.conj().T))
+    min_eig = float(vals[0])
+    ok = hermitian_defect <= tol and min_eig >= -tol * float(np.max(np.abs(vals)))
     return ok, min_eig
 
 

@@ -82,24 +82,14 @@ def _load_group(spec):
         raise DataError("cannot read %s: %s" % (spec, exc.strerror or exc))
     except json.JSONDecodeError as exc:
         raise DataError("invalid JSON in %s: %s" % (spec, exc))
-    except GroupError as exc:
-        raise DataError(str(exc))
 
 
 def _load_symbol(path, expected_len):
-    obj = _read_json_file(path)
-    try:
-        return symbol_from_json(obj, expected_len)
-    except ValueError as exc:
-        raise DataError(str(exc))
+    return symbol_from_json(_read_json_file(path), expected_len)
 
 
 def _load_matrix(path):
-    obj = _read_json_file(path)
-    try:
-        return matrix_from_json(obj)
-    except ValueError as exc:
-        raise DataError(str(exc))
+    return matrix_from_json(_read_json_file(path))
 
 
 def _emit(obj, args):
@@ -216,10 +206,7 @@ def cmd_list_characters(args):
 
 def cmd_verify_theorems(args):
     if args.config is not None:
-        try:
-            config = config_from_json(_read_json_file(args.config))
-        except SuiteError as exc:
-            raise DataError(str(exc))
+        config = config_from_json(_read_json_file(args.config))
     else:
         config = default_config()
     # replace() runs the config's validation on the overridden values too
@@ -318,11 +305,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_DATA
-    except (GroupError, VnaError, LinalgError, ClassifyError, SuiteError,
-            ValueError) as exc:
+    except (DataError, GroupError, VnaError, LinalgError, ClassifyError,
+            SuiteError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DATA
 

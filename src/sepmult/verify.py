@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .classify import (
     classify_fourier,
     classify_schur,
     fourier_multiplier_map,
-    isometry_test,
     positive_definite_test,
     schur_multiplier_map,
     separating_test,
@@ -49,12 +48,10 @@ from .linalg import (
     polar_decompose,
     random_unitary,
     schatten_norm,
-    singular_values,
     svd,
 )
 from .schur import herz_schur_symbol, rank_one_unimodular_factor, recover_character, transpose_symbol_fit
 from .vna import (
-    GroupAlgebraElement,
     apply_fourier,
     FourierMultiplier,
     derive_seed,
@@ -85,6 +82,13 @@ class EmptySuite(SuiteError):
 def _tag(label):
     digest = hashlib.blake2s(label.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+def _rng(config, cell, label=None):
+    """The generator of one cell: a pure function of the suite seed, the
+    cell's tag and, for per-group and per-dimension cells, the label."""
+    labels = () if label is None else (_tag(str(label)),)
+    return np.random.default_rng(derive_seed(config.seed, _tag(cell), *labels))
 
 
 @dataclass
@@ -134,42 +138,27 @@ def default_config():
 
 
 def config_to_json(config):
-    return {
-        "groups": list(config.groups),
-        "p_values": list(config.p_values),
-        "trials": config.trials,
-        "seed": config.seed,
-        "tol": config.tol,
-        "output": config.output,
-        "matrix_dims": list(config.matrix_dims),
-        "converse_samples": config.converse_samples,
-        "schur_samples": config.schur_samples,
-        "cp_samples": config.cp_samples,
-        "norm_samples": config.norm_samples,
-        "linalg_samples": config.linalg_samples,
-        "injected": [dict(item) for item in config.injected],
-    }
+    """The config as a JSON object whose keys are the SuiteConfig fields."""
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in asdict(config).items()}
 
 
 def config_from_json(obj):
+    """Inverse of :func:`config_to_json`; each value is cast to the type of
+    its field's default, and absent keys keep their defaults."""
     if not isinstance(obj, dict):
         raise SuiteError("suite config must be a JSON object")
-    kwargs = {}
-    fields = {
-        "groups": tuple, "p_values": tuple, "trials": int, "seed": int,
-        "tol": float, "output": str, "matrix_dims": tuple,
-        "converse_samples": int, "schur_samples": int, "cp_samples": int,
-        "norm_samples": int, "linalg_samples": int, "injected": tuple,
-    }
-    unknown = set(obj) - set(fields)
+    known = fields(SuiteConfig)
+    unknown = set(obj) - {f.name for f in known}
     if unknown:
         raise SuiteError("unknown config keys: %s" % ", ".join(sorted(unknown)))
-    for key, cast in fields.items():
-        if key in obj:
+    kwargs = {}
+    for f in known:
+        if f.name in obj:
             try:
-                kwargs[key] = cast(obj[key])
+                kwargs[f.name] = type(f.default)(obj[f.name])
             except (TypeError, ValueError) as exc:
-                raise SuiteError("bad config value for %r: %s" % (key, exc))
+                raise SuiteError("bad config value for %r: %s" % (f.name, exc))
     return SuiteConfig(**kwargs)
 
 
@@ -200,10 +189,10 @@ class CellResult:
         }
 
 
-def _run_cell(results, name, fn):
+def _run_cell(results, name, fn, *args):
     start = time.perf_counter()
     try:
-        passed, residual, detail = fn()
+        passed, residual, detail = fn(*args)
     except Exception as exc:  # a crashed cell is a failed cell, with the reason
         passed, residual, detail = False, math.inf, "error: %s" % exc
     wall = (time.perf_counter() - start) * 1e3
@@ -214,7 +203,7 @@ def _run_cell(results, name, fn):
 # cells over a group
 
 
-def _cell_characters(g, config):
+def _cell_characters(g, label, config):
     chars = enumerate_characters(g)
     expected = g.order // len(commutator_subgroup(g))
     worst = 0.0
@@ -233,7 +222,7 @@ def _cell_characters(g, config):
 _FORWARD_SCALARS = (0.0, 1.0, 2.0, 1j, 1 + 1j)
 
 
-def _cell_fourier_forward(g, config):
+def _cell_fourier_forward(g, label, config):
     chars = enumerate_characters(g)
     worst_dev = 0.0
     checked = 0
@@ -285,8 +274,7 @@ def _converse(samples, classify):
 def _cell_fourier_converse(g, label, config):
     if g.order < 2:
         return True, 0.0, "vacuous: every symbol is a multiple of the character"
-    rng = np.random.default_rng(derive_seed(config.seed, _tag("fourier-converse"),
-                                            _tag(label)))
+    rng = _rng(config, "fourier-converse", label)
     symbols = [_draw_nonfitting_symbol(g, rng) for _ in range(config.converse_samples)]
     return _converse(symbols, lambda phi: classify_fourier(
         g, phi, p=2.0, trials=config.trials, seed=config.seed, tol=config.tol))
@@ -295,8 +283,7 @@ def _cell_fourier_converse(g, label, config):
 def _cell_cross_p(g, label, config):
     if g.order < 2:
         return True, 0.0, "vacuous on the one-element group"
-    rng = np.random.default_rng(derive_seed(config.seed, _tag("cross-p"),
-                                            _tag(label)))
+    rng = _rng(config, "cross-p", label)
     chars = enumerate_characters(g)
     symbols = [chars[0].values, 2.0 * chars[-1].values]
     for _ in range(3):
@@ -347,8 +334,7 @@ def _cell_yeadon_group(g, label, config):
                 fourier_multiplier_map(g, c * ch.values)))
     refused = True
     if g.order >= 2:
-        rng = np.random.default_rng(derive_seed(config.seed, _tag("yeadon-neg"),
-                                                _tag(label)))
+        rng = _rng(config, "yeadon-neg", label)
         phi = _draw_nonfitting_symbol(g, rng)
         refused = _yeadon_refused(fourier_multiplier_map(g, phi))
     ok = worst <= 1e-8 and refused
@@ -368,8 +354,7 @@ def _cell_cp(g, label, config):
     flagged = 0
     samples = 0
     if g.order >= 2:
-        rng = np.random.default_rng(derive_seed(config.seed, _tag("cp"),
-                                                _tag(label)))
+        rng = _rng(config, "cp", label)
         for _ in range(config.cp_samples):
             theta = rng.uniform(0.0, 2.0 * math.pi, size=g.order)
             theta[g.identity] = 0.0
@@ -388,7 +373,7 @@ def _cell_cp(g, label, config):
     return ok_cell, worst_char, detail
 
 
-def _cell_herz_schur(g, config):
+def _cell_herz_schur(g, label, config):
     worst = 0.0
     for ch in enumerate_characters(g):
         for c in (1.0, 2.0j):
@@ -411,8 +396,7 @@ def _cell_herz_schur(g, config):
 
 
 def _cell_vna_norms(g, label, config):
-    rng = np.random.default_rng(derive_seed(config.seed, _tag("vna-norms"),
-                                            _tag(label)))
+    rng = _rng(config, "vna-norms", label)
     worst = 0.0
     n = g.order
     # the left regular representation is multiplicative and unitary
@@ -448,8 +432,7 @@ def _random_unimodular_vector(rng, n):
 
 
 def _cell_schur_factor(n, config):
-    rng = np.random.default_rng(derive_seed(config.seed, _tag("schur-factor"),
-                                            _tag(str(n))))
+    rng = _rng(config, "schur-factor", n)
     worst_recon = 0.0
     worst_dev = 0.0
     for index in range(config.schur_samples):
@@ -493,8 +476,7 @@ def _draw_nonfactorable_matrix(rng, n, reject_tol=1e-6):
 def _cell_schur_converse(n, config):
     if n < 2:
         return True, 0.0, "vacuous in dimension 1"
-    rng = np.random.default_rng(derive_seed(config.seed, _tag("schur-converse"),
-                                            _tag(str(n))))
+    rng = _rng(config, "schur-converse", n)
     symbols = [_draw_nonfactorable_matrix(rng, n) for _ in range(config.schur_samples)]
     return _converse(symbols, lambda m: classify_schur(
         m, p=2.0, trials=config.trials, seed=config.seed, tol=config.tol))
@@ -508,8 +490,7 @@ def _cell_transpose(n, config):
     tmap = transpose_map(n)
     triple = yeadon_extract(tmap, tol=1e-8)
     worst = max(triple.residuals.values())
-    rng = np.random.default_rng(derive_seed(config.seed, _tag("transpose"),
-                                            _tag(str(n))))
+    rng = _rng(config, "transpose", n)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     worst = max(worst, frobenius(triple.jmap.apply(x) - x.T) / frobenius(x))
     ok = worst <= 1e-8
@@ -519,8 +500,7 @@ def _cell_transpose(n, config):
 
 
 def _cell_yeadon_matrix(n, config):
-    rng = np.random.default_rng(derive_seed(config.seed, _tag("yeadon-matrix"),
-                                            _tag(str(n))))
+    rng = _rng(config, "yeadon-matrix", n)
     worst = 0.0
     for index in range(3):
         alpha = _random_unimodular_vector(rng, n)
@@ -545,7 +525,7 @@ def _cell_yeadon_matrix(n, config):
 
 
 def _cell_linalg(config):
-    rng = np.random.default_rng(derive_seed(config.seed, _tag("linalg")))
+    rng = _rng(config, "linalg")
     worst_sigma = 0.0
     worst_polar = 0.0
     worst_norm = 0.0
@@ -614,6 +594,26 @@ def _cell_injected(item, config):
 # ---------------------------------------------------------------------------
 # suite assembly
 
+#: (family, cell) run on every group as cell(g, label, config)
+_GROUP_CELLS = (
+    ("characters/completeness", _cell_characters),
+    ("fourier/forward", _cell_fourier_forward),
+    ("fourier/converse", _cell_fourier_converse),
+    ("fourier/cross-p", _cell_cross_p),
+    ("yeadon/fourier", _cell_yeadon_group),
+    ("positive-definite", _cell_cp),
+    ("herz-schur/recovery", _cell_herz_schur),
+    ("vna/norms", _cell_vna_norms),
+)
+
+#: (family, cell) run on every matrix dimension as cell(n, config)
+_DIM_CELLS = (
+    ("schur/factor", _cell_schur_factor),
+    ("schur/converse", _cell_schur_converse),
+    ("schur/transpose", _cell_transpose),
+    ("yeadon/schur", _cell_yeadon_matrix),
+)
+
 
 def run_suite(config):
     """Run every cell; returns the report dict (see ``report_passed``)."""
@@ -622,35 +622,15 @@ def run_suite(config):
     results = []
     for label in config.groups:
         g = load_group(label)
-        _run_cell(results, "characters/completeness/%s" % label,
-                  lambda g=g: _cell_characters(g, config))
-        _run_cell(results, "fourier/forward/%s" % label,
-                  lambda g=g: _cell_fourier_forward(g, config))
-        _run_cell(results, "fourier/converse/%s" % label,
-                  lambda g=g, label=label: _cell_fourier_converse(g, label, config))
-        _run_cell(results, "fourier/cross-p/%s" % label,
-                  lambda g=g, label=label: _cell_cross_p(g, label, config))
-        _run_cell(results, "yeadon/fourier/%s" % label,
-                  lambda g=g, label=label: _cell_yeadon_group(g, label, config))
-        _run_cell(results, "positive-definite/%s" % label,
-                  lambda g=g, label=label: _cell_cp(g, label, config))
-        _run_cell(results, "herz-schur/recovery/%s" % label,
-                  lambda g=g: _cell_herz_schur(g, config))
-        _run_cell(results, "vna/norms/%s" % label,
-                  lambda g=g, label=label: _cell_vna_norms(g, label, config))
+        for family, cell in _GROUP_CELLS:
+            _run_cell(results, "%s/%s" % (family, label), cell, g, label, config)
     for n in config.matrix_dims:
-        _run_cell(results, "schur/factor/dim%d" % n,
-                  lambda n=n: _cell_schur_factor(n, config))
-        _run_cell(results, "schur/converse/dim%d" % n,
-                  lambda n=n: _cell_schur_converse(n, config))
-        _run_cell(results, "schur/transpose/dim%d" % n,
-                  lambda n=n: _cell_transpose(n, config))
-        _run_cell(results, "yeadon/schur/dim%d" % n,
-                  lambda n=n: _cell_yeadon_matrix(n, config))
-    _run_cell(results, "linalg/invariants", lambda: _cell_linalg(config))
+        for family, cell in _DIM_CELLS:
+            _run_cell(results, "%s/dim%d" % (family, n), cell, n, config)
+    _run_cell(results, "linalg/invariants", _cell_linalg, config)
     for index, item in enumerate(config.injected):
         _run_cell(results, "injected/%s/%d" % (item["kind"], index),
-                  lambda item=item: _cell_injected(item, config))
+                  _cell_injected, item, config)
     results.sort(key=lambda cell: cell.name)
     failed = [cell.name for cell in results if not cell.passed]
     from . import __version__

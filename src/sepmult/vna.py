@@ -79,6 +79,14 @@ def convolve(g, x, y):
     return (x[..., g.rebuild_grid] @ y[..., None])[..., 0]
 
 
+def coefficients(g, x):
+    """Coefficients of the conditional expectation of matrices onto the
+    algebra, ``f(s) = normalized trace of lambda(s)* X``, for a matrix or
+    each matrix of a (..., n, n) stack."""
+    n = g.order
+    return x[..., g.mul, np.arange(n)].sum(axis=-1) / n
+
+
 class GroupAlgebraElement:
     """Element of the group von Neumann algebra, held as coefficients."""
 
@@ -114,9 +122,7 @@ class GroupAlgebraElement:
         n = group.order
         if x.shape != (n, n):
             raise DimMismatch("matrix shape %r does not match order %d" % (x.shape, n))
-        cols = np.arange(n)
-        coeffs = x[group.mul, cols[None, :]].mean(axis=1)
-        element = cls(group, coeffs)
+        element = cls(group, coefficients(group, x))
         if membership_tol is not None:
             defect = frobenius(element.matrix - x)
             if defect > membership_tol * max(frobenius(x), 1e-300):
@@ -298,7 +304,7 @@ def random_projection_pairs(g, seeds):
         # the spectral projection onto the eigenvalues up to the cut
         pmat = (vecs * (cols <= cut[:, None])[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
         del vecs
-        p = pmat[:, g.mul, cols].mean(axis=-1)
+        p = coefficients(g, pmat)
         ok &= (frobenius_each(p[:, grid] - pmat)
                <= MEMBERSHIP_TOL * np.maximum(frobenius_each(pmat), 1e-300))
         # a matrix realized from n coefficients has sqrt(n) times their norm

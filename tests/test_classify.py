@@ -448,7 +448,7 @@ def _reference_yeadon(t):
     t_images = [t.apply(a) for a in basis]
     jmap = LinearMap(np.stack([bpw @ img for img in t_images]), t.algebra, t.group)
 
-    scale_t = max([frobenius(img) for img in t_images] + [1.0])
+    scale_t = max(frobenius(img) for img in t_images) or 1.0
     residuals = {}
     supp = support_projection(b, cutoff)
     supp_scale = max(1.0, frobenius(supp))
@@ -569,6 +569,21 @@ def test_extraction_accepts_rescaled_rank_one_schur_map(scale):
     np.testing.assert_allclose(triple.b / scale, np.eye(3), atol=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-10, 1e-200])
+def test_extraction_refuses_rescaled_non_separating_map(scale):
+    # T(lambda(e)) = P, T(lambda(s)) = P + Q on cyclic(2) is not separating:
+    # T(E+)* T(E-) = -Q/4 for the minimal projections E+-.  The
+    # reconstruction residual is relative to T(basis), so it reads the same
+    # at every scale
+    g = builtin_group("cyclic(2)")
+    p = np.full((2, 2), 0.5, dtype=np.complex128)
+    q = np.eye(2) - p
+    t = LinearMap(scale * np.stack([p, p + q]), "group", g)
+    with pytest.raises(NotSeparating) as info:
+        yeadon_extract(t)
+    assert info.value.residuals["reconstruction"] == pytest.approx(2 ** -0.5, rel=1e-9)
+
+
 @pytest.mark.parametrize("moduli", ["unimodular", "distinct"])
 def test_extraction_memory_stays_within_ten_basis_stacks(moduli):
     # a handful of dense (n^2, n, n) stacks: the basis, T and J of it, the
@@ -616,6 +631,18 @@ def test_negative_spectrum_detected():
     ok, min_eig = positive_definite_test(g, [1.0, -1.0, -1.0])
     assert not ok
     assert min_eig == pytest.approx(-1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-12, 1.0, 1e200])
+def test_positive_definiteness_is_scale_invariant(scale):
+    # (0, 1, 1) has Herz-Schur eigenvalues 2, -1, -1; no absolute floor may
+    # pass it when small, and no overflowing norm may fail a large character
+    g = builtin_group("cyclic(3)")
+    ok, min_eig = positive_definite_test(g, scale * np.array([0.0, 1.0, 1.0]))
+    assert not ok
+    assert min_eig == pytest.approx(-scale, rel=1e-9)
+    ok, _ = positive_definite_test(g, scale * enumerate_characters(g)[1].values)
+    assert ok
 
 
 def test_zero_symbol_is_positive():

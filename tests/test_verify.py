@@ -1,5 +1,8 @@
 """Suite configuration, report structure, and failure formatting."""
 
+import json
+from dataclasses import fields
+
 import pytest
 
 from sepmult.classify import InvalidTrials
@@ -34,6 +37,21 @@ def test_config_round_trip_preserves_overrides():
     back = config_from_json(config_to_json(config))
     assert back == config
     assert back.groups == ("cyclic(1)",)
+
+
+def test_config_round_trip_with_every_field_changed():
+    config = SuiteConfig(
+        groups=("cyclic(2)", "dihedral(3)"), p_values=(1.5, 3.0), trials=7,
+        seed=11, tol=1e-7, output="report.json", matrix_dims=(4,),
+        converse_samples=3, schur_samples=4, cp_samples=5, norm_samples=6,
+        linalg_samples=7,
+        injected=({"kind": "fourier", "group": "cyclic(2)",
+                   "symbol": [[1.0, 0.0], [1.0, 0.0]], "expect": "separating"},))
+    for f in fields(SuiteConfig):
+        assert getattr(config, f.name) != f.default, f.name
+    obj = config_to_json(config)
+    assert list(obj) == [f.name for f in fields(SuiteConfig)]
+    assert config_from_json(json.loads(json.dumps(obj))) == config
 
 
 def test_config_rejects_bad_values():
@@ -83,13 +101,23 @@ def test_load_group_dispatches_on_name_vs_path(tmp_path):
 
 
 def test_tiny_suite_report_shape():
-    report = run_suite(SuiteConfig(**TINY))
+    groups = ("cyclic(1)", "cyclic(2)")
+    dims = (1, 2)
+    report = run_suite(SuiteConfig(**dict(TINY, groups=groups, matrix_dims=dims)))
     assert report_passed(report)
     assert report["tool"]["name"] == "sepmult"
     assert report["summary"]["total"] == len(report["cells"])
     assert report["summary"]["failed_cells"] == []
     names = [cell["name"] for cell in report["cells"]]
-    assert names == sorted(names)
+    group_families = ("characters/completeness", "fourier/forward",
+                      "fourier/converse", "fourier/cross-p", "yeadon/fourier",
+                      "positive-definite", "herz-schur/recovery", "vna/norms")
+    dim_families = ("schur/factor", "schur/converse", "schur/transpose",
+                    "yeadon/schur")
+    assert names == sorted(
+        ["%s/%s" % (family, label) for family in group_families for label in groups]
+        + ["%s/dim%d" % (family, n) for family in dim_families for n in dims]
+        + ["linalg/invariants"])
     for cell in report["cells"]:
         assert set(cell) == {"name", "passed", "residual", "detail", "wall_ms"}
     text = format_report(report)
