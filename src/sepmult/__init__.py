@@ -44,12 +44,10 @@ from .groups import (
 from .vna import (
     DegenerateSpectrum,
     ExhaustedRetries,
-    FourierMultiplier,
     GroupAlgebraElement,
     GroupMismatch,
     VnaError,
     algebra_unit,
-    apply_fourier,
     basis_element,
     derive_seed,
     disjointness_defect,
@@ -64,12 +62,9 @@ from .vna import (
 )
 from .schur import (
     RankOneCertificate,
-    fit_entrywise_action,
     herz_schur_symbol,
     rank_one_unimodular_factor,
     recover_character,
-    schur_apply,
-    transpose_symbol_fit,
 )
 from .classify import (
     INCONCLUSIVE,

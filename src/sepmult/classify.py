@@ -1,10 +1,13 @@
 """Classification of linear maps on matrix and group von Neumann algebras.
 
 The objects under test are linear maps T on a full matrix algebra or a
-group algebra.  Fourier and Schur multipliers are held by their symbols and
-act by scaling basis coefficients; other maps (the transpose, the Jordan
-part of a Yeadon triple) are held by their images on the canonical basis
-(matrix units, left translations).  Three questions are answered:
+group algebra.  Every Fourier and Schur multiplier is held by one n x n
+symbol and acts entrywise, ``T(x) = x * symbol``: a Schur symbol is its
+matrix m, and the Fourier multiplier phi is the Schur multiplier
+[phi(u t^-1)] restricted to VN(G) (Fourier-Schur transference).  Other maps
+(the transpose, the Jordan part of a Yeadon triple) are held by their images
+on the canonical basis (matrix units, left translations).  Three questions
+are answered:
 
 * is T separating, i.e. does it send disjoint pairs (a*b = ab* = 0) to
   disjoint pairs?  Refutation is sound: a verified witness ends the matter.
@@ -56,7 +59,6 @@ from .linalg import (
 from .schur import rank_one_unimodular_factor, herz_schur_symbol
 from .vna import (
     ExhaustedRetries,
-    FourierMultiplier,
     coefficients,
     derive_seed,
     disjointness_defects,
@@ -102,16 +104,18 @@ class LinearMap:
     order, trace weight 1) or "group" (group von Neumann algebra, basis
     lambda(s), trace weight 1/|G|).  ``LinearMap(images, algebra, group)``
     holds a general map by its basis images, ``images[k]`` being T applied
-    to the k-th basis element.  Fourier and Schur multipliers are diagonal
-    in the basis and are held by their symbol alone
-    (:func:`fourier_multiplier_map`, :func:`schur_multiplier_map`): they
-    scale basis coefficients, and their ``images`` stack is built on first
-    read.  Inputs to ``apply`` are decomposed in the basis, so for "group"
-    maps the argument must lie in the group algebra; ``apply`` takes one
-    matrix or a stack of shape (..., n, n).
+    to the k-th basis element; ``apply`` decomposes its argument in the
+    basis.  Fourier and Schur multipliers are held by an n x n symbol alone
+    (:func:`fourier_multiplier_map`, :func:`schur_multiplier_map`) and
+    ``apply`` multiplies entrywise by it; their ``images`` stack is built on
+    first read.  A Fourier map acts on any n x n matrix as the Schur symbol
+    [phi(u t^-1)]: the matrix of sum_s f(s) lambda(s) has f(u t^-1) at
+    (u, t), so on VN(G) this is M_phi.  Arguments of "group" maps must lie
+    in the group algebra.  ``apply`` takes one matrix or a stack of shape
+    (..., n, n).
     """
 
-    __slots__ = ("algebra", "group", "_n", "_weights", "_images", "_flat")
+    __slots__ = ("algebra", "group", "_n", "_symbol", "_images", "_flat")
 
     def __init__(self, images, algebra, group=None):
         images = np.ascontiguousarray(images, dtype=np.complex128)
@@ -136,18 +140,18 @@ class LinearMap:
         self.algebra = algebra
         self.group = group
         self._n = n
-        self._weights = None
+        self._symbol = None
         self._images = images
         self._flat = np.ascontiguousarray(images.reshape(images.shape[0], n * n))
 
     @classmethod
-    def _multiplier(cls, weights, algebra, n, group=None):
-        """The map scaling the k-th basis coefficient by ``weights[k]``."""
+    def _multiplier(cls, symbol, algebra, group=None):
+        """The map x -> x * symbol for an n x n ``symbol``."""
         t = cls.__new__(cls)
         t.algebra = algebra
         t.group = group
-        t._n = n
-        t._weights = weights
+        t._n = symbol.shape[0]
+        t._symbol = symbol
         t._images = None
         t._flat = None
         return t
@@ -155,7 +159,7 @@ class LinearMap:
     @property
     def images(self):
         if self._images is None:
-            self._images = self._realize(np.diag(self._weights))
+            self._images = self.basis() * self._symbol
         return self._images
 
     @property
@@ -179,13 +183,16 @@ class LinearMap:
 
     def decompose(self, x):
         """Basis coefficients of a matrix, or of each matrix of a stack."""
-        x = np.asarray(x, dtype=np.complex128)
-        n = self._n
-        if x.shape[-2:] != (n, n):
-            raise ValueError("operand shape %r does not match dim %d" % (x.shape, n))
+        x = self._operand(x)
         if self.algebra == "group":
             return coefficients(self.group, x)
-        return x.reshape(x.shape[:-2] + (n * n,))
+        return x.reshape(x.shape[:-2] + (self._n * self._n,))
+
+    def _operand(self, x):
+        x = np.asarray(x, dtype=np.complex128)
+        if x.shape[-2:] != (self._n, self._n):
+            raise ValueError("operand shape %r does not match dim %d" % (x.shape, self._n))
+        return x
 
     def _realize(self, coeffs):
         """The matrices with the given basis coefficients (last axis)."""
@@ -193,12 +200,21 @@ class LinearMap:
             return coeffs[..., self.group.rebuild_grid]
         return coeffs.reshape(coeffs.shape[:-1] + (self._n, self._n))
 
+    def _over_power_of_two(self):
+        """(this map divided by 2**e, e), with e chosen so that the largest
+        real or imaginary part of its symbol or images lies in [0.5, 1); the
+        division is exact unless an entry falls below the normal range."""
+        held = self._images if self._symbol is None else self._symbol
+        _, e = math.frexp(float(np.max(np.abs(held.view(np.float64)), initial=0.0)))
+        if self._symbol is not None:
+            return LinearMap._multiplier(_ldexp(held, -e), self.algebra, self.group), e
+        return LinearMap(_ldexp(held, -e), self.algebra, self.group), e
+
     def apply(self, x):
+        if self._symbol is not None:
+            return self._operand(x) * self._symbol
         coeffs = self.decompose(x)
-        if self._weights is not None:
-            return self._realize(coeffs * self._weights)
-        n = self._n
-        return (coeffs @ self._flat).reshape(coeffs.shape[:-1] + (n, n))
+        return (coeffs @ self._flat).reshape(coeffs.shape[:-1] + (self._n, self._n))
 
     def random_elements(self, rng, count):
         """``count`` Gaussian elements of the algebra as a (count, n, n)
@@ -210,16 +226,25 @@ class LinearMap:
         return complex_gaussians([rng] * count, (n, n))
 
 
+def _ldexp(z, e):
+    """``z * 2**e`` for a complex array, exactly, as ``np.ldexp`` does."""
+    return np.ldexp(np.ascontiguousarray(z).view(np.float64), e).view(np.complex128)
+
+
 def fourier_multiplier_map(g, phi):
-    """LinearMap of the Fourier multiplier lambda(s) -> phi[s] lambda(s)."""
-    mult = FourierMultiplier(g, phi)
-    return LinearMap._multiplier(mult.symbol, "group", g.order, g)
+    """LinearMap of the Fourier multiplier lambda(s) -> phi[s] lambda(s),
+    held as the Schur symbol [phi(u t^-1)]."""
+    phi = np.asarray(phi, dtype=np.complex128).reshape(-1)
+    if phi.shape != (g.order,):
+        raise ValueError("symbol needs one value per group element")
+    if not np.all(np.isfinite(phi.view(np.float64))):
+        raise ValueError("symbol values must be finite")
+    return LinearMap._multiplier(phi[g.rebuild_grid], "group", g)
 
 
 def schur_multiplier_map(m):
     """LinearMap of the entrywise action x -> m .* x on a matrix algebra."""
-    mm = as_complex_matrix(m)
-    return LinearMap._multiplier(mm.reshape(-1), "matrix", mm.shape[0])
+    return LinearMap._multiplier(as_complex_matrix(m), "matrix")
 
 
 def transpose_map(n):
@@ -521,7 +546,11 @@ def separating_test(t, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL):
     exponent p is recorded for reporting and does not influence the search.
 
     Pairs are evaluated in chunks (see ``_chunks``), each with one batched
-    application of ``t``; chunks come from ``PAIR_CACHE``.
+    application of ``t``; chunks come from ``PAIR_CACHE``.  The search runs
+    on ``t / 2**e`` with its largest entry in [0.5, 1) (see
+    ``LinearMap._over_power_of_two``), so no square under- or overflows and
+    the verdict does not depend on the scale of ``t``; the witness images
+    are multiplied back by ``2**e``.
 
     A one-dimensional algebra has no disjoint pair with two nonzero legs,
     so every map on it is separating outright (trials recorded as 0).
@@ -533,11 +562,12 @@ def separating_test(t, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL):
         return Verdict(SEPARATING, p=p, trials=0, seed=seed,
                        note="one-dimensional algebra: separating vacuously")
     algebra = t.group.mul.tobytes() if t.algebra == "group" else t.matrix_dim
+    unit_t, e = t._over_power_of_two()
     for start, stop in _chunks(_probe_count(t)):
         pairs, defects = PAIR_CACHE.get(
             ("probe", algebra, start, stop),
             lambda: _with_defects(_probe_stack(t, start, stop)))
-        hit = _first_witness(t, pairs, defects, tol)
+        hit = _first_witness(unit_t, pairs, defects, tol, e)
         if hit is not None:
             k, witness = hit
             witness.label = _probe_label(t, start + k)
@@ -547,7 +577,7 @@ def separating_test(t, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL):
         pairs, defects = PAIR_CACHE.get(
             ("trial", algebra, seed, start, stop),
             lambda: _trial_stack(t, seed, start, stop))
-        hit = _first_witness(t, pairs, defects, tol)
+        hit = _first_witness(unit_t, pairs, defects, tol, e)
         if hit is not None:
             k, witness = hit
             witness.label = "trial:%d" % (start + k)
@@ -557,9 +587,9 @@ def separating_test(t, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL):
     return Verdict(SEPARATING, p=p, trials=trials, seed=seed)
 
 
-def _first_witness(t, pairs, defects, tol):
+def _first_witness(t, pairs, defects, tol, e):
     """(index, Witness) of the chunk's first disjoint pair with non-disjoint
-    images, or None."""
+    images, or None; the witness images are multiplied by ``2**e``."""
     images = t.apply(pairs)
     violations = disjointness_defects(images)
     hits = np.flatnonzero((defects <= tol) & (violations > tol))
@@ -567,7 +597,7 @@ def _first_witness(t, pairs, defects, tol):
         return None
     k = int(hits[0])
     return k, Witness(pairs[0, k].copy(), pairs[1, k].copy(),
-                      images[0, k].copy(), images[1, k].copy(),
+                      _ldexp(images[0, k], e), _ldexp(images[1, k], e),
                       float(violations[k]))
 
 

@@ -36,6 +36,7 @@ from .verify import (
     default_config,
     format_report,
     load_group,
+    read_json_file,
     report_passed,
     run_suite,
 )
@@ -65,31 +66,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
-def _read_json_file(path):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise DataError("cannot read %s: %s" % (path, exc.strerror or exc))
-    except json.JSONDecodeError as exc:
-        raise DataError("invalid JSON in %s: %s" % (path, exc))
-
-
-def _load_group(spec):
-    try:
-        return load_group(spec)
-    except OSError as exc:
-        raise DataError("cannot read %s: %s" % (spec, exc.strerror or exc))
-    except json.JSONDecodeError as exc:
-        raise DataError("invalid JSON in %s: %s" % (spec, exc))
-
-
 def _load_symbol(path, expected_len):
-    return symbol_from_json(_read_json_file(path), expected_len)
+    return symbol_from_json(read_json_file(path), expected_len)
 
 
 def _load_matrix(path):
-    return matrix_from_json(_read_json_file(path))
+    return matrix_from_json(read_json_file(path))
 
 
 def _emit(obj, args):
@@ -120,7 +102,7 @@ def _add_classify_flags(parser):
 
 
 def cmd_classify_fourier(args):
-    g = _load_group(args.group)
+    g = load_group(args.group)
     phi = _load_symbol(args.symbol, g.order)
     verdict = classify_fourier(g, phi, p=args.p, trials=args.trials,
                                seed=args.seed, tol=args.tol)
@@ -137,7 +119,7 @@ def cmd_classify_schur(args):
 
 
 def cmd_herz_schur(args):
-    g = _load_group(args.group)
+    g = load_group(args.group)
     phi = _load_symbol(args.symbol, g.order)
     matrix = herz_schur_symbol(g, phi)
     out = {"group": args.group, "matrix": matrix_to_json(matrix)}
@@ -170,7 +152,7 @@ def cmd_herz_schur(args):
 
 def cmd_yeadon(args):
     if args.group is not None:
-        g = _load_group(args.group)
+        g = load_group(args.group)
         phi = _load_symbol(args.symbol, g.order)
         tmap = fourier_multiplier_map(g, phi)
     else:
@@ -193,7 +175,7 @@ def cmd_yeadon(args):
 
 
 def cmd_list_characters(args):
-    g = _load_group(args.group)
+    g = load_group(args.group)
     chars = enumerate_characters(g)
     _emit({
         "group": args.group,
@@ -206,7 +188,7 @@ def cmd_list_characters(args):
 
 def cmd_verify_theorems(args):
     if args.config is not None:
-        config = config_from_json(_read_json_file(args.config))
+        config = config_from_json(read_json_file(args.config))
     else:
         config = default_config()
     # replace() runs the config's validation on the overridden values too

@@ -1,8 +1,9 @@
-"""Schur multipliers: entrywise actions, factorization certificates, Herz-Schur.
+"""Schur symbols: factorization certificates and Herz-Schur symbols.
 
 A Schur symbol is just a square complex matrix m acting entrywise,
-``T_m(x) = m .* x``.  The certificate of interest is the rank-one unimodular
-factorization ``m_ij = c * alpha_i * beta_j`` with |alpha_i| = |beta_j| = 1,
+``T_m(x) = m .* x`` (``classify.schur_multiplier_map``).  The certificate of
+interest is the rank-one unimodular factorization
+``m_ij = c * alpha_i * beta_j`` with |alpha_i| = |beta_j| = 1,
 gauged so alpha_1 = 1 and c = m_11.  Existence of the certificate is a value
 ("absent" is a legitimate answer), not an error.
 
@@ -18,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .groups import Character, FiniteGroup
-from .linalg import DEFAULT_TOL, DimMismatch, as_complex_matrix
+from .linalg import DEFAULT_TOL, as_complex_matrix
 
 
 @dataclass
@@ -36,17 +37,6 @@ class RankOneCertificate:
 
     def reconstruct(self):
         return self.c * np.outer(self.alpha, self.beta)
-
-
-def schur_apply(m, x):
-    """Entrywise (Hadamard) action of the symbol on a matrix."""
-    mm = as_complex_matrix(m)
-    xx = as_complex_matrix(x)
-    if mm.shape != xx.shape:
-        raise DimMismatch(
-            "symbol %r and operand %r differ in shape" % (mm.shape, xx.shape)
-        )
-    return mm * xx
 
 
 def _unimodular(z):
@@ -118,54 +108,3 @@ def recover_character(g: FiniteGroup, cert: RankOneCertificate, tol=DEFAULT_TOL)
     if float(np.max(np.abs(actual - expected))) > tol * scale:
         return None
     return c_prime, psi
-
-
-def fit_entrywise_action(pairs, tol=1e-12):
-    """Solve m .* x = y entrywise over a probe set, or None if inconsistent.
-
-    Unconstrained entries come back as 0.  Used to show maps like the
-    transpose cannot be Schur multipliers: their probe constraints clash.
-    """
-    m = None
-    known = None
-    for x, y in pairs:
-        xx = as_complex_matrix(x)
-        yy = as_complex_matrix(y)
-        if xx.shape != yy.shape:
-            raise DimMismatch("probe and image differ in shape")
-        if m is None:
-            m = np.zeros(xx.shape, dtype=np.complex128)
-            known = np.zeros(xx.shape, dtype=bool)
-        elif m.shape != xx.shape:
-            raise DimMismatch("probes differ in shape")
-        scale = max(float(np.max(np.abs(xx))), 1.0)
-        for i in range(xx.shape[0]):
-            for j in range(xx.shape[1]):
-                if abs(xx[i, j]) > tol * scale:
-                    value = yy[i, j] / xx[i, j]
-                    if known[i, j] and abs(m[i, j] - value) > tol * max(
-                        1.0, abs(value)
-                    ):
-                        return None
-                    m[i, j] = value
-                    known[i, j] = True
-                elif abs(yy[i, j]) > tol * max(1.0, float(np.max(np.abs(yy)))):
-                    return None
-    return m
-
-
-def transpose_symbol_fit(n):
-    """Try to realize x -> x^T as a Schur multiplier on the standard probes.
-
-    Returns the solved symbol for n = 1 and None for every n >= 2: the
-    probes e_11, e_12, e_21 force contradictory constraints.
-    """
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    probes = []
-    for (i, j) in ((0, 0), (0, 1), (1, 0)):
-        if i < n and j < n:
-            x = np.zeros((n, n), dtype=np.complex128)
-            x[i, j] = 1.0
-            probes.append((x, x.T.copy()))
-    return fit_entrywise_action(probes)

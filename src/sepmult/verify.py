@@ -50,10 +50,8 @@ from .linalg import (
     schatten_norm,
     svd,
 )
-from .schur import herz_schur_symbol, rank_one_unimodular_factor, recover_character, transpose_symbol_fit
+from .schur import herz_schur_symbol, rank_one_unimodular_factor, recover_character
 from .vna import (
-    apply_fourier,
-    FourierMultiplier,
     derive_seed,
     lp_norm,
     random_element,
@@ -162,12 +160,23 @@ def config_from_json(obj):
     return SuiteConfig(**kwargs)
 
 
+def read_json_file(path):
+    """The JSON value in a file; unreadable files and invalid JSON raise
+    ``SuiteError`` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise SuiteError("cannot read %s: %s" % (path, exc.strerror or exc))
+    except json.JSONDecodeError as exc:
+        raise SuiteError("invalid JSON in %s: %s" % (path, exc))
+
+
 def load_group(specifier):
     """Builtin family name, or a path to a group JSON file."""
     text = str(specifier)
     if text.endswith(".json") or os.path.sep in text or os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as handle:
-            return group_from_json(json.load(handle))
+        return group_from_json(read_json_file(text))
     return builtin_group(text)
 
 
@@ -409,14 +418,14 @@ def _cell_vna_norms(g, label, config):
         worst = max(worst, frobenius(ls.conj().T
                                      - regular_representation(g, g.inv[s])))
     chars = enumerate_characters(g)
-    psi = FourierMultiplier(g, chars[-1].values)
+    psi = fourier_multiplier_map(g, chars[-1].values)
     for _ in range(config.norm_samples):
         x = random_element(g, rng)
         euclid = float(np.linalg.norm(x.coeffs))
         worst = max(worst, abs(lp_norm(x, 2.0) - euclid) / max(euclid, 1e-300))
         for p in (1.0, 2.0, 3.0):
             base = lp_norm(x, p)
-            moved = lp_norm(apply_fourier(psi, x), p)
+            moved = schatten_norm(psi.apply(x.matrix), p, 1.0 / n)
             worst = max(worst, abs(moved - base) / max(base, 1e-300))
     ok = worst <= config.tol
     detail = "representation and norm identities within %.3g" % worst
@@ -482,12 +491,19 @@ def _cell_schur_converse(n, config):
         m, p=2.0, trials=config.trials, seed=config.seed, tol=config.tol))
 
 
+def _moved_units(tmap):
+    """Indices k of the matrix units e_k whose image T(e_k) is not exactly a
+    multiple of e_k; a map on M_n is a Schur multiplier iff there is none."""
+    return np.flatnonzero((tmap.images * (1.0 - tmap.basis())).any(axis=(1, 2)))
+
+
 def _cell_transpose(n, config):
     if n < 2:
         return True, 0.0, "transposition is the identity in dimension 1"
-    if transpose_symbol_fit(n) is not None:
-        return False, math.inf, "an entrywise symbol reproduced transposition"
     tmap = transpose_map(n)
+    # transposition moves every off-diagonal unit e_ij to e_ji
+    if _moved_units(tmap).size != n * n - n:
+        return False, math.inf, "an entrywise symbol reproduced transposition"
     triple = yeadon_extract(tmap, tol=1e-8)
     worst = max(triple.residuals.values())
     rng = _rng(config, "transpose", n)

@@ -1,4 +1,4 @@
-"""Group von Neumann algebra elements and Fourier multipliers.
+"""Group von Neumann algebra elements, disjointness and seeded disjoint pairs.
 
 An element is a coefficient vector f over the group together with its matrix
 realization ``sum_s f(s) lambda(s)`` acting on l2(G); ``lambda(s)`` is the
@@ -21,11 +21,9 @@ stacked eigendecomposition per round of splits, each seed drawing from its
 own generator exactly what a draw for that seed alone would.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .groups import FiniteGroup, same_group
+from .groups import same_group
 from .linalg import (
     DEFAULT_TOL,
     DimMismatch,
@@ -187,30 +185,6 @@ def plancherel_trace(x):
 def lp_norm(x, p):
     """Noncommutative p-norm with the normalized trace weight 1/|G|."""
     return schatten_norm(x.matrix, p, 1.0 / x.group.order)
-
-
-@dataclass
-class FourierMultiplier:
-    """Pointwise action on coefficients: lambda(s) -> symbol[s] lambda(s)."""
-
-    group: FiniteGroup
-    symbol: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.symbol = np.asarray(self.symbol, dtype=np.complex128).reshape(-1).copy()
-        if self.symbol.shape != (self.group.order,):
-            raise ValueError("symbol needs one value per group element")
-        if not np.all(np.isfinite(self.symbol.view(np.float64))):
-            raise ValueError("symbol values must be finite")
-
-    def __call__(self, x):
-        return apply_fourier(self, x)
-
-
-def apply_fourier(multiplier, x):
-    if not same_group(multiplier.group, x.group):
-        raise GroupMismatch("multiplier and element live over different groups")
-    return GroupAlgebraElement(x.group, multiplier.symbol * x.coeffs)
 
 
 def _as_matrix(x):

@@ -802,7 +802,7 @@ SYMBOL_KINDS = ("certified", "perturbed", "random")
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(SCALE_GROUPS), st.sampled_from(SYMBOL_KINDS),
-       st.integers(0, 2 ** 32 - 1), st.integers(-12, 12))
+       st.integers(0, 2 ** 32 - 1), st.integers(-160, 160))
 def test_fourier_status_is_scale_invariant(label, kind, draw, k):
     g = builtin_group(label)
     rng = np.random.default_rng(draw)
@@ -822,7 +822,7 @@ def test_fourier_status_is_scale_invariant(label, kind, draw, k):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 6), st.sampled_from(SYMBOL_KINDS),
-       st.integers(0, 2 ** 32 - 1), st.integers(-12, 12))
+       st.integers(0, 2 ** 32 - 1), st.integers(-160, 160))
 def test_schur_status_is_scale_invariant(n, kind, draw, k):
     rng = np.random.default_rng(draw)
     m = complex(rng.standard_normal(), rng.standard_normal()) \
@@ -836,6 +836,38 @@ def test_schur_status_is_scale_invariant(n, kind, draw, k):
         return classify_schur(symbol, trials=20, seed=0)
 
     assert run(10.0 ** k * m).status == run(m).status
+
+
+def _scale_cases():
+    g = builtin_group("symmetric(3)")
+    rng = np.random.default_rng(1)
+    m = rng.standard_normal((3, 3))
+    phi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    chi = 0.7 * _sign_character(g).values
+    return {"schur": lambda s: classify_schur(s * m, trials=40, seed=1),
+            "fourier": lambda s: classify_fourier(g, s * phi, trials=40, seed=0),
+            "character": lambda s: classify_fourier(g, s * chi, trials=40, seed=0)}
+
+
+@pytest.mark.parametrize("case", ["schur", "fourier", "character"])
+@pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600, 1e160, 1e-160],
+                         ids=["2^600", "2^-600", "1e160", "1e-160"])
+def test_witness_search_is_scale_free(case, scale):
+    run = _scale_cases()[case]
+    base = run(1.0)
+    scaled = run(scale)
+    assert scaled.status == base.status
+    assert (scaled.certificate is None) == (base.certificate is None)
+    if base.witness is None:
+        assert scaled.witness is None
+        return
+    assert scaled.witness.label == base.witness.label
+    if np.log2(scale) % 1.0 == 0.0:
+        # dividing by a power of two is exact: the same bits at every scale
+        assert scaled.witness.violation == base.witness.violation
+        np.testing.assert_array_equal(scaled.witness.image_a, scale * base.witness.image_a)
+    else:
+        assert scaled.witness.violation == pytest.approx(base.witness.violation, rel=1e-12)
 
 
 def test_large_perturbed_character_still_certified():

@@ -359,3 +359,36 @@ def test_verify_unknown_config_key_is_data_error(tmp_path, capsys):
     code, _, err = _run(capsys, ["verify-theorems", "--config", config])
     assert code == EXIT_DATA
     assert "unknown config keys" in err
+
+
+def test_verify_missing_group_file_is_data_error(tmp_path, capsys):
+    path = str(tmp_path / "absent" / "g.json")
+    code, out, err = _run(capsys, ["verify-theorems", "--group", path])
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err == "error: cannot read %s: No such file or directory\n" % path
+
+
+def test_verify_invalid_group_json_is_data_error(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text("{not json", encoding="utf-8")
+    code, out, err = _run(capsys, ["verify-theorems", "--group", str(path)])
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.startswith("error: invalid JSON in %s: " % path)
+
+
+@pytest.mark.parametrize("command", [
+    ["classify-fourier", "--symbol", "phi.json"],
+    ["list-characters"],
+])
+def test_group_file_errors_name_the_path(tmp_path, capsys, command):
+    missing = str(tmp_path / "g.json")
+    code, _, err = _run(capsys, command[:1] + ["--group", missing] + command[1:])
+    assert code == EXIT_DATA
+    assert err == "error: cannot read %s: No such file or directory\n" % missing
+    bad = tmp_path / "bad.json"
+    bad.write_text("[", encoding="utf-8")
+    code, _, err = _run(capsys, command[:1] + ["--group", str(bad)] + command[1:])
+    assert code == EXIT_DATA
+    assert err.startswith("error: invalid JSON in %s: " % bad)

@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
+from sepmult.classify import LinearMap, schur_multiplier_map, transpose_map
 from sepmult.groups import builtin_group, enumerate_characters
-from sepmult.linalg import DimMismatch, schatten_norm
+from sepmult.linalg import schatten_norm
 from sepmult.schur import (
     RankOneCertificate,
-    fit_entrywise_action,
     herz_schur_symbol,
     rank_one_unimodular_factor,
     recover_character,
-    schur_apply,
-    transpose_symbol_fit,
 )
+from sepmult.verify import _moved_units
 from sepmult.vna import is_disjoint
 
 RECON_TOL = 1e-10
@@ -29,25 +28,29 @@ def _random_unimodular(rng, n):
     return np.exp(2j * np.pi * rng.random(n))
 
 
+def _schur(m, x):
+    return schur_multiplier_map(m).apply(x)
+
+
 # ---------------------------------------------------------------------------
 # entrywise action
 
 
 def test_apply_all_ones_is_identity():
     x = np.arange(9.0).reshape(3, 3) + 1j
-    np.testing.assert_allclose(schur_apply(np.ones((3, 3)), x), x)
+    np.testing.assert_allclose(_schur(np.ones((3, 3)), x), x)
 
 
 def test_apply_is_entrywise():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
     x = np.array([[5.0, 6.0], [7.0, 8.0]])
-    np.testing.assert_allclose(schur_apply(m, x),
+    np.testing.assert_allclose(_schur(m, x),
                                [[5.0, 12.0], [21.0, 32.0]])
 
 
 def test_apply_shape_check():
-    with pytest.raises(DimMismatch):
-        schur_apply(np.ones((2, 2)), np.ones((3, 3)))
+    with pytest.raises(ValueError):
+        _schur(np.ones((2, 2)), np.ones((3, 3)))
 
 
 def test_two_norm_of_multiplier_is_entry_sup():
@@ -56,11 +59,11 @@ def test_two_norm_of_multiplier_is_entry_sup():
     peak = float(np.max(np.abs(m)))
     for seed in range(4):
         x = np.random.default_rng(seed).standard_normal((3, 3))
-        assert schatten_norm(schur_apply(m, x), 2.0, 1.0) <= \
+        assert schatten_norm(_schur(m, x), 2.0, 1.0) <= \
             peak * schatten_norm(x, 2.0, 1.0) * (1 + 1e-12)
     i, j = np.unravel_index(np.argmax(np.abs(m)), m.shape)
     hit = _unit(3, i, j)
-    assert schatten_norm(schur_apply(m, hit), 2.0, 1.0) == pytest.approx(peak)
+    assert schatten_norm(_schur(m, hit), 2.0, 1.0) == pytest.approx(peak)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +240,7 @@ def test_unimodular_factored_multiplier_is_isometric(p, n=4):
     m = np.outer(_random_unimodular(rng, n), _random_unimodular(rng, n))
     for seed in range(3):
         x = np.random.default_rng(seed).standard_normal((n, n))
-        assert schatten_norm(schur_apply(m, x), p, 1.0) == pytest.approx(
+        assert schatten_norm(_schur(m, x), p, 1.0) == pytest.approx(
             schatten_norm(x, p, 1.0), rel=1e-10)
 
 
@@ -252,55 +255,37 @@ def test_factored_multiplier_preserves_disjointness():
     a = np.outer(u, x.conj())
     b = np.outer(v, y.conj())
     assert is_disjoint(a, b, 1e-12)
-    assert is_disjoint(schur_apply(m, a), schur_apply(m, b), 1e-10)
+    assert is_disjoint(_schur(m, a), _schur(m, b), 1e-10)
 
 
 # ---------------------------------------------------------------------------
-# probe solving and the transpose obstruction
-
-
-def test_fit_recovers_symbol_on_full_probe():
-    m = np.array([[1.0, 2j], [3.0, -4.0]])
-    x = np.ones((2, 2))
-    fitted = fit_entrywise_action([(x, schur_apply(m, x))])
-    np.testing.assert_allclose(fitted, m)
-
-
-def test_fit_leaves_unconstrained_entries_zero():
-    fitted = fit_entrywise_action([(_unit(2, 0, 0), 5.0 * _unit(2, 0, 0))])
-    np.testing.assert_allclose(fitted, [[5.0, 0.0], [0.0, 0.0]])
-
-
-def test_fit_detects_contradiction():
-    # same probe cell demands two different values
-    pairs = [(_unit(2, 0, 0), _unit(2, 0, 0)),
-             (np.ones((2, 2)), 2.0 * np.ones((2, 2)))]
-    assert fit_entrywise_action(pairs) is None
-
-
-def test_fit_rejects_creation_from_zero():
-    # input vanishes at (0, 1) but the image does not: no symbol can do that
-    pairs = [(_unit(2, 0, 0), _unit(2, 0, 0) + _unit(2, 0, 1))]
-    assert fit_entrywise_action(pairs) is None
-
-
-def test_fit_shape_checks():
-    with pytest.raises(DimMismatch):
-        fit_entrywise_action([(np.ones((2, 2)), np.ones((3, 3)))])
-    with pytest.raises(DimMismatch):
-        fit_entrywise_action([(np.ones((2, 2)), np.ones((2, 2))),
-                              (np.ones((3, 3)), np.ones((3, 3)))])
+# the transpose obstruction: a map on M_n is a Schur multiplier iff it sends
+# every matrix unit e_ij to a multiple of e_ij
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_transpose_is_not_entrywise(n):
-    assert transpose_symbol_fit(n) is None
+    moved = _moved_units(transpose_map(n))
+    i, j = np.divmod(moved, n)
+    np.testing.assert_array_equal(moved, [k for k in range(n * n) if k % (n + 1)])
+    assert (i != j).all()
 
 
 def test_transpose_fits_in_dimension_one():
-    np.testing.assert_allclose(transpose_symbol_fit(1), [[1.0]])
+    assert _moved_units(transpose_map(1)).size == 0
 
 
-def test_transpose_fit_rejects_bad_dimension():
-    with pytest.raises(ValueError):
-        transpose_symbol_fit(0)
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_schur_map_images_move_no_unit(n):
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    t = schur_multiplier_map(m)
+    assert _moved_units(t).size == 0
+    assert _moved_units(LinearMap(t.images, "matrix")).size == 0
+
+
+def test_unit_creating_entry_is_moved():
+    # e_00 -> e_00 + e_01 creates an entry where e_00 vanishes
+    images = transpose_map(2).basis()
+    images[0] = _unit(2, 0, 0) + _unit(2, 0, 1)
+    assert _moved_units(LinearMap(images, "matrix")).tolist() == [0]
