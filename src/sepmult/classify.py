@@ -48,7 +48,9 @@ from .linalg import (
     frobenius,
     frobenius_each,
     hermitian_eig,
+    ldexp,
     matrix_to_json,
+    over_power_of_two,
     polar_decompose,
     psd_pseudo_inverse,
     random_unitaries,
@@ -204,11 +206,10 @@ class LinearMap:
         """(this map divided by 2**e, e), with e chosen so that the largest
         real or imaginary part of its symbol or images lies in [0.5, 1); the
         division is exact unless an entry falls below the normal range."""
-        held = self._images if self._symbol is None else self._symbol
-        _, e = math.frexp(float(np.max(np.abs(held.view(np.float64)), initial=0.0)))
+        unit, e = over_power_of_two(self._images if self._symbol is None else self._symbol)
         if self._symbol is not None:
-            return LinearMap._multiplier(_ldexp(held, -e), self.algebra, self.group), e
-        return LinearMap(_ldexp(held, -e), self.algebra, self.group), e
+            return LinearMap._multiplier(unit, self.algebra, self.group), e
+        return LinearMap(unit, self.algebra, self.group), e
 
     def apply(self, x):
         if self._symbol is not None:
@@ -226,11 +227,6 @@ class LinearMap:
         return complex_gaussians([rng] * count, (n, n))
 
 
-def _ldexp(z, e):
-    """``z * 2**e`` for a complex array, exactly, as ``np.ldexp`` does."""
-    return np.ldexp(np.ascontiguousarray(z).view(np.float64), e).view(np.complex128)
-
-
 def fourier_multiplier_map(g, phi):
     """LinearMap of the Fourier multiplier lambda(s) -> phi[s] lambda(s),
     held as the Schur symbol [phi(u t^-1)]."""
@@ -242,13 +238,21 @@ def fourier_multiplier_map(g, phi):
     return LinearMap._multiplier(phi[g.rebuild_grid], "group", g)
 
 
+def _check_matrix_dim(n):
+    if n < 1:
+        raise ValueError("matrix dimension must be at least 1, got %d" % n)
+
+
 def schur_multiplier_map(m):
     """LinearMap of the entrywise action x -> m .* x on a matrix algebra."""
-    return LinearMap._multiplier(as_complex_matrix(m), "matrix")
+    mm = as_complex_matrix(m)
+    _check_matrix_dim(mm.shape[0])
+    return LinearMap._multiplier(mm, "matrix")
 
 
 def transpose_map(n):
     """LinearMap of the transpose x -> x^T on the n x n matrices."""
+    _check_matrix_dim(n)
     units = schur_multiplier_map(np.ones((n, n))).basis()
     return LinearMap(units.swapaxes(1, 2), "matrix")
 
@@ -597,7 +601,7 @@ def _first_witness(t, pairs, defects, tol, e):
         return None
     k = int(hits[0])
     return k, Witness(pairs[0, k].copy(), pairs[1, k].copy(),
-                      _ldexp(images[0, k], e), _ldexp(images[1, k], e),
+                      ldexp(images[0, k], e), ldexp(images[1, k], e),
                       float(violations[k]))
 
 

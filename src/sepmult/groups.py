@@ -3,19 +3,20 @@
 A group is its multiplication table (a Latin square of element indices) plus
 derived data: identity, inverse table, element names.  Groups are value
 objects; two groups are "the same" when their tables coincide.  Tables are
-fully validated at load time (associativity included) up to order 64, which
-is also the cap for character enumeration.
+fully validated at load time, associativity included, at every order.
 
 Characters here are the one-dimensional unitary representations: unimodular,
-multiplicative, 1 at the identity.  They are enumerated exactly by passing to
-the quotient modulo the commutator subgroup and propagating root-of-unity
-assignments on a greedy generating set; arithmetic stays in integer exponents
-until the final materialization, so enumerated characters are multiplicative
-to a few ulp.
+multiplicative, 1 at the identity.  Their values are |G|-th roots of unity,
+so a character is an integer exponent vector k, psi(s) = exp(2 pi i k[s] /
+|G|), and one exact test on the Cayley table decides whether k is one:
+k[s t] = k[s] + k[t] mod |G| for all s, t.  ``fit_scalar_character`` reads
+k off the symbol (the root of unity nearest phi(s) / phi(e)), so it needs
+no list of characters and has no order cap.  ``enumerate_characters``
+extends exponent assignments on a greedy generating set along breadth-first
+words and keeps those the test accepts; it alone is capped, at order 64.
 """
 
 import itertools
-import math
 import re
 from dataclasses import dataclass, field
 
@@ -23,11 +24,12 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL
 
-#: orders up to which the O(n^3) associativity sweep runs at construction
-FULL_VALIDATION_CAP = 64
-
 #: enumeration refuses groups larger than this
 CHARACTER_ORDER_CAP = 64
+
+#: table lookups per block of the associativity sweep and the character
+#: test (a row of the table is one block when it alone is larger)
+_BLOCK_LOOKUPS = 1 << 16
 
 
 class GroupError(Exception):
@@ -39,7 +41,7 @@ class UnknownFamily(GroupError):
 
 
 class GroupTooLarge(GroupError):
-    """Operation capped at order 64 got a larger group."""
+    """Character enumeration, capped at order 64, got a larger group."""
 
 
 class InvalidGroupTable(GroupError):
@@ -65,26 +67,26 @@ class FiniteGroup:
         if table.min() < 0 or table.max() >= n:
             raise InvalidGroupTable("table entries must be element indices")
         ref = np.arange(n)
-        for s in range(n):
-            if not np.array_equal(np.sort(table[s]), ref) or not np.array_equal(
-                np.sort(table[:, s]), ref
-            ):
-                raise InvalidGroupTable("table is not a Latin square at index %d" % s)
-        ident = [s for s in range(n) if np.array_equal(table[s], ref)
-                 and np.array_equal(table[:, s], ref)]
+        latin = ((np.sort(table, axis=1) == ref).all(axis=1)
+                 & (np.sort(table, axis=0) == ref[:, None]).all(axis=0))
+        if not latin.all():
+            raise InvalidGroupTable(
+                "table is not a Latin square at index %d" % np.argmin(latin))
+        ident = np.flatnonzero((table == ref).all(axis=1)
+                               & (table == ref[:, None]).all(axis=0))
         if len(ident) != 1:
             raise InvalidGroupTable("table has no two-sided identity")
-        e = ident[0]
-        inv = np.empty(n, dtype=np.int64)
-        for s in range(n):
-            t = int(np.nonzero(table[s] == e)[0][0])
-            if table[t, s] != e:
-                raise InvalidGroupTable("element %d has no two-sided inverse" % s)
-            inv[s] = t
-        if n <= FULL_VALIDATION_CAP:
-            left = table[table, :]
-            right = table[:, table]
-            if not np.array_equal(left, right):
+        e = int(ident[0])
+        inv = np.argmax(table == e, axis=1)
+        two_sided = table[inv, ref] == e
+        if not two_sided.all():
+            raise InvalidGroupTable(
+                "element %d has no two-sided inverse" % np.argmin(two_sided))
+        rows = max(1, _BLOCK_LOOKUPS // (n * n))
+        for lo in range(0, n, rows):
+            block = table[lo:lo + rows]
+            # (s t) u against s (t u) for the rows s of the block
+            if not np.array_equal(table[block], block[:, table]):
                 raise InvalidGroupTable("multiplication is not associative")
         if names is None:
             names = [str(s) for s in range(n)]
@@ -142,20 +144,15 @@ class FiniteGroup:
 
     def closure(self, seed):
         """Subgroup generated by ``seed`` (set of indices), as a sorted tuple."""
-        members = set(int(s) for s in seed)
-        members.add(self.identity)
-        frontier = list(members)
-        while frontier:
-            fresh = []
-            snapshot = list(members)
-            for a in snapshot:
-                for b in frontier:
-                    for prod in (int(self.mul[a, b]), int(self.mul[b, a])):
-                        if prod not in members:
-                            members.add(prod)
-                            fresh.append(prod)
-            frontier = fresh
-        return tuple(sorted(members))
+        members = np.flatnonzero(np.bincount([self.identity, *seed], minlength=self.order))
+        while True:
+            # the distinct products, sorted: with e among the members they
+            # contain the members, and equal them once the set is closed
+            products = self.mul[np.ix_(members, members)].ravel()
+            grown = np.flatnonzero(np.bincount(products, minlength=self.order))
+            if np.array_equal(grown, members):
+                return tuple(grown.tolist())
+            members = grown
 
     def __repr__(self):
         return "FiniteGroup(order=%d)" % self.order
@@ -168,14 +165,8 @@ def same_group(g1, g2):
 
 def commutator_subgroup(g):
     """Subgroup generated by all s t s^-1 t^-1, as a sorted index tuple."""
-    n = g.order
-    comms = set()
-    for s in range(n):
-        for t in range(n):
-            st = g.mul[s, t]
-            si_ti = g.mul[g.inv[s], g.inv[t]]
-            comms.add(int(g.mul[st, si_ti]))
-    return g.closure(comms)
+    comms = g.mul[g.mul, g.mul[np.ix_(g.inv, g.inv)]]
+    return g.closure(comms.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +182,9 @@ def _cyclic(n):
 def _dihedral(n):
     # elements are affine maps x -> eps*x + a on Z_n; index a for eps=+1,
     # n + a for eps=-1.  Composition (e1,a1)(e2,a2) = (e1*e2, e1*a2 + a1).
-    def pack(eps, a):
-        return a % n if eps == 1 else n + (a % n)
-
-    size = 2 * n
-    table = np.empty((size, size), dtype=np.int64)
-    for i in range(size):
-        e1, a1 = (1, i) if i < n else (-1, i - n)
-        for j in range(size):
-            e2, a2 = (1, j) if j < n else (-1, j - n)
-            table[i, j] = pack(e1 * e2, e1 * a2 + a1)
+    eps, a = np.repeat([1, -1], n), np.tile(np.arange(n), 2)
+    table = (np.where(eps[:, None] == eps[None, :], 0, n)
+             + (eps[:, None] * a[None, :] + a[:, None]) % n)
     names = ["r%d" % a for a in range(n)] + ["sr%d" % a for a in range(n)]
     return FiniteGroup(table, names)
 
@@ -311,81 +295,83 @@ class Character:
             raise ValueError("character needs one value per group element")
 
     def validate(self, tol=DEFAULT_TOL):
-        vals = self.values
-        if np.max(np.abs(np.abs(vals) - 1.0)) > tol:
-            raise ValueError("character values must be unimodular")
-        if abs(vals[self.group.identity] - 1.0) > tol:
-            raise ValueError("character must send the identity to 1")
-        prod = vals[:, None] * vals[None, :]
-        if np.max(np.abs(vals[self.group.mul] - prod)) > tol:
-            raise ValueError("character is not multiplicative")
+        """``ValueError`` unless the values are 1 at the identity and fit a
+        character within ``tol`` (:func:`fit_scalar_character`)."""
+        fit = fit_scalar_character(self.group, self.values, tol)
+        if fit is None or abs(fit[0] - 1.0) > tol:
+            raise ValueError("values are not a character within %.3g" % tol)
 
     def __call__(self, s):
         return complex(self.values[s])
 
 
-def _quotient_by(g, subgroup):
-    """Quotient group modulo a normal subgroup; returns (Q, coset_index)."""
-    sub = np.array(subgroup, dtype=np.int64)
-    coset_of = {}
-    coset_index = np.full(g.order, -1, dtype=np.int64)
-    reps = []
-    for s in range(g.order):
-        key = tuple(sorted(int(x) for x in g.mul[s, sub]))
-        if key not in coset_of:
-            coset_of[key] = len(reps)
-            reps.append(s)
-        coset_index[s] = coset_of[key]
-    m = len(reps)
-    table = np.empty((m, m), dtype=np.int64)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            table[i, j] = coset_index[g.mul[a, b]]
-    return FiniteGroup(table), coset_index
+def _roots_of_unity(n, k):
+    """exp(2 pi i k / n) for an integer array k."""
+    return np.exp(2j * np.pi * np.asarray(k, dtype=np.float64) / float(n))
 
 
-def _greedy_generators(q):
+def _homomorphisms(g, k, rows=None):
+    """Which rows of the (K, |G|) int64 array ``k``, entries in [0, |G|),
+    are exponent vectors of characters: k[s t] = k[s] + k[t] mod |G| on the
+    whole Cayley table (the entry (e, e) forces k[e] = 0).  Table rows s are
+    swept in the order ``rows`` in bounded blocks; a row of ``k`` is dropped
+    at its first failure.
+    """
+    n = g.order
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    alive = np.arange(len(k))
+    lo = 0
+    while lo < n and alive.size:
+        block = rows[lo:lo + max(1, _BLOCK_LOOKUPS // (alive.size * n))]
+        kb = k[alive]
+        # k[s t] - k[s] - k[t] lies in (-2n, n): it vanishes mod n iff it is 0 or -n
+        defect = kb[:, g.mul[block]]
+        defect -= kb[:, None, :]
+        defect -= kb[:, block, None]
+        alive = alive[((defect == 0) | (defect == -n)).all(axis=(1, 2))]
+        lo += block.size
+    ok = np.zeros(len(k), dtype=bool)
+    ok[alive] = True
+    return ok
+
+
+def _greedy_generators(g):
     gens = []
-    generated = {q.identity}
-    while len(generated) < q.order:
-        pool = [s for s in range(q.order) if s not in generated]
-        pick = max(pool, key=lambda s: (q.element_order(s), -s))
+    generated = {g.identity}
+    while len(generated) < g.order:
+        pool = [s for s in range(g.order) if s not in generated]
+        pick = max(pool, key=lambda s: (g.element_order(s), -s))
         gens.append(pick)
-        generated = set(q.closure(generated | {pick}))
+        generated = set(g.closure(generated | {pick}))
     return gens
 
 
-def _propagate(q, gens, gen_exps, exponent):
-    """Fill exponents over Q from generator assignments; None if inconsistent."""
-    val = np.full(q.order, -1, dtype=np.int64)
-    val[q.identity] = 0
-    frontier = [q.identity]
-    assigned = dict(zip(gens, gen_exps))
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for gidx, gval in assigned.items():
-                y = int(q.mul[x, gidx])
-                want = (int(val[x]) + gval) % exponent
-                if val[y] < 0:
-                    val[y] = want
-                    fresh.append(y)
-                elif val[y] != want:
-                    return None
-        frontier = fresh
-    # every (element, generator) edge must agree, which forces a homomorphism
-    for a in range(q.order):
-        for gidx, gval in assigned.items():
-            if val[q.mul[a, gidx]] != (int(val[a]) + gval) % exponent:
-                return None
-    return val
+def _word_counts(g, gens):
+    """(counts, visited) for words found breadth-first from the identity by
+    right multiplication with ``gens``: counts[x, j] is how often gens[j]
+    occurs in the word for x; visited starts e, gens[0], gens[1], ..."""
+    counts = np.zeros((g.order, len(gens)), dtype=np.int64)
+    visited = [g.identity]
+    seen = set(visited)
+    for x in visited:
+        for j, s in enumerate(gens):
+            y = int(g.mul[x, s])
+            if y not in seen:
+                seen.add(y)
+                counts[y] = counts[x]
+                counts[y, j] += 1
+                visited.append(y)
+    return counts, visited
 
 
 def enumerate_characters(g):
-    """All characters of ``g``, trivial one first, deterministic order.
+    """All characters of ``g``, sorted by exponent vector (trivial first).
 
-    The count always equals order(g) / order(commutator subgroup).  Raises
-    ``GroupTooLarge`` above order 64.
+    Each assignment of exponents to a greedy generating set (a multiple of
+    |G|/d to a generator of order d) is extended over ``g`` by one
+    breadth-first word table; the characters are the assignments that
+    :func:`_homomorphisms` accepts, counted against order(g) / order(G').
+    Raises ``GroupTooLarge`` above order 64; nothing else needs the list.
     """
     if g.order > CHARACTER_ORDER_CAP:
         raise GroupTooLarge(
@@ -393,68 +379,61 @@ def enumerate_characters(g):
         )
     if g._characters is not None:
         return g._characters
-    derived = commutator_subgroup(g)
-    quotient, coset_index = _quotient_by(g, derived)
-    exponent = 1
-    for s in range(quotient.order):
-        exponent = math.lcm(exponent, quotient.element_order(s))
-    gens = _greedy_generators(quotient)
-    choices = []
-    for gidx in gens:
-        step = exponent // quotient.element_order(gidx)
-        choices.append([j * step for j in range(quotient.element_order(gidx))])
-    seen = set()
-    exp_vectors = []
-    for assignment in itertools.product(*choices) if gens else [()]:
-        val = _propagate(quotient, gens, list(assignment), exponent)
-        if val is None:
-            continue
-        key = tuple(int(x) for x in val)
-        if key not in seen:
-            seen.add(key)
-            exp_vectors.append(key)
-    exp_vectors.sort()
-    expected = g.order // len(derived)
-    if len(exp_vectors) != expected:
+    n = g.order
+    gens = _greedy_generators(g)
+    choices = [range(0, n, n // g.element_order(s)) for s in gens]
+    # one empty assignment when there are no generators: the trivial group
+    assignments = np.array(list(itertools.product(*choices)), dtype=np.int64)
+    counts, visited = _word_counts(g, gens)
+    exps = assignments @ counts.T % n
+    # the sweep takes the rows of e and the generators first; with k[e] = 0
+    # they alone decide the test, so false candidates drop out early
+    exps = sorted(exps[_homomorphisms(g, exps, visited)].tolist())
+    expected = n // len(commutator_subgroup(g))
+    if len(exps) != expected:
         raise GroupError(
             "character enumeration found %d of %d expected characters"
-            % (len(exp_vectors), expected)
+            % (len(exps), expected)
         )
-    chars = []
-    for vec in exp_vectors:
-        quotient_vals = np.exp(2j * np.pi * np.asarray(vec, dtype=np.float64)
-                               / float(exponent))
-        chars.append(Character(g, quotient_vals[coset_index]))
-    g._characters = chars
-    return chars
+    g._characters = [Character(g, _roots_of_unity(n, k)) for k in exps]
+    return g._characters
 
 
 def trivial_character(g):
-    return enumerate_characters(g)[0]
+    return Character(g, np.ones(g.order))
 
 
 def fit_scalar_character(g, phi, tol=DEFAULT_TOL):
-    """Fit ``phi = c * psi`` for an enumerated character psi, gauge c = phi(e).
+    """Fit ``phi = c * psi`` for a character psi, gauge c = phi(e).
 
-    Returns ``(c, psi)`` on success, ``None`` when no enumerated character
-    matches within ``tol`` (max-norm, relative to ``max |phi|``, so the
-    answer does not change when phi is rescaled).  The zero symbol fits as
-    ``(0, trivial character)``.
+    psi takes at each element the |G|-th root of unity nearest
+    phi(s) / phi(e).  It is accepted when ``max |phi - c psi| <= tol *
+    max |phi|`` (relative, so rescaling phi changes nothing) and its
+    exponent vector passes :func:`_homomorphisms`.  Returns ``(c, psi)``,
+    psi an exact character, or ``None``; the zero symbol fits as
+    ``(0, trivial character)``.  O(|G|^2), with no list of characters and
+    no order cap.  Whenever tol < 1/|G| it agrees with a search of the
+    enumerated characters: at most one then lies within ``tol``, and its
+    value at each element is the root of unity nearest phi(s) / phi(e).
     """
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (g.order,):
         raise ValueError("symbol needs one value per group element")
     if not np.all(np.isfinite(phi.view(np.float64))):
         raise ValueError("symbol values must be finite")
-    chars = enumerate_characters(g)
     scale = float(np.max(np.abs(phi)))
     if scale == 0.0:
-        return 0j, chars[0]
+        return 0j, trivial_character(g)
+    n = g.order
     c = complex(phi[g.identity])
-    for psi in chars:
-        if float(np.max(np.abs(phi - c * psi.values))) <= tol * scale:
-            return c, psi
-    return None
+    turns = (np.angle(phi) - np.angle(c)) / (2 * np.pi)
+    k = np.rint(turns * n).astype(np.int64) % n
+    psi = _roots_of_unity(n, k)
+    if float(np.max(np.abs(phi - c * psi))) > tol * scale:
+        return None
+    if not _homomorphisms(g, k[None])[0]:
+        return None
+    return c, Character(g, psi)
 
 
 # ---------------------------------------------------------------------------

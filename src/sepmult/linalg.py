@@ -95,6 +95,21 @@ def frobenius_each(a):
     return np.sqrt((w @ w.swapaxes(-1, -2))[..., 0, 0])
 
 
+def ldexp(z, e):
+    """``z * 2**e`` for a complex128 array, exactly, as ``np.ldexp`` does."""
+    return np.ldexp(np.ascontiguousarray(z).view(np.float64), e).view(np.complex128)
+
+
+def over_power_of_two(z):
+    """(z / 2**e, e) for a complex128 array, with e chosen so that the
+    largest real or imaginary part of the result lies in [0.5, 1); the
+    division is exact unless an entry falls below the normal range, and the
+    zero array gives (z, 0)."""
+    z = np.ascontiguousarray(z)
+    _, e = math.frexp(float(np.max(np.abs(z.view(np.float64)), initial=0.0)))
+    return ldexp(z, -e), e
+
+
 def _adjoint(a):
     return a.conj().swapaxes(-1, -2)
 
@@ -348,6 +363,9 @@ def matrix_from_json(obj):
         im = np.asarray(obj["im"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("matrix JSON needs numeric 'dim', 're', 'im'") from exc
+    if dim == 0 and re.size == im.size == 0:
+        # matrix_to_json writes the 0 x 0 matrix as empty lists
+        re = im = np.zeros((0, 0))
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(
             "matrix JSON shape mismatch: dim=%d, re%r, im%r"

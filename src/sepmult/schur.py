@@ -9,8 +9,9 @@ gauged so alpha_1 = 1 and c = m_11.  Existence of the certificate is a value
 
 ``herz_schur_symbol`` turns a function on a group into the two-variable
 symbol m[s, t] = phi(s^{-1} t); ``recover_character`` inverts that: given a
-rank-one certificate of such a symbol it reconstructs the scalar and the
-character, verifying translation covariance on the way.
+rank-one certificate of such a symbol it fits the scalar and the character
+to the certificate's identity row, verifying translation covariance on the
+way.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import Character, FiniteGroup
+from .groups import FiniteGroup, fit_scalar_character
 from .linalg import DEFAULT_TOL, as_complex_matrix
 
 
@@ -83,28 +84,23 @@ def herz_schur_symbol(g: FiniteGroup, phi):
 def recover_character(g: FiniteGroup, cert: RankOneCertificate, tol=DEFAULT_TOL):
     """Recover (c, psi) from a certificate of a Herz-Schur symbol.
 
-    psi(r) = beta(r * e) / beta(e) referenced at the identity, then two
-    verifications: psi must be a character within ``tol`` and the certificate
-    must be translation covariant, i.e. c * alpha_s * beta_t must equal
-    c' * psi(s^{-1} t) for c' = c * alpha(e) * beta(e).  Returns None when
-    either fails, which is exactly the case of a certificate that did not
-    come from a scalar multiple of a character.
+    Row e of the factorization is phi itself (m[e, t] = phi(t)), so (c', psi)
+    is :func:`groups.fit_scalar_character` of c * alpha(e) * beta, with
+    c' = c * alpha(e) * beta(e) and psi an exact character.  Then the
+    certificate must be translation covariant: c * alpha_s * beta_t must
+    equal c' * psi(s^{-1} t) within ``tol * |c|``, relative so that the
+    answer does not change when the certificate is rescaled.  Returns None
+    when either check fails, which is exactly the case of a certificate that
+    did not come from a scalar multiple of a character.
     """
     if cert.alpha.shape != (g.order,) or cert.beta.shape != (g.order,):
         raise ValueError("certificate vectors do not match the group order")
-    e = g.identity
-    if cert.beta[e] == 0.0:
+    fit = fit_scalar_character(g, cert.c * cert.alpha[g.identity] * cert.beta, tol)
+    if fit is None:
         return None
-    psi_values = cert.beta / cert.beta[e]
-    psi = Character(g, psi_values)
-    try:
-        psi.validate(tol)
-    except ValueError:
-        return None
-    c_prime = complex(cert.c * cert.alpha[e] * cert.beta[e])
-    expected = c_prime * psi_values[g.mul[g.inv, :]]
+    c_prime, psi = fit
+    expected = c_prime * psi.values[g.mul[g.inv, :]]
     actual = cert.c * np.outer(cert.alpha, cert.beta)
-    scale = max(1.0, abs(cert.c))
-    if float(np.max(np.abs(actual - expected))) > tol * scale:
+    if float(np.max(np.abs(actual - expected))) > tol * abs(cert.c):
         return None
     return c_prime, psi

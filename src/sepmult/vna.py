@@ -31,6 +31,7 @@ from .linalg import (
     frobenius,
     frobenius_each,
     hermitian_eig,
+    over_power_of_two,
     redraw_rejected,
     schatten_norm,
 )
@@ -194,18 +195,15 @@ def _as_matrix(x):
 
 
 def disjointness_defect(a, b):
-    """max(||a* b||, ||a b*||) / (||a|| ||b||), 0 when either factor is 0."""
+    """max(||a* b||, ||a b*||) / (||a|| ||b||), 0 when either factor is 0:
+    :func:`disjointness_defects` of one pair, each leg divided by a power of
+    two so that no square under- or overflows at any scale."""
     am = _as_matrix(a)
     bm = _as_matrix(b)
     if am.shape != bm.shape:
         raise DimMismatch("operands have shapes %r and %r" % (am.shape, bm.shape))
-    na = frobenius(am)
-    nb = frobenius(bm)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    left = frobenius(am.conj().T @ bm)
-    right = frobenius(am @ bm.conj().T)
-    return max(left, right) / (na * nb)
+    return float(disjointness_defects(
+        np.stack([over_power_of_two(am)[0], over_power_of_two(bm)[0]])))
 
 
 def disjointness_defects(pairs):

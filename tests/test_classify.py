@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepmult import classify
+from sepmult import classify, groups
 from sepmult.classify import (
     INCONCLUSIVE,
     NOT_SEPARATING,
@@ -715,6 +715,50 @@ def test_classify_verdict_uniform_in_p(p):
 
 
 # ---------------------------------------------------------------------------
+# classify_fourier above the enumeration cap
+
+
+def _large_group_character(name):
+    """A group of order > 64 and a character of it, built directly."""
+    g = builtin_group(name)
+    s = np.arange(g.order)
+    if name.startswith("dihedral"):
+        return g, np.where(s < g.order // 2, 1.0, -1.0)   # rotations come first
+    if name == "cyclic(5)xcyclic(13)":
+        i, j = np.divmod(s, 13)
+        return g, np.exp(2j * np.pi * (2 * i / 5 + 3 * j / 13))
+    return g, np.exp(2j * np.pi * 5 * s / g.order)
+
+
+@pytest.mark.parametrize("name", ["cyclic(128)", "dihedral(64)", "cyclic(5)xcyclic(13)"])
+def test_classify_fourier_above_order_64(name):
+    g, chi = _large_group_character(name)
+    verdict = classify_fourier(g, (1.5 - 0.5j) * chi, trials=2, seed=0)
+    assert verdict.status == SEPARATING
+    assert verdict.certificate["c"] == 1.5 - 0.5j
+    np.testing.assert_allclose(verdict.certificate["character"], chi, atol=1e-12)
+    rng = np.random.default_rng(derive_seed(g.order))
+    phi = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
+    verdict = classify_fourier(g, phi, trials=2, seed=0)
+    assert verdict.status == NOT_SEPARATING
+    assert verdict.certificate is None
+
+
+def test_classify_fourier_never_enumerates(monkeypatch):
+    def refuse(g):
+        raise AssertionError("classify_fourier must not enumerate characters")
+
+    monkeypatch.setattr(groups, "enumerate_characters", refuse)
+    g = builtin_group("dihedral(4)")
+    sign = np.where(np.arange(8) < 4, 1.0, -1.0)
+    verdict = classify_fourier(g, 2j * sign, trials=2, seed=0)
+    assert verdict.status == SEPARATING
+    np.testing.assert_allclose(verdict.certificate["character"], sign, atol=1e-15)
+    verdict = classify_fourier(g, sign + 0.5, trials=2, seed=0)
+    assert verdict.status == NOT_SEPARATING
+
+
+# ---------------------------------------------------------------------------
 # classify_schur
 
 
@@ -751,6 +795,17 @@ def test_classify_schur_zero_symbol():
     verdict = classify_schur(np.zeros((2, 2)), trials=10, seed=0)
     assert verdict.status == SEPARATING
     assert verdict.certificate["c"] == 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: transpose_map(0),
+    lambda: transpose_map(-1),
+    lambda: schur_multiplier_map(np.zeros((0, 0))),
+    lambda: classify_schur(np.zeros((0, 0))),
+], ids=["transpose-0", "transpose-negative", "schur-map-0", "classify-schur-0"])
+def test_matrix_dimension_below_one_is_refused(build):
+    with pytest.raises(ValueError, match="matrix dimension must be at least 1, got"):
+        build()
 
 
 # ---------------------------------------------------------------------------

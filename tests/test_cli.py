@@ -141,6 +141,16 @@ def test_herz_schur_recovers_character(tmp_path, capsys):
     np.testing.assert_allclose(got, psi.values, atol=1e-9)
 
 
+def test_herz_schur_recovers_exact_roots_of_unity(tmp_path, capsys):
+    g = builtin_group("cyclic(5)")
+    psi = enumerate_characters(g)[2]
+    symbol = _symbol_file(tmp_path, "phi.json", (1.0 - 3j) * psi.values)
+    code, out, _ = _run(capsys, [
+        "herz-schur", "--group", "cyclic(5)", "--symbol", symbol, "--json"])
+    assert code == EXIT_SEPARATING
+    assert json.loads(out)["recovered"]["character"] == symbol_to_json(psi.values)
+
+
 def test_herz_schur_without_factorization(tmp_path, capsys):
     symbol = _symbol_file(tmp_path, "phi.json", [1.0, 0.0, 0.0])
     code, out, _ = _run(capsys, [
@@ -203,6 +213,24 @@ def test_list_characters(capsys):
     assert blob["characters"][0] == [[1.0, 0.0]] * 4
 
 
+def test_classify_fourier_above_order_64(tmp_path, capsys):
+    character = np.exp(2j * np.pi * 7 * np.arange(65) / 65)
+    symbol = _symbol_file(tmp_path, "phi.json", 2.0 * character)
+    code, out, _ = _run(capsys, [
+        "classify-fourier", "--group", "cyclic(65)", "--symbol", symbol,
+        "--trials", "2", "--json"])
+    assert code == EXIT_SEPARATING
+    blob = json.loads(out)
+    assert blob["status"] == "separating"
+    assert blob["certificate"]["kind"] == "scalar-character"
+
+
+def test_list_characters_keeps_its_order_cap(capsys):
+    code, _, err = _run(capsys, ["list-characters", "--group", "cyclic(65)"])
+    assert code == EXIT_DATA
+    assert "capped at order 64" in err
+
+
 # ---------------------------------------------------------------------------
 # data and usage errors
 
@@ -245,6 +273,13 @@ def test_malformed_matrix_is_data_error(tmp_path, capsys):
     code, _, err = _run(capsys, ["classify-schur", "--symbol", str(path)])
     assert code == EXIT_DATA
     assert "shape" in err
+
+
+def test_empty_matrix_is_data_error(tmp_path, capsys):
+    path = _matrix_file(tmp_path, "m.json", np.zeros((0, 0)))
+    code, _, err = _run(capsys, ["classify-schur", "--symbol", path])
+    assert code == EXIT_DATA
+    assert "matrix dimension must be at least 1, got 0" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,11 @@
 """Finite groups, character enumeration, scalar-character fitting."""
 
+import time
+
 import numpy as np
 import pytest
 
+from sepmult import groups
 from sepmult.groups import (
     Character,
     FiniteGroup,
@@ -21,6 +24,13 @@ from sepmult.groups import (
 )
 
 DISTINCT_FLOOR = 0.5
+
+#: the groups of the acceptance criteria
+ACCEPTANCE_GROUPS = (
+    "cyclic(1)", "cyclic(2)", "cyclic(3)", "cyclic(4)", "cyclic(5)",
+    "cyclic(6)", "cyclic(7)", "cyclic(8)", "cyclic(2)xcyclic(2)",
+    "symmetric(3)", "symmetric(4)", "dihedral(4)", "quaternion8",
+)
 
 # order-5 loop: Latin square, two-sided identity and inverses, yet
 # (1*1)*2 = 2 while 1*(1*2) = 4
@@ -135,6 +145,25 @@ def test_invalid_tables(table, message):
         FiniteGroup(table)
 
 
+def test_nonassociative_table_above_order_64_is_rejected():
+    # the order-5 loop times cyclic(13): order 65
+    loop = np.array(NONASSOC_TABLE)
+    i, j = np.divmod(np.arange(65), 13)
+    table = loop[np.ix_(i, i)] * 13 + (j[:, None] + j[None, :]) % 13
+    with pytest.raises(InvalidGroupTable, match="associative"):
+        FiniteGroup(table)
+
+
+def test_order_256_validation_within_budget():
+    table = builtin_group("cyclic(256)").mul
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        FiniteGroup(table)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) <= 0.5
+
+
 def test_name_length_mismatch():
     with pytest.raises(InvalidGroupTable):
         FiniteGroup([[0, 1], [1, 0]], names=["e"])
@@ -237,6 +266,15 @@ def test_character_enumeration_order_cap():
         enumerate_characters(big)
 
 
+def test_enumeration_with_redundant_generators():
+    # greedy generators of orders 8, 8, 8, 8: 4096 candidate assignments
+    g = builtin_group("quaternion8xcyclic(8)")
+    chars = enumerate_characters(g)
+    assert len(chars) == 32
+    for psi in chars:
+        psi.validate(tol=1e-12)
+
+
 def test_character_constructor_checks_length():
     g = builtin_group("cyclic(3)")
     with pytest.raises(ValueError):
@@ -290,6 +328,44 @@ def test_fit_respects_tolerance():
     assert fit_scalar_character(g, noisy, tol=1e-9) is None
     c, fit = fit_scalar_character(g, noisy, tol=1e-4)
     np.testing.assert_allclose(fit.values, psi.values, atol=1e-12)
+
+
+def test_fit_refuses_unimodular_roots_that_do_not_multiply():
+    # every value is a cube root of unity, so only the table test refuses
+    g = builtin_group("cyclic(3)")
+    w = np.exp(2j * np.pi / 3)
+    assert fit_scalar_character(g, np.array([1.0, w, w])) is None
+
+
+@pytest.mark.parametrize("name", ACCEPTANCE_GROUPS)
+def test_fit_returns_the_enumerated_character_exactly(name):
+    g = builtin_group(name)
+    for chi in enumerate_characters(g):
+        for c in (1.0, -0.5 + 2j, 1e-170, 1e170):
+            got_c, psi = fit_scalar_character(g, c * chi.values)
+            assert got_c == c
+            assert np.array_equal(psi.values, chi.values)
+
+
+@pytest.mark.parametrize("name", ["cyclic(65)", "cyclic(128)", "dihedral(64)"])
+def test_fit_above_the_enumeration_cap(name, monkeypatch):
+    def refuse(g):
+        raise AssertionError("the fit must not enumerate characters")
+
+    monkeypatch.setattr(groups, "enumerate_characters", refuse)
+    g = builtin_group(name)
+    s = np.arange(g.order)
+    if name.startswith("dihedral"):
+        chi = np.where(s < g.order // 2, 1.0, -1.0)   # rotations come first
+    else:
+        chi = np.exp(2j * np.pi * 7 * s / g.order)
+    c, psi = fit_scalar_character(g, 3j * chi)
+    assert c == 3j
+    np.testing.assert_allclose(psi.values, chi, atol=1e-12)
+    psi.validate(tol=1e-12)
+    bent = 3j * chi
+    bent[5] *= np.exp(2j * np.pi / g.order)
+    assert fit_scalar_character(g, bent) is None
 
 
 def test_fit_rejects_bad_symbols():

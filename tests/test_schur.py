@@ -209,6 +209,19 @@ def test_recover_rejects_covariance_break():
     assert recover_character(g, cert) is None
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-12, 1e-170, 1e170])
+def test_recover_covariance_is_relative_to_c(c):
+    g = builtin_group("cyclic(3)")
+    psi = enumerate_characters(g)[1]
+    genuine = rank_one_unimodular_factor(herz_schur_symbol(g, c * psi.values))
+    c_prime, got = recover_character(g, genuine)
+    assert c_prime == pytest.approx(c, rel=1e-12)
+    assert np.array_equal(got.values, psi.values)
+    # beta is the character, but alpha = 1 is not covariant with it
+    tampered = RankOneCertificate(c, np.ones(3), psi.values.copy())
+    assert recover_character(g, tampered) is None
+
+
 def test_recover_rejects_zero_reference():
     g = builtin_group("cyclic(2)")
     cert = RankOneCertificate(1.0, np.ones(2), np.array([0.0, 1.0]))

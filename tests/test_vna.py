@@ -284,6 +284,17 @@ def test_disjointness_defect_is_scale_free():
         disjointness_defect(a, b), rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e170])
+def test_disjointness_defect_at_extreme_scales(scale):
+    ones = np.ones((2, 2))
+    assert disjointness_defect(scale * E11, scale * ones) == pytest.approx(
+        1.0 / np.sqrt(2.0), rel=1e-12)
+    assert disjointness_defect(scale * E11, ones / scale) == pytest.approx(
+        1.0 / np.sqrt(2.0), rel=1e-12)
+    assert not is_disjoint(scale * E11, scale * ones)
+    assert is_disjoint(scale * E11, scale * E22)
+
+
 def test_projection_pair_two_elements_closed_form():
     g = builtin_group("cyclic(2)")
     for seed in (0, 1, 7):
