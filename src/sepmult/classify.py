@@ -39,11 +39,12 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import fit_scalar_character
+from .groups import as_symbol, fit_scalar_character
 from .linalg import (
     DEFAULT_TOL,
     InvalidExponent,
     as_complex_matrix,
+    check_tol,
     complex_gaussians,
     frobenius,
     frobenius_each,
@@ -230,12 +231,7 @@ class LinearMap:
 def fourier_multiplier_map(g, phi):
     """LinearMap of the Fourier multiplier lambda(s) -> phi[s] lambda(s),
     held as the Schur symbol [phi(u t^-1)]."""
-    phi = np.asarray(phi, dtype=np.complex128).reshape(-1)
-    if phi.shape != (g.order,):
-        raise ValueError("symbol needs one value per group element")
-    if not np.all(np.isfinite(phi.view(np.float64))):
-        raise ValueError("symbol values must be finite")
-    return LinearMap._multiplier(phi[g.rebuild_grid], "group", g)
+    return LinearMap._multiplier(as_symbol(g, phi)[g.rebuild_grid], "group", g)
 
 
 def _check_matrix_dim(n):
@@ -561,6 +557,7 @@ def separating_test(t, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL):
     """
     p = _check_p(p)
     trials = _check_trials(trials)
+    tol = check_tol(tol)
     seed = int(seed)
     if t.algebra_dim == 1:
         return Verdict(SEPARATING, p=p, trials=0, seed=seed,
@@ -609,6 +606,7 @@ def isometry_test(t, p=2.0, trials=50, seed=0, tol=DEFAULT_TOL):
     """Sampled isometry check; returns (within_tol, max relative deviation)."""
     p = _check_p(p)
     trials = _check_trials(trials)
+    tol = check_tol(tol)
     rng = np.random.default_rng(derive_seed(seed, 0x150))
     x = t.random_elements(rng, trials)
     norm_in = schatten_norm(x, p, t.trace_weight)
@@ -674,6 +672,7 @@ def yeadon_extract(t, tol=DEFAULT_TOL, random_checks=8):
     carrying the residual table, so a successful return is a deterministic
     structural certificate.
     """
+    tol = check_tol(tol)
     t_unit = t.apply(t.unit())
     w, b = polar_decompose(t_unit, _PINV_CUTOFF)
     bpw = psd_pseudo_inverse(b, _PINV_CUTOFF) @ w.conj().T
@@ -736,6 +735,7 @@ def positive_definite_test(g, phi, tol=DEFAULT_TOL):
     Hermitian part (the diagnostic that remains meaningful when the
     Hermiticity gate already fails).
     """
+    tol = check_tol(tol)
     m = herz_schur_symbol(g, phi)
     # the defect is read on m / max|m| so that no square under- or overflows
     unit = m / max(float(np.max(np.abs(m))), 1e-300)

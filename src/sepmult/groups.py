@@ -9,11 +9,12 @@ Characters here are the one-dimensional unitary representations: unimodular,
 multiplicative, 1 at the identity.  Their values are |G|-th roots of unity,
 so a character is an integer exponent vector k, psi(s) = exp(2 pi i k[s] /
 |G|), and one exact test on the Cayley table decides whether k is one:
-k[s t] = k[s] + k[t] mod |G| for all s, t.  ``fit_scalar_character`` reads
-k off the symbol (the root of unity nearest phi(s) / phi(e)), so it needs
-no list of characters and has no order cap.  ``enumerate_characters``
-extends exponent assignments on a greedy generating set along breadth-first
-words and keeps those the test accepts; it alone is capped, at order 64.
+k[s t] = k[s] + k[t] mod |G| for all s, t.  A character is read one way:
+k is the root of unity nearest phi(s) / phi(e), and the test decides.
+``fit_scalar_character`` reads it off a symbol, so it needs no list of
+characters and has no order cap.  ``enumerate_characters`` reads it off
+each eigenvector of one generic self-adjoint element of VN(G), which holds
+every character among its eigenvectors; it alone is capped, at order 64.
 """
 
 import itertools
@@ -22,10 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, check_tol, complex_gaussians, hermitian_eig
 
 #: enumeration refuses groups larger than this
 CHARACTER_ORDER_CAP = 64
+
+#: fixed internal seed of the element whose eigenvectors hold the characters
+_SPECTRAL_SEED = 0xC4A7
 
 #: table lookups per block of the associativity sweep and the character
 #: test (a row of the table is one block when it alone is larger)
@@ -290,9 +294,7 @@ class Character:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (self.group.order,):
-            raise ValueError("character needs one value per group element")
+        self.values = as_symbol(self.group, self.values)
 
     def validate(self, tol=DEFAULT_TOL):
         """``ValueError`` unless the values are 1 at the identity and fit a
@@ -305,24 +307,34 @@ class Character:
         return complex(self.values[s])
 
 
+def as_symbol(g, phi):
+    """``phi`` as a function on ``g``: a 1-D complex128 array with one finite
+    value per element in table order, or ``ValueError`` (any other shape)."""
+    values = np.asarray(phi, dtype=np.complex128)
+    if values.shape != (g.order,):
+        raise ValueError("symbol needs shape (%d,), one value per group element, "
+                         "got %r" % (g.order, values.shape))
+    if not np.isfinite(values.view(np.float64)).all():
+        raise ValueError("symbol values must be finite")
+    return values
+
+
 def _roots_of_unity(n, k):
     """exp(2 pi i k / n) for an integer array k."""
     return np.exp(2j * np.pi * np.asarray(k, dtype=np.float64) / float(n))
 
 
-def _homomorphisms(g, k, rows=None):
+def _homomorphisms(g, k):
     """Which rows of the (K, |G|) int64 array ``k``, entries in [0, |G|),
     are exponent vectors of characters: k[s t] = k[s] + k[t] mod |G| on the
-    whole Cayley table (the entry (e, e) forces k[e] = 0).  Table rows s are
-    swept in the order ``rows`` in bounded blocks; a row of ``k`` is dropped
-    at its first failure.
+    whole Cayley table (the entry (e, e) forces k[e] = 0).  Table rows are
+    swept in bounded blocks; a row of ``k`` is dropped at its first failure.
     """
     n = g.order
-    rows = np.arange(n) if rows is None else np.asarray(rows)
     alive = np.arange(len(k))
     lo = 0
     while lo < n and alive.size:
-        block = rows[lo:lo + max(1, _BLOCK_LOOKUPS // (alive.size * n))]
+        block = np.arange(lo, min(n, lo + max(1, _BLOCK_LOOKUPS // (alive.size * n))))
         kb = k[alive]
         # k[s t] - k[s] - k[t] lies in (-2n, n): it vanishes mod n iff it is 0 or -n
         defect = kb[:, g.mul[block]]
@@ -335,43 +347,24 @@ def _homomorphisms(g, k, rows=None):
     return ok
 
 
-def _greedy_generators(g):
-    gens = []
-    generated = {g.identity}
-    while len(generated) < g.order:
-        pool = [s for s in range(g.order) if s not in generated]
-        pick = max(pool, key=lambda s: (g.element_order(s), -s))
-        gens.append(pick)
-        generated = set(g.closure(generated | {pick}))
-    return gens
-
-
-def _word_counts(g, gens):
-    """(counts, visited) for words found breadth-first from the identity by
-    right multiplication with ``gens``: counts[x, j] is how often gens[j]
-    occurs in the word for x; visited starts e, gens[0], gens[1], ..."""
-    counts = np.zeros((g.order, len(gens)), dtype=np.int64)
-    visited = [g.identity]
-    seen = set(visited)
-    for x in visited:
-        for j, s in enumerate(gens):
-            y = int(g.mul[x, s])
-            if y not in seen:
-                seen.add(y)
-                counts[y] = counts[x]
-                counts[y, j] += 1
-                visited.append(y)
-    return counts, visited
+def _nearest_exponents(g, phi):
+    """Exponent vectors k of the |G|-th roots of unity nearest phi(s) /
+    phi(e), for each row of the (..., |G|) array ``phi``; k[e] = 0."""
+    turns = (np.angle(phi) - np.angle(phi[..., g.identity, None])) / (2 * np.pi)
+    return np.rint(turns * g.order).astype(np.int64) % g.order
 
 
 def enumerate_characters(g):
     """All characters of ``g``, sorted by exponent vector (trivial first).
 
-    Each assignment of exponents to a greedy generating set (a multiple of
-    |G|/d to a generator of order d) is extended over ``g`` by one
-    breadth-first word table; the characters are the assignments that
-    :func:`_homomorphisms` accepts, counted against order(g) / order(G').
-    Raises ``GroupTooLarge`` above order 64; nothing else needs the list.
+    For h = f + f* in VN(G) and a character psi, h conj(psi) = (sum_s h(s)
+    psi(s)) conj(psi) on l2(G).  Each one-dimensional representation occurs
+    once in the regular one, so for generic f (drawn at a fixed internal
+    seed) that eigenvalue is simple and its eigenvector is conj(psi) up to
+    scale.  The |G| eigenvectors of h are rounded as in
+    :func:`fit_scalar_character`, kept when :func:`_homomorphisms` accepts
+    them, and counted against order(g) / order(G').  Raises
+    ``GroupTooLarge`` above order 64; nothing else needs the list.
     """
     if g.order > CHARACTER_ORDER_CAP:
         raise GroupTooLarge(
@@ -380,22 +373,18 @@ def enumerate_characters(g):
     if g._characters is not None:
         return g._characters
     n = g.order
-    gens = _greedy_generators(g)
-    choices = [range(0, n, n // g.element_order(s)) for s in gens]
-    # one empty assignment when there are no generators: the trivial group
-    assignments = np.array(list(itertools.product(*choices)), dtype=np.int64)
-    counts, visited = _word_counts(g, gens)
-    exps = assignments @ counts.T % n
-    # the sweep takes the rows of e and the generators first; with k[e] = 0
-    # they alone decide the test, so false candidates drop out early
-    exps = sorted(exps[_homomorphisms(g, exps, visited)].tolist())
+    f = complex_gaussians([np.random.default_rng(_SPECTRAL_SEED)], (n,))[0]
+    _, vecs = hermitian_eig((f + np.conj(f[g.inv]))[g.rebuild_grid])
+    k = _nearest_exponents(g, vecs.T)
+    # a set: vectors of a degenerate eigenvalue may round to one character
+    exps = sorted({tuple(row) for row in k[_homomorphisms(g, k)].tolist()})
     expected = n // len(commutator_subgroup(g))
     if len(exps) != expected:
         raise GroupError(
             "character enumeration found %d of %d expected characters"
             % (len(exps), expected)
         )
-    g._characters = [Character(g, _roots_of_unity(n, k)) for k in exps]
+    g._characters = [Character(g, values) for values in _roots_of_unity(n, exps)]
     return g._characters
 
 
@@ -416,19 +405,14 @@ def fit_scalar_character(g, phi, tol=DEFAULT_TOL):
     enumerated characters: at most one then lies within ``tol``, and its
     value at each element is the root of unity nearest phi(s) / phi(e).
     """
-    phi = np.asarray(phi, dtype=np.complex128)
-    if phi.shape != (g.order,):
-        raise ValueError("symbol needs one value per group element")
-    if not np.all(np.isfinite(phi.view(np.float64))):
-        raise ValueError("symbol values must be finite")
+    tol = check_tol(tol)
+    phi = as_symbol(g, phi)
     scale = float(np.max(np.abs(phi)))
     if scale == 0.0:
         return 0j, trivial_character(g)
-    n = g.order
     c = complex(phi[g.identity])
-    turns = (np.angle(phi) - np.angle(c)) / (2 * np.pi)
-    k = np.rint(turns * n).astype(np.int64) % n
-    psi = _roots_of_unity(n, k)
+    k = _nearest_exponents(g, phi)
+    psi = _roots_of_unity(g.order, k)
     if float(np.max(np.abs(phi - c * psi))) > tol * scale:
         return None
     if not _homomorphisms(g, k[None])[0]:

@@ -13,7 +13,8 @@ Intended scale is dim <= ~200; no sparsity, no rectangular SVD.
 Tolerance convention: one package-wide default ``DEFAULT_TOL = 1e-9``, always
 interpreted relative to the Frobenius norm of the operand (so the zero matrix
 is Hermitian, positive, unitary-invariant, ... without special pleading).
-Every equality decision accepts an overriding ``tol`` argument.
+Every equality decision accepts an overriding ``tol`` argument, a finite
+number > 0 (``check_tol``): a NaN or infinite one passes every test.
 """
 
 import math
@@ -54,6 +55,13 @@ class EigenDecomposition(NamedTuple):
 
     values: np.ndarray
     vectors: np.ndarray
+
+
+def check_tol(tol, error=ValueError):
+    """``float(tol)``; raises ``error`` unless tol is a finite number > 0."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise error("tol must be positive and finite, got %r" % (tol,))
+    return float(tol)
 
 
 def _as_complex_stack(a):

@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import FiniteGroup, fit_scalar_character
-from .linalg import DEFAULT_TOL, as_complex_matrix
+from .groups import FiniteGroup, as_symbol, fit_scalar_character
+from .linalg import DEFAULT_TOL, as_complex_matrix, check_tol
 
 
 @dataclass
@@ -54,6 +54,7 @@ def rank_one_unimodular_factor(m, tol=DEFAULT_TOL) -> Optional[RankOneCertificat
     alpha_1 = 1, c = m_11; the candidate is verified entrywise before being
     returned, so near-misses come back as None rather than a bad certificate.
     """
+    tol = check_tol(tol)
     mm = as_complex_matrix(m)
     n = mm.shape[0]
     moduli = np.abs(mm)
@@ -75,10 +76,7 @@ def rank_one_unimodular_factor(m, tol=DEFAULT_TOL) -> Optional[RankOneCertificat
 
 def herz_schur_symbol(g: FiniteGroup, phi):
     """Two-variable symbol m[s, t] = phi(s^{-1} t) from a function on g."""
-    values = np.asarray(phi, dtype=np.complex128).reshape(-1)
-    if values.shape != (g.order,):
-        raise ValueError("symbol needs one value per group element")
-    return values[g.mul[g.inv, :]]
+    return as_symbol(g, phi)[g.mul[g.inv, :]]
 
 
 def recover_character(g: FiniteGroup, cert: RankOneCertificate, tol=DEFAULT_TOL):
@@ -93,14 +91,14 @@ def recover_character(g: FiniteGroup, cert: RankOneCertificate, tol=DEFAULT_TOL)
     when either check fails, which is exactly the case of a certificate that
     did not come from a scalar multiple of a character.
     """
-    if cert.alpha.shape != (g.order,) or cert.beta.shape != (g.order,):
-        raise ValueError("certificate vectors do not match the group order")
-    fit = fit_scalar_character(g, cert.c * cert.alpha[g.identity] * cert.beta, tol)
+    tol = check_tol(tol)
+    alpha, beta = as_symbol(g, cert.alpha), as_symbol(g, cert.beta)
+    fit = fit_scalar_character(g, cert.c * alpha[g.identity] * beta, tol)
     if fit is None:
         return None
     c_prime, psi = fit
     expected = c_prime * psi.values[g.mul[g.inv, :]]
-    actual = cert.c * np.outer(cert.alpha, cert.beta)
+    actual = cert.c * np.outer(alpha, beta)
     if float(np.max(np.abs(actual - expected))) > tol * abs(cert.c):
         return None
     return c_prime, psi

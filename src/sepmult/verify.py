@@ -34,6 +34,7 @@ from .classify import (
     yeadon_extract,
 )
 from .groups import (
+    GroupTooLarge,
     builtin_group,
     commutator_subgroup,
     enumerate_characters,
@@ -41,6 +42,7 @@ from .groups import (
     group_from_json,
 )
 from .linalg import (
+    check_tol,
     frobenius,
     hermitian_eig,
     lapack_backend,
@@ -114,8 +116,7 @@ class SuiteConfig:
             raise SuiteError("p_values must be a nonempty list of p >= 1")
         if not isinstance(self.trials, int) or self.trials < 1:
             raise InvalidTrials("trials must be a positive integer")
-        if not (self.tol > 0.0):
-            raise SuiteError("tol must be positive")
+        check_tol(self.tol, SuiteError)
         for name in ("converse_samples", "schur_samples", "cp_samples",
                      "norm_samples", "linalg_samples"):
             count = getattr(self, name)
@@ -632,12 +633,18 @@ _DIM_CELLS = (
 
 
 def run_suite(config):
-    """Run every cell; returns the report dict (see ``report_passed``)."""
+    """Load and enumerate every group, then run every cell; returns the
+    report dict (see ``report_passed``)."""
     if not config.groups:
         raise EmptySuite("the group list is empty; running nothing is not success")
+    groups = [(label, load_group(label)) for label in config.groups]
+    for label, g in groups:
+        try:
+            enumerate_characters(g)     # the group cells draw on the list
+        except GroupTooLarge as exc:
+            raise GroupTooLarge("suite group %s: %s" % (label, exc)) from exc
     results = []
-    for label in config.groups:
-        g = load_group(label)
+    for label, g in groups:
         for family, cell in _GROUP_CELLS:
             _run_cell(results, "%s/%s" % (family, label), cell, g, label, config)
     for n in config.matrix_dims:

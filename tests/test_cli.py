@@ -427,3 +427,36 @@ def test_group_file_errors_name_the_path(tmp_path, capsys, command):
     code, _, err = _run(capsys, command[:1] + ["--group", str(bad)] + command[1:])
     assert code == EXIT_DATA
     assert err.startswith("error: invalid JSON in %s: " % bad)
+
+
+@pytest.mark.parametrize("command", [
+    ["classify-fourier", "--group", "cyclic(3)", "--symbol", "phi.json"],
+    ["classify-schur", "--symbol", "m.json"],
+    ["herz-schur", "--group", "cyclic(3)", "--symbol", "phi.json"],
+    ["yeadon", "--group", "cyclic(3)", "--symbol", "phi.json"],
+    ["yeadon", "--symbol", "m.json"],
+    ["verify-theorems", "--config", "config.json"],
+])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_tolerance_that_is_not_finite_and_positive_is_data_error(
+        tmp_path, capsys, command, tol):
+    # a symbol that no tolerance may certify: not c times a character, and
+    # its Herz-Schur matrix and the Schur matrix are not rank-one unimodular
+    files = {"phi.json": _symbol_file(tmp_path, "phi.json", [1.0, 1.0, 0.5]),
+             "m.json": _matrix_file(tmp_path, "m.json", [[1.0, 1.0], [1.0, 0.5]]),
+             "config.json": _write_json(tmp_path, "config.json", SMALL_SUITE)}
+    argv = [files.get(arg, arg) for arg in command] + ["--tol", tol]
+    code, out, err = _run(capsys, argv)
+    assert code == EXIT_DATA
+    assert out == ""
+    assert "tol must be positive and finite" in err
+
+
+def test_verify_group_above_the_enumeration_cap_is_data_error(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code, out, err = _run(capsys, ["verify-theorems", "--group", "cyclic(2)",
+                                   "--group", "cyclic(65)", "--output", str(report)])
+    assert code == EXIT_DATA
+    assert out == ""
+    assert "cyclic(65)" in err and "capped at order 64" in err
+    assert not report.exists()

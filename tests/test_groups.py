@@ -267,12 +267,54 @@ def test_character_enumeration_order_cap():
 
 
 def test_enumeration_with_redundant_generators():
-    # greedy generators of orders 8, 8, 8, 8: 4096 candidate assignments
+    # 32 characters among 256 eigenvectors, most of them from the
+    # two-dimensional representations of quaternion8
     g = builtin_group("quaternion8xcyclic(8)")
     chars = enumerate_characters(g)
     assert len(chars) == 32
     for psi in chars:
         psi.validate(tol=1e-12)
+
+
+#: groups up to order 64 on which the enumeration is pinned structurally
+ENUMERATION_GROUPS = (
+    "cyclic(1)", "cyclic(7)", "cyclic(64)", "dihedral(5)", "dihedral(32)",
+    "symmetric(4)", "quaternion8", "cyclic(3)xcyclic(5)",
+    "quaternion8xcyclic(8)", "cyclic(2)xcyclic(2)xcyclic(2)xcyclic(2)xcyclic(2)xcyclic(2)",
+    "symmetric(4)xcyclic(2)", "quaternion8xquaternion8", "dihedral(4)xdihedral(4)",
+)
+
+
+def _exponents(g, chars):
+    """Exponent vectors k with psi(s) = exp(2 pi i k[s] / |G|)."""
+    turns = np.angle([psi.values for psi in chars]) / (2 * np.pi)
+    return np.rint(turns * g.order).astype(np.int64) % g.order
+
+
+@pytest.mark.parametrize("name", ENUMERATION_GROUPS)
+def test_enumeration_is_the_sorted_exact_character_list(name):
+    g = builtin_group(name)
+    chars = enumerate_characters(g)
+    k = _exponents(g, chars)
+    assert len(chars) == g.order // len(commutator_subgroup(g))
+    assert not k[0].any()
+    rows = [tuple(row) for row in k.tolist()]
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert groups._homomorphisms(g, k).all()
+    for psi, row in zip(chars, k):
+        assert np.array_equal(psi.values, groups._roots_of_unity(g.order, row))
+
+
+@pytest.mark.parametrize("name", ("cyclic(12)", "dihedral(6)", "symmetric(4)",
+                                  "quaternion8xcyclic(8)", "cyclic(4)xcyclic(4)xcyclic(4)"))
+def test_enumeration_does_not_depend_on_the_spectral_seed(name, monkeypatch):
+    want = [psi.values for psi in enumerate_characters(builtin_group(name))]
+    for seed in (1, 2, 12345, 0xDEADBEEF, 2**63 + 7):
+        monkeypatch.setattr(groups, "_SPECTRAL_SEED", seed)
+        got = [psi.values for psi in enumerate_characters(builtin_group(name))]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 def test_character_constructor_checks_length():
