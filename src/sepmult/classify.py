@@ -14,9 +14,16 @@ are answered:
   Confirmation is only ever issued alongside an algebraic certificate
   (scalar multiple of a character for Fourier multipliers, rank-one
   unimodular factorization for Schur multipliers); sampling alone reports
-  "inconclusive" rather than "separating", and a certificate contradicted
-  by a witness gives "inconclusive" carrying both.  Both families go
-  through one verdict path and differ only in their map and certificate.
+  "inconclusive" rather than "separating".  Both certificates say the
+  symbol is S = c alpha beta^T with alpha, beta unimodular, so that T is c
+  times a *-automorphism followed by a unitary, which maps disjoint pairs
+  to disjoint pairs.  When rho = max|S/c - alpha beta^T| satisfies
+  (delta + 2 rho + rho^2) / (1 - rho)^2 <= tol, delta bounding the defect
+  of every pair the search examines, no witness can exist and no search
+  runs; a certificate short of that bound still runs the search, and one
+  contradicted by a witness gives "inconclusive" carrying both.  Both
+  families go through one verdict path and differ only in their map and
+  certificate.
 * is T an isometry for a Schatten p-norm? (sampled, with max deviation)
 * what is the canonical factorization T(a) = w B J(a) (partial isometry,
   psd weight, Jordan *-homomorphism)?  ``yeadon_extract`` computes the
@@ -746,15 +753,63 @@ def positive_definite_test(g, phi, tol=DEFAULT_TOL):
     return ok, min_eig
 
 
+#: largest disjointness defect of a pair the witness search examines at any
+#: tol: trial pairs are drawn within 1e-10, probes are exactly disjoint
+_PAIR_DEFECT_CAP = 1e-10
+
+
+def _search_cannot_refute(tmap, certificate, tol):
+    """Whether no witness search on ``tmap`` at ``tol`` can find a witness,
+    proved from the map's own symbol S and the certificate (c, alpha, beta).
+
+    Let u, v be alpha, beta divided by their moduli, eta the largest
+    distance of a modulus from 1, and rho = max|S/c - alpha beta^T| + 2 eta
+    + eta^2 >= max|S/c - u v^T|.  Then T = T0 + E for T0(x) = c D_u x D_v,
+    which maps disjoint pairs to disjoint pairs and scales norms by |c|, and
+    ||E(x)|| <= |c| rho ||x|| (Frobenius norms).  For rho < 1, a pair with
+    defect delta therefore has images with defect at most
+    (delta + 2 rho + rho^2) / (1 - rho)^2.  The search examines pairs with
+    delta <= min(tol, 1e-10), and 64 n eps covers the round-off of
+    computing the defects.  False when c = 0 or ``tmap`` is not a symbol
+    map, and then only the search can decide.
+    """
+    symbol, c = tmap._symbol, certificate["c"]
+    if symbol is None or c == 0:
+        return False
+    if certificate["kind"] == "scalar-character":
+        # phi(u t^-1) = c psi(u) conj(psi(t))
+        alpha = certificate["character"]
+        beta = alpha.conj()
+    else:
+        alpha, beta = certificate["alpha"], certificate["beta"]
+    eta = max(float(np.max(np.abs(np.abs(v) - 1.0))) for v in (alpha, beta))
+    rho = float(np.max(np.abs(symbol / c - np.outer(alpha, beta))))
+    rho += 2.0 * eta + eta * eta
+    if not rho < 1.0:
+        return False
+    delta = min(tol, _PAIR_DEFECT_CAP) + 64 * tmap.matrix_dim * np.finfo(float).eps
+    return (delta + 2.0 * rho + rho * rho) / (1.0 - rho) ** 2 <= tol
+
+
 def _classify(tmap, certificate, p, trials, seed, tol, isometry_trials):
     """The verdict on ``tmap`` given its family's certificate dict or None,
     by the rules of :func:`classify_fourier`.
 
-    A witness against a certificate gives "inconclusive" carrying both: a
-    refutation never carries a certificate, so reaching that means a
-    tolerance let through a certificate or a witness it should not have.
+    A certificate that passes :func:`_search_cannot_refute` gives
+    "separating" with no search, reported as ``trials`` 0.  Otherwise the
+    witness search runs, and a witness against a certificate gives
+    "inconclusive" carrying both: a refutation never carries a certificate,
+    so reaching that means a tolerance let through a certificate or a
+    witness it should not have.
     """
-    verdict = separating_test(tmap, p=p, trials=trials, seed=seed, tol=tol)
+    p = _check_p(p)
+    trials = _check_trials(trials)
+    tol = check_tol(tol)
+    seed = int(seed)
+    if certificate is not None and _search_cannot_refute(tmap, certificate, tol):
+        verdict = Verdict(SEPARATING, p=p, trials=0, seed=seed)
+    else:
+        verdict = separating_test(tmap, p=p, trials=trials, seed=seed, tol=tol)
     if certificate is None:
         if verdict.status == NOT_SEPARATING:
             return verdict
@@ -779,11 +834,17 @@ def classify_fourier(g, phi, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL,
                      isometry_trials=12):
     """Verdict for the Fourier multiplier with the given symbol.
 
-    Separating iff the symbol fits c * character; the certificate path is
-    cross-validated by the witness search (and by an isometry sample when
-    |c| = 1).  Without a certificate the verdict is the witness search's
-    refutation, or "inconclusive" if none was found; sampling alone never
-    upgrades to "separating".
+    Separating iff the symbol fits c * psi for a character psi.  The map's
+    symbol is S = [phi(u t^-1)], which c [psi(u) conj(psi(t))] matches up
+    to the fit's residual.  When rho = max|S/c - psi psi^*| satisfies
+    (delta + 2 rho + rho^2) / (1 - rho)^2 <= tol, with delta = min(tol,
+    1e-10) plus round-off, no witness can exist and the verdict is
+    "separating" with no witness search (``trials`` 0; see
+    :func:`_search_cannot_refute`).  A certificate short of that bound runs
+    the search, and a witness then makes the verdict "inconclusive".  When
+    |c| = 1 an isometry sample is added.  Without a certificate the verdict
+    is the witness search's refutation, or "inconclusive" if none was
+    found; sampling alone never upgrades to "separating".
     """
     tmap = fourier_multiplier_map(g, phi)
     fit = fit_scalar_character(g, phi, tol)
@@ -803,8 +864,10 @@ def classify_schur(m, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL,
     """Verdict for the Schur multiplier with symbol matrix m.
 
     Separating iff m = c * alpha(s) beta(t) with alpha, beta unimodular; the
-    rank-one unimodular factorization is the certificate, cross-validated as
-    in :func:`classify_fourier`, and the verdict rules are the same.
+    rank-one unimodular factorization is the certificate.  It makes the
+    verdict "separating" with no witness search when rho = max|m/c - alpha
+    beta^T| satisfies the bound of :func:`classify_fourier`, and the
+    verdict rules are the same.
     """
     mm = as_complex_matrix(m)
     tmap = schur_multiplier_map(mm)

@@ -150,6 +150,7 @@ def hermitian_eig(h, tol=DEFAULT_TOL):
     Raises ``NotHermitian`` on asymmetric input and ``NoConvergence`` if
     LAPACK reports failure.
     """
+    tol = check_tol(tol)
     a = _as_complex_stack(h)
     # the gate sees each matrix divided by its largest entry, so its norms
     # neither underflow nor overflow whatever the matrix's scale; only an
@@ -239,6 +240,7 @@ def polar_decompose(a, tol=DEFAULT_TOL):
     at or below ``tol * sigma_max`` are treated as zero and excluded from w.
     A stack (..., n, n) is decomposed matrix by matrix.
     """
+    tol = check_tol(tol)
     u, sigma, v = svd(a)
     b = (v * sigma[..., None, :]) @ _adjoint(v)
     b = 0.5 * (b + _adjoint(b))
@@ -258,6 +260,7 @@ def support_projection(b, tol=DEFAULT_TOL):
     ``-tol * max|eig|`` means the input is not positive and raises
     ``NotPositive``.  The zero matrix has zero support.
     """
+    tol = check_tol(tol)
     vals, vecs = hermitian_eig(b, tol)
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
     if scale == 0.0:
@@ -277,6 +280,7 @@ def psd_pseudo_inverse(b, rel_cutoff=1e-9, tol=DEFAULT_TOL):
 
     Eigenvalues at or below ``rel_cutoff * max(eig)`` are treated as zero.
     """
+    tol = check_tol(tol)
     vals, vecs = hermitian_eig(b, tol)
     scale = float(np.max(vals)) if vals.size else 0.0
     if scale <= 0.0:

@@ -32,6 +32,7 @@ from sepmult.classify import (
 )
 from sepmult.groups import builtin_group, enumerate_characters, trivial_character
 from sepmult.linalg import (
+    DEFAULT_TOL,
     InvalidExponent,
     frobenius,
     hermitian_eig,
@@ -966,3 +967,120 @@ def test_contradicted_schur_certificate_is_inconclusive(monkeypatch):
     assert verdict.status == INCONCLUSIVE
     assert verdict.certificate["kind"] == "rank-one-unimodular"
     assert verdict.witness.label == "probe:hadamard:0,1"
+
+
+# ---------------------------------------------------------------------------
+# certified verdicts without the witness search
+
+ACCEPTANCE_GROUPS = (
+    "cyclic(1)", "cyclic(2)", "cyclic(3)", "cyclic(4)", "cyclic(5)",
+    "cyclic(6)", "cyclic(7)", "cyclic(8)", "cyclic(2)xcyclic(2)",
+    "symmetric(3)", "symmetric(4)", "dihedral(4)", "quaternion8",
+)
+
+
+def _assert_search_allows(monkeypatch, tmap, classify_call):
+    """The certified verdict skipped the search, and the search on the same
+    map finds no witness and yields the same certificate and deviation."""
+    fast = classify_call()
+    assert fast.status == SEPARATING
+    assert fast.trials == 0
+    search = separating_test(tmap)
+    assert search.status == SEPARATING
+    assert search.witness is None
+    with monkeypatch.context() as patch:
+        patch.setattr(classify, "_search_cannot_refute", lambda *args: False)
+        full = classify_call()
+    assert full.status == SEPARATING
+    assert fast.certificate.keys() == full.certificate.keys()
+    for key, value in full.certificate.items():
+        assert np.array_equal(fast.certificate[key], value), key
+    assert fast.max_deviation == full.max_deviation
+    return fast
+
+
+@pytest.mark.parametrize("name", ACCEPTANCE_GROUPS)
+def test_certified_character_skips_the_search_as_the_search_allows(name, monkeypatch):
+    g = builtin_group(name)
+    for chi in enumerate_characters(g):
+        for c in (1.0, -0.5 + 2j, 1e-170, 1e170):
+            phi = c * chi.values
+            fast = _assert_search_allows(
+                monkeypatch, fourier_multiplier_map(g, phi),
+                lambda: classify_fourier(g, phi, seed=0))
+            assert fast.certificate["c"] == c
+            assert (fast.max_deviation is not None) == (c == 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 24])
+def test_certified_schur_symbol_skips_the_search_as_the_search_allows(n, monkeypatch):
+    rng = np.random.default_rng(100 + n)
+    for c in (1.0, -0.5 + 2j):
+        m = c * np.outer(_unimodular(rng, n), _unimodular(rng, n))
+        fast = _assert_search_allows(
+            monkeypatch, schur_multiplier_map(m), lambda: classify_schur(m, seed=0))
+        assert (fast.max_deviation is not None) == (c == 1.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_perturbed_character_skips_the_search_as_the_search_allows(scale, monkeypatch):
+    g = builtin_group("cyclic(5)")
+    psi = enumerate_characters(g)[1].values
+    phi = scale * psi * (1.0 + 1e-13 * np.random.default_rng(5).standard_normal(5))
+    _assert_search_allows(monkeypatch, fourier_multiplier_map(g, phi),
+                          lambda: classify_fourier(g, phi, p=3.0, seed=0))
+
+
+def _bound(rho, n, tol=DEFAULT_TOL):
+    """The image defect bound of the certificate check on n x n symbols."""
+    delta = min(tol, 1e-10) + 64 * n * np.finfo(float).eps
+    return (delta + 2 * rho + rho * rho) / (1 - rho) ** 2
+
+
+def test_certificate_between_the_bound_and_tol_runs_the_search():
+    # rho = 6e-10: within tol, so the fits certify, but 2 rho alone is
+    # above the bound's share of tol
+    g = builtin_group("cyclic(5)")
+    psi = enumerate_characters(g)[2].values
+    phi = psi * np.array([1.0] + [1.0 + 6e-10] * 4)
+    rho = float(np.max(np.abs(phi - psi)))
+    assert rho <= DEFAULT_TOL < _bound(rho, 5)
+    fourier = classify_fourier(g, phi, trials=37, seed=0)
+    assert fourier.status == SEPARATING
+    assert fourier.certificate is not None
+    assert fourier.trials == 37
+
+    rng = np.random.default_rng(7)
+    m = np.outer(_unimodular(rng, 4), _unimodular(rng, 4))
+    m[1:, 1:] *= 1.0 + 6e-10
+    schur = classify_schur(m, trials=37, seed=0)
+    assert schur.status == SEPARATING
+    cert = schur.certificate
+    rho = float(np.max(np.abs(m / cert["c"] - np.outer(cert["alpha"], cert["beta"]))))
+    assert rho <= DEFAULT_TOL < _bound(rho, 4)
+    assert schur.trials == 37
+
+
+def test_exact_but_not_unimodular_factors_still_run_the_search(monkeypatch):
+    # m = alpha beta^T exactly, so rho = 0, but |alpha_2| = 2: the map is
+    # not separating and only the unimodularity term sends it to the search
+    alpha, ones = np.array([1.0, 2.0]), np.ones(2)
+    monkeypatch.setattr(classify, "rank_one_unimodular_factor",
+                        lambda m, tol: RankOneCertificate(1.0, alpha, ones))
+    verdict = classify_schur(np.outer(alpha, ones), trials=10)
+    assert verdict.status == INCONCLUSIVE
+    assert verdict.trials == 10
+    assert verdict.witness is not None
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"trials": 0}, InvalidTrials),
+    ({"p": 0.5}, InvalidExponent),
+    ({"tol": float("nan")}, ValueError),
+], ids=["trials-0", "p-0.5", "tol-nan"])
+def test_certified_symbol_still_validates_its_arguments(kwargs, error):
+    g = builtin_group("cyclic(4)")
+    with pytest.raises(error):
+        classify_fourier(g, 2j * enumerate_characters(g)[1].values, **kwargs)
+    with pytest.raises(error):
+        classify_schur(np.ones((3, 3)), **kwargs)

@@ -18,6 +18,12 @@ from sepmult.classify import (
     yeadon_extract,
 )
 from sepmult.groups import Character, builtin_group, fit_scalar_character
+from sepmult.linalg import (
+    hermitian_eig,
+    polar_decompose,
+    psd_pseudo_inverse,
+    support_projection,
+)
 from sepmult.schur import (
     herz_schur_symbol,
     rank_one_unimodular_factor,
@@ -31,6 +37,9 @@ C3 = builtin_group("cyclic(3)")
 #: neither a multiple of a character nor rank-one unimodular
 NON_CHARACTER = np.array([1.0, 1.0, 0.5])
 NON_FACTORABLE = np.array([[1.0, 1.0], [1.0, 0.5]])
+#: not Hermitian, so only a tolerance that passes every test would let it in
+NON_HERMITIAN = np.array([[0.0, 1.0], [0.0, 0.0]])
+SINGULAR_PSD = np.diag([0.0, 2.0])
 
 
 def _certificate():
@@ -52,6 +61,10 @@ TOL_ENTRY_POINTS = {
         NON_FACTORABLE, tol),
     "recover_character": lambda tol: recover_character(C3, _certificate(), tol),
     "positive_definite_test": lambda tol: positive_definite_test(C3, NON_CHARACTER, tol),
+    "hermitian_eig": lambda tol: hermitian_eig(NON_HERMITIAN, tol),
+    "support_projection": lambda tol: support_projection(SINGULAR_PSD, tol),
+    "psd_pseudo_inverse": lambda tol: psd_pseudo_inverse(SINGULAR_PSD, tol=tol),
+    "polar_decompose": lambda tol: polar_decompose(NON_HERMITIAN, tol),
 }
 
 

@@ -19,6 +19,7 @@ from sepmult.classify import (
     random_disjoint_pair_matrix,
     schur_multiplier_map,
     separating_test,
+    verdict_to_json,
 )
 from sepmult.groups import builtin_group, enumerate_characters
 from sepmult.linalg import DEFAULT_TOL
@@ -225,15 +226,30 @@ def test_pair_cache_stays_within_cap_across_seeds():
     rng = np.random.default_rng(44)
     m = np.outer(np.exp(2j * np.pi * rng.random(32)),
                  np.exp(2j * np.pi * rng.random(32)))
+    # the search itself: a certified classify_schur on this symbol runs none
+    t = schur_multiplier_map(m)
     for seed in range(11):
         misses = PAIR_CACHE.misses
-        assert classify_schur(m, seed=seed).status == SEPARATING
+        assert separating_test(t, seed=seed).status == SEPARATING
         assert PAIR_CACHE.misses > misses
         assert PAIR_CACHE.nbytes <= PAIR_CACHE.cap_bytes
     # the most recent seed's chunks are still there
     misses = PAIR_CACHE.misses
-    classify_schur(m, seed=10)
+    separating_test(t, seed=10)
     assert PAIR_CACHE.misses == misses
+
+
+def test_certified_large_schur_symbol_draws_no_pairs():
+    # the probes and trials of a 48x48 search exceed the cache's cap, so a
+    # search would miss on every call; a certified verdict runs none
+    rng = np.random.default_rng(46)
+    m = np.outer(np.exp(2j * np.pi * rng.random(48)),
+                 np.exp(2j * np.pi * rng.random(48)))
+    misses = PAIR_CACHE.misses
+    verdicts = [verdict_to_json(classify_schur(m, seed=0)) for _ in range(3)]
+    assert PAIR_CACHE.misses == misses
+    assert verdicts[0]["status"] == SEPARATING
+    assert verdicts[1] == verdicts[0] and verdicts[2] == verdicts[0]
 
 
 # ---------------------------------------------------------------------------
