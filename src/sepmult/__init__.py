@@ -29,7 +29,6 @@ from .groups import (
     Character,
     FiniteGroup,
     GroupError,
-    GroupTooLarge,
     InvalidGroupTable,
     UnknownFamily,
     builtin_group,

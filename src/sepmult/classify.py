@@ -49,8 +49,8 @@ import numpy as np
 from .groups import as_symbol, fit_scalar_character
 from .linalg import (
     DEFAULT_TOL,
-    InvalidExponent,
     as_complex_matrix,
+    check_p,
     check_tol,
     complex_gaussians,
     frobenius,
@@ -89,6 +89,10 @@ _CLUSTER_GAP = 1e-6
 
 #: fixed internal seed: extraction is a deterministic function of the map
 _EXTRACT_SEED = 0x9EAD07
+
+#: random elements on which extraction checks the Jordan identities, after
+#: the basis
+_EXTRACT_SAMPLES = 8
 
 
 class ClassifyError(Exception):
@@ -528,13 +532,6 @@ def deterministic_probes(t):
 # tests
 
 
-def _check_p(p):
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        raise InvalidExponent("p must satisfy p >= 1, got %r" % p)
-    return p
-
-
 def _check_trials(trials):
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise InvalidTrials("trials must be a positive integer, got %r" % (trials,))
@@ -562,7 +559,7 @@ def separating_test(t, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL):
     A one-dimensional algebra has no disjoint pair with two nonzero legs,
     so every map on it is separating outright (trials recorded as 0).
     """
-    p = _check_p(p)
+    p = check_p(p)
     trials = _check_trials(trials)
     tol = check_tol(tol)
     seed = int(seed)
@@ -611,7 +608,7 @@ def _first_witness(t, pairs, defects, tol, e):
 
 def isometry_test(t, p=2.0, trials=50, seed=0, tol=DEFAULT_TOL):
     """Sampled isometry check; returns (within_tol, max relative deviation)."""
-    p = _check_p(p)
+    p = check_p(p)
     trials = _check_trials(trials)
     tol = check_tol(tol)
     rng = np.random.default_rng(derive_seed(seed, 0x150))
@@ -661,7 +658,7 @@ def _worst(stack):
     return peak * float(np.max(frobenius_each(parts / peak)))
 
 
-def yeadon_extract(t, tol=DEFAULT_TOL, random_checks=8):
+def yeadon_extract(t, tol=DEFAULT_TOL):
     """Compute and validate the triple (w, B, J) with T(a) = w B J(a).
 
     w and B come from the polar decomposition of T(1); J(a) is
@@ -674,10 +671,10 @@ def yeadon_extract(t, tol=DEFAULT_TOL, random_checks=8):
     * J(a^2) = J(a)^2 and J(a*) = J(a)* on basis and random elements.
 
     J is applied as ``B^+ w* T`` to whole stacks: the basis, and one sample
-    stack of the normalized basis followed by ``random_checks`` normalized
-    random elements.  Any breach beyond ``tol`` raises ``NotSeparating``
-    carrying the residual table, so a successful return is a deterministic
-    structural certificate.
+    stack of the normalized basis followed by ``_EXTRACT_SAMPLES``
+    normalized random elements.  Any breach beyond ``tol`` raises
+    ``NotSeparating`` carrying the residual table, so a successful return is
+    a deterministic structural certificate.
     """
     tol = check_tol(tol)
     t_unit = t.apply(t.unit())
@@ -707,7 +704,7 @@ def yeadon_extract(t, tol=DEFAULT_TOL, random_checks=8):
          for proj in _b_cluster_projections(b)), default=0.0)
 
     rng = np.random.default_rng(derive_seed(_EXTRACT_SEED))
-    samples = np.concatenate([basis, t.random_elements(rng, random_checks)])
+    samples = np.concatenate([basis, t.random_elements(rng, _EXTRACT_SAMPLES)])
     del basis
     samples /= np.maximum(frobenius_each(samples), 1e-300)[:, None, None]
     j_samples = bpw @ t.apply(samples)
@@ -770,12 +767,15 @@ def _search_cannot_refute(tmap, certificate, tol):
     defect delta therefore has images with defect at most
     (delta + 2 rho + rho^2) / (1 - rho)^2.  The search examines pairs with
     delta <= min(tol, 1e-10), and 64 n eps covers the round-off of
-    computing the defects.  False when c = 0 or ``tmap`` is not a symbol
+    computing the defects.  For c = 0 it is True exactly when S = 0: then T
+    = 0 and every image defect is 0.  False when ``tmap`` is not a symbol
     map, and then only the search can decide.
     """
     symbol, c = tmap._symbol, certificate["c"]
-    if symbol is None or c == 0:
+    if symbol is None:
         return False
+    if c == 0:
+        return not symbol.any()
     if certificate["kind"] == "scalar-character":
         # phi(u t^-1) = c psi(u) conj(psi(t))
         alpha = certificate["character"]
@@ -802,7 +802,7 @@ def _classify(tmap, certificate, p, trials, seed, tol, isometry_trials):
     so reaching that means a tolerance let through a certificate or a
     witness it should not have.
     """
-    p = _check_p(p)
+    p = check_p(p)
     trials = _check_trials(trials)
     tol = check_tol(tol)
     seed = int(seed)

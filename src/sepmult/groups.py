@@ -12,9 +12,10 @@ so a character is an integer exponent vector k, psi(s) = exp(2 pi i k[s] /
 k[s t] = k[s] + k[t] mod |G| for all s, t.  A character is read one way:
 k is the root of unity nearest phi(s) / phi(e), and the test decides.
 ``fit_scalar_character`` reads it off a symbol, so it needs no list of
-characters and has no order cap.  ``enumerate_characters`` reads it off
-each eigenvector of one generic self-adjoint element of VN(G), which holds
-every character among its eigenvectors; it alone is capped, at order 64.
+characters.  ``enumerate_characters`` reads it off each eigenvector of one
+generic self-adjoint element of VN(G), which holds every character among
+its eigenvectors.  Neither has an order cap: the caller's choice of group
+sets the cost.
 """
 
 import itertools
@@ -24,9 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DEFAULT_TOL, check_tol, complex_gaussians, hermitian_eig
-
-#: enumeration refuses groups larger than this
-CHARACTER_ORDER_CAP = 64
 
 #: fixed internal seed of the element whose eigenvectors hold the characters
 _SPECTRAL_SEED = 0xC4A7
@@ -42,10 +40,6 @@ class GroupError(Exception):
 
 class UnknownFamily(GroupError):
     """Builtin group name not recognized."""
-
-
-class GroupTooLarge(GroupError):
-    """Character enumeration, capped at order 64, got a larger group."""
 
 
 class InvalidGroupTable(GroupError):
@@ -363,13 +357,11 @@ def enumerate_characters(g):
     seed) that eigenvalue is simple and its eigenvector is conj(psi) up to
     scale.  The |G| eigenvectors of h are rounded as in
     :func:`fit_scalar_character`, kept when :func:`_homomorphisms` accepts
-    them, and counted against order(g) / order(G').  Raises
-    ``GroupTooLarge`` above order 64; nothing else needs the list.
+    them, and counted against order(g) / order(G').  The cost is one
+    Hermitian eigendecomposition of order |G| and the table test, O(|G|^3),
+    the order of the associativity check at load; the list is cached on
+    ``g``.
     """
-    if g.order > CHARACTER_ORDER_CAP:
-        raise GroupTooLarge(
-            "character enumeration is capped at order %d" % CHARACTER_ORDER_CAP
-        )
     if g._characters is not None:
         return g._characters
     n = g.order

@@ -14,7 +14,9 @@ Tolerance convention: one package-wide default ``DEFAULT_TOL = 1e-9``, always
 interpreted relative to the Frobenius norm of the operand (so the zero matrix
 is Hermitian, positive, unitary-invariant, ... without special pleading).
 Every equality decision accepts an overriding ``tol`` argument, a finite
-number > 0 (``check_tol``): a NaN or infinite one passes every test.
+number > 0 and < 1 (``check_tol``): a NaN or infinite one passes every test,
+and a relative tolerance of 1 or more lets a zero pass for any value.
+Schatten exponents follow one rule too (``check_p``).
 """
 
 import math
@@ -58,10 +60,18 @@ class EigenDecomposition(NamedTuple):
 
 
 def check_tol(tol, error=ValueError):
-    """``float(tol)``; raises ``error`` unless tol is a finite number > 0."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise error("tol must be positive and finite, got %r" % (tol,))
+    """``float(tol)``; raises ``error`` unless 0 < tol < 1."""
+    if not 0.0 < tol < 1.0:
+        raise error("tol must be positive and finite, and below 1, got %r" % (tol,))
     return float(tol)
+
+
+def check_p(p, error=InvalidExponent):
+    """``float(p)``; raises ``error`` unless p is a Python or numpy real
+    number >= 1 (``math.inf`` included, NaN not)."""
+    if not (isinstance(p, (int, float, np.integer, np.floating)) and p >= 1.0):
+        raise error("Schatten exponent must satisfy p >= 1, got %r" % (p,))
+    return float(p)
 
 
 def _as_complex_stack(a):
@@ -219,8 +229,7 @@ def schatten_norm(a, p, trace_weight=1.0):
     norm (largest singular value, weight-free, as the limit demands).  A
     matrix gives a float, a stack (..., n, n) an array of shape (...).
     """
-    if not (isinstance(p, (int, float)) and p >= 1.0):
-        raise InvalidExponent("Schatten exponent must satisfy p >= 1, got %r" % (p,))
+    p = check_p(p)
     weight = float(trace_weight)
     if not weight > 0.0:
         raise ValueError("trace_weight must be positive, got %r" % (trace_weight,))
@@ -228,7 +237,7 @@ def schatten_norm(a, p, trace_weight=1.0):
     if math.isinf(p):
         norms = sigma[..., 0] if sigma.shape[-1] else np.zeros(sigma.shape[:-1])
     else:
-        norms = (weight * np.sum(sigma ** float(p), axis=-1)) ** (1.0 / float(p))
+        norms = (weight * np.sum(sigma ** p, axis=-1)) ** (1.0 / p)
     return float(norms) if sigma.ndim == 1 else norms
 
 
@@ -275,17 +284,18 @@ def support_projection(b, tol=DEFAULT_TOL):
     return vk @ vk.conj().T
 
 
-def psd_pseudo_inverse(b, rel_cutoff=1e-9, tol=DEFAULT_TOL):
+def psd_pseudo_inverse(b, tol=DEFAULT_TOL):
     """Moore-Penrose inverse of a psd matrix via its eigendecomposition.
 
-    Eigenvalues at or below ``rel_cutoff * max(eig)`` are treated as zero.
+    ``tol`` is the Hermitian gate's tolerance and the cutoff: eigenvalues at
+    or below ``tol * max(eig)`` are treated as zero.
     """
     tol = check_tol(tol)
     vals, vecs = hermitian_eig(b, tol)
     scale = float(np.max(vals)) if vals.size else 0.0
     if scale <= 0.0:
         return np.zeros_like(vecs)
-    inv = np.where(vals > rel_cutoff * scale, 1.0 / np.where(vals == 0, 1.0, vals), 0.0)
+    inv = np.where(vals > tol * scale, 1.0 / np.where(vals == 0, 1.0, vals), 0.0)
     return (vecs * inv) @ vecs.conj().T
 
 

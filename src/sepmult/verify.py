@@ -34,7 +34,6 @@ from .classify import (
     yeadon_extract,
 )
 from .groups import (
-    GroupTooLarge,
     builtin_group,
     commutator_subgroup,
     enumerate_characters,
@@ -42,6 +41,7 @@ from .groups import (
     group_from_json,
 )
 from .linalg import (
+    check_p,
     check_tol,
     frobenius,
     hermitian_eig,
@@ -109,10 +109,10 @@ class SuiteConfig:
 
     def __post_init__(self):
         self.groups = tuple(self.groups)
-        self.p_values = tuple(float(p) for p in self.p_values)
+        self.p_values = tuple(check_p(p, SuiteError) for p in self.p_values)
         self.matrix_dims = tuple(int(n) for n in self.matrix_dims)
         self.injected = tuple(self.injected)
-        if not self.p_values or any(p < 1.0 or math.isnan(p) for p in self.p_values):
+        if not self.p_values:
             raise SuiteError("p_values must be a nonempty list of p >= 1")
         if not isinstance(self.trials, int) or self.trials < 1:
             raise InvalidTrials("trials must be a positive integer")
@@ -633,16 +633,11 @@ _DIM_CELLS = (
 
 
 def run_suite(config):
-    """Load and enumerate every group, then run every cell; returns the
-    report dict (see ``report_passed``)."""
+    """Load every group, then run every cell; returns the report dict (see
+    ``report_passed``)."""
     if not config.groups:
         raise EmptySuite("the group list is empty; running nothing is not success")
     groups = [(label, load_group(label)) for label in config.groups]
-    for label, g in groups:
-        try:
-            enumerate_characters(g)     # the group cells draw on the list
-        except GroupTooLarge as exc:
-            raise GroupTooLarge("suite group %s: %s" % (label, exc)) from exc
     results = []
     for label, g in groups:
         for family, cell in _GROUP_CELLS:

@@ -716,7 +716,7 @@ def test_classify_verdict_uniform_in_p(p):
 
 
 # ---------------------------------------------------------------------------
-# classify_fourier above the enumeration cap
+# classify_fourier on groups above order 64
 
 
 def _large_group_character(name):
@@ -1029,6 +1029,34 @@ def test_perturbed_character_skips_the_search_as_the_search_allows(scale, monkey
     phi = scale * psi * (1.0 + 1e-13 * np.random.default_rng(5).standard_normal(5))
     _assert_search_allows(monkeypatch, fourier_multiplier_map(g, phi),
                           lambda: classify_fourier(g, phi, p=3.0, seed=0))
+
+
+@pytest.mark.parametrize("family", ["fourier", "schur"])
+def test_zero_symbol_skips_the_search_as_the_search_allows(family, monkeypatch):
+    g = builtin_group("dihedral(4)")
+    if family == "fourier":
+        tmap = fourier_multiplier_map(g, np.zeros(8))
+        call = lambda: classify_fourier(g, np.zeros(8), seed=0)   # noqa: E731
+    else:
+        tmap = schur_multiplier_map(np.zeros((3, 3)))
+        call = lambda: classify_schur(np.zeros((3, 3)), seed=0)   # noqa: E731
+    lookups = (classify.PAIR_CACHE.hits, classify.PAIR_CACHE.misses)
+    assert verdict_to_json(call())["trials"] == 0
+    assert (classify.PAIR_CACHE.hits, classify.PAIR_CACHE.misses) == lookups
+    fast = _assert_search_allows(monkeypatch, tmap, call)
+    assert fast.certificate["c"] == 0
+    assert fast.max_deviation is None
+
+
+def test_zero_scale_certificate_of_a_nonzero_symbol_runs_the_search(monkeypatch):
+    # only T = 0 makes every image defect 0; a certificate with c = 0 for
+    # any other symbol proves nothing
+    ones = np.ones(2)
+    monkeypatch.setattr(classify, "rank_one_unimodular_factor",
+                        lambda m, tol: RankOneCertificate(0.0, ones, ones))
+    verdict = classify_schur(np.array([[1.0, 1.0], [1.0, -1.0]]), trials=10)
+    assert verdict.status == INCONCLUSIVE
+    assert verdict.witness.label == "probe:hadamard:0,1"
 
 
 def _bound(rho, n, tol=DEFAULT_TOL):

@@ -225,10 +225,13 @@ def test_classify_fourier_above_order_64(tmp_path, capsys):
     assert blob["certificate"]["kind"] == "scalar-character"
 
 
-def test_list_characters_keeps_its_order_cap(capsys):
-    code, _, err = _run(capsys, ["list-characters", "--group", "cyclic(65)"])
-    assert code == EXIT_DATA
-    assert "capped at order 64" in err
+def test_list_characters_above_order_64(capsys):
+    code, out, _ = _run(capsys, ["list-characters", "--group", "cyclic(65)", "--json"])
+    assert code == EXIT_SEPARATING
+    blob = json.loads(out)
+    assert blob["order"] == 65
+    assert len(blob["characters"]) == 65
+    assert blob["characters"][0] == [[1.0, 0.0]] * 65
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +440,8 @@ def test_group_file_errors_name_the_path(tmp_path, capsys, command):
     ["yeadon", "--symbol", "m.json"],
     ["verify-theorems", "--config", "config.json"],
 ])
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-def test_tolerance_that_is_not_finite_and_positive_is_data_error(
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "1.0", "2.0"])
+def test_tolerance_outside_the_open_unit_interval_is_data_error(
         tmp_path, capsys, command, tol):
     # a symbol that no tolerance may certify: not c times a character, and
     # its Herz-Schur matrix and the Schur matrix are not rank-one unimodular
@@ -452,11 +455,15 @@ def test_tolerance_that_is_not_finite_and_positive_is_data_error(
     assert "tol must be positive and finite" in err
 
 
-def test_verify_group_above_the_enumeration_cap_is_data_error(tmp_path, capsys):
+def test_verify_group_above_order_64(tmp_path, capsys):
+    config = _write_json(tmp_path, "config.json", SMALL_SUITE)
     report = tmp_path / "report.json"
-    code, out, err = _run(capsys, ["verify-theorems", "--group", "cyclic(2)",
-                                   "--group", "cyclic(65)", "--output", str(report)])
-    assert code == EXIT_DATA
-    assert out == ""
-    assert "cyclic(65)" in err and "capped at order 64" in err
-    assert not report.exists()
+    code, out, _ = _run(capsys, ["verify-theorems", "--config", config,
+                                 "--group", "dihedral(33)", "--trials", "4",
+                                 "--output", str(report)])
+    assert code == EXIT_SEPARATING
+    assert "FAIL" not in out
+    blob = json.loads(report.read_text(encoding="utf-8"))
+    assert blob["summary"]["passed"] is True
+    assert "characters/completeness/dihedral(33)" in {
+        cell["name"] for cell in blob["cells"]}

@@ -9,7 +9,6 @@ from sepmult import groups
 from sepmult.groups import (
     Character,
     FiniteGroup,
-    GroupTooLarge,
     InvalidGroupTable,
     UnknownFamily,
     builtin_group,
@@ -260,12 +259,6 @@ def test_characters_cached_per_group():
     assert enumerate_characters(g) is enumerate_characters(g)
 
 
-def test_character_enumeration_order_cap():
-    big = builtin_group("cyclic(8)xcyclic(9)")
-    with pytest.raises(GroupTooLarge):
-        enumerate_characters(big)
-
-
 def test_enumeration_with_redundant_generators():
     # 32 characters among 256 eigenvectors, most of them from the
     # two-dimensional representations of quaternion8
@@ -276,12 +269,18 @@ def test_enumeration_with_redundant_generators():
         psi.validate(tol=1e-12)
 
 
-#: groups up to order 64 on which the enumeration is pinned structurally
+#: groups on which the enumeration is pinned structurally, up to order 64
 ENUMERATION_GROUPS = (
     "cyclic(1)", "cyclic(7)", "cyclic(64)", "dihedral(5)", "dihedral(32)",
     "symmetric(4)", "quaternion8", "cyclic(3)xcyclic(5)",
     "quaternion8xcyclic(8)", "cyclic(2)xcyclic(2)xcyclic(2)xcyclic(2)xcyclic(2)xcyclic(2)",
     "symmetric(4)xcyclic(2)", "quaternion8xquaternion8", "dihedral(4)xdihedral(4)",
+)
+
+#: and above it: enumeration has no order cap
+LARGE_ENUMERATION_GROUPS = (
+    "cyclic(65)", "cyclic(128)", "dihedral(64)", "quaternion8xcyclic(9)",
+    "x".join(["cyclic(2)"] * 7), "x".join(["cyclic(2)"] * 8),
 )
 
 
@@ -291,7 +290,7 @@ def _exponents(g, chars):
     return np.rint(turns * g.order).astype(np.int64) % g.order
 
 
-@pytest.mark.parametrize("name", ENUMERATION_GROUPS)
+@pytest.mark.parametrize("name", ENUMERATION_GROUPS + LARGE_ENUMERATION_GROUPS)
 def test_enumeration_is_the_sorted_exact_character_list(name):
     g = builtin_group(name)
     chars = enumerate_characters(g)
@@ -390,7 +389,7 @@ def test_fit_returns_the_enumerated_character_exactly(name):
 
 
 @pytest.mark.parametrize("name", ["cyclic(65)", "cyclic(128)", "dihedral(64)"])
-def test_fit_above_the_enumeration_cap(name, monkeypatch):
+def test_fit_on_large_groups_never_enumerates(name, monkeypatch):
     def refuse(g):
         raise AssertionError("the fit must not enumerate characters")
 

@@ -1,6 +1,6 @@
-"""The two input rules every entry point shares: a tolerance is a finite
-number > 0, and a function on a group is a 1-D array with one finite value
-per element."""
+"""The input rules every entry point shares: a tolerance is a number with
+0 < tol < 1, a Schatten exponent a real number p >= 1, and a function on a
+group is a 1-D array with one finite value per element."""
 
 import math
 
@@ -19,9 +19,12 @@ from sepmult.classify import (
 )
 from sepmult.groups import Character, builtin_group, fit_scalar_character
 from sepmult.linalg import (
+    InvalidExponent,
+    check_p,
     hermitian_eig,
     polar_decompose,
     psd_pseudo_inverse,
+    schatten_norm,
     support_projection,
 )
 from sepmult.schur import (
@@ -31,7 +34,7 @@ from sepmult.schur import (
 )
 from sepmult.verify import SuiteConfig, SuiteError
 
-BAD_TOLS = (math.nan, math.inf, 0.0, -1.0)
+BAD_TOLS = (math.nan, math.inf, 0.0, -1.0, 1.0, 2.0)
 
 C3 = builtin_group("cyclic(3)")
 #: neither a multiple of a character nor rank-one unimodular
@@ -55,6 +58,9 @@ TOL_ENTRY_POINTS = {
         fourier_multiplier_map(C3, NON_CHARACTER), tol=tol),
     "classify_fourier": lambda tol: classify_fourier(C3, NON_CHARACTER, trials=4, tol=tol),
     "classify_schur": lambda tol: classify_schur(NON_FACTORABLE, trials=4, tol=tol),
+    # a zero pivot passes the moduli test only at tol >= 1
+    "classify_schur_zero_pivot": lambda tol: classify_schur(
+        [[0.0, 1.0], [1.0, 1.0]], trials=4, tol=tol),
     "fit_scalar_character": lambda tol: fit_scalar_character(C3, NON_CHARACTER, tol),
     "fit_scalar_character_zero": lambda tol: fit_scalar_character(C3, np.zeros(3), tol),
     "rank_one_unimodular_factor": lambda tol: rank_one_unimodular_factor(
@@ -70,13 +76,13 @@ TOL_ENTRY_POINTS = {
 
 @pytest.mark.parametrize("tol", BAD_TOLS)
 @pytest.mark.parametrize("entry", sorted(TOL_ENTRY_POINTS))
-def test_entry_points_refuse_a_tolerance_that_is_not_finite_and_positive(entry, tol):
+def test_entry_points_refuse_a_tolerance_outside_the_open_unit_interval(entry, tol):
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         TOL_ENTRY_POINTS[entry](tol)
 
 
 @pytest.mark.parametrize("tol", BAD_TOLS)
-def test_suite_config_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
+def test_suite_config_refuses_a_tolerance_outside_the_open_unit_interval(tol):
     with pytest.raises(SuiteError, match="tol must be positive and finite"):
         SuiteConfig(tol=tol)
 
@@ -118,3 +124,30 @@ def test_entry_points_refuse_a_symbol_that_is_not_one_dimensional(entry, shape):
 def test_entry_points_refuse_non_finite_symbol_values(entry):
     with pytest.raises(ValueError, match="symbol values must be finite"):
         SYMBOL_ENTRY_POINTS[entry](np.array([1.0, np.nan, 1.0, 1.0]))
+
+
+GOOD_EXPONENTS = (np.int64(2), np.float32(2), np.float64(2), np.int32(1), 2, 2.0,
+                   math.inf, np.float64(math.inf))
+
+
+@pytest.mark.parametrize("p", GOOD_EXPONENTS, ids=repr)
+def test_exponent_entry_points_accept_numpy_scalars(p):
+    assert check_p(p) == float(p) and type(check_p(p)) is float
+    assert schatten_norm(np.eye(2), p) == pytest.approx(2.0 ** (1.0 / float(p)))
+    t = schur_multiplier_map(NON_FACTORABLE)
+    assert separating_test(t, p=p, trials=4).p == float(p)
+    assert isometry_test(t, p=p, trials=4)[1] > 0.0
+    assert SuiteConfig(p_values=(p,)).p_values == (float(p),)
+
+
+@pytest.mark.parametrize("p", (math.nan, 0.5, -math.inf, 0, "2", None, 2j),
+                         ids=repr)
+def test_exponent_entry_points_refuse_anything_but_a_real_p_of_at_least_one(p):
+    with pytest.raises(InvalidExponent, match="must satisfy p >= 1"):
+        check_p(p)
+    with pytest.raises(InvalidExponent, match="must satisfy p >= 1"):
+        schatten_norm(np.eye(2), p)
+    with pytest.raises(InvalidExponent, match="must satisfy p >= 1"):
+        classify_schur(NON_FACTORABLE, p=p, trials=4)
+    with pytest.raises(SuiteError, match="must satisfy p >= 1"):
+        SuiteConfig(p_values=(p,))

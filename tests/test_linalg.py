@@ -371,6 +371,13 @@ def test_psd_pseudo_inverse():
     np.testing.assert_allclose(b @ bp, supp, atol=1e-9)
 
 
+def test_psd_pseudo_inverse_cuts_at_tol():
+    # eigenvalues at or below tol * max(eig) count as zero, negative ones too
+    b = np.diag([-1e-12, 1e-6, 1.0])
+    for tol, want in ((1e-9, [0.0, 1e6, 1.0]), (1e-3, [0.0, 0.0, 1.0])):
+        np.testing.assert_allclose(psd_pseudo_inverse(b, tol), np.diag(want), rtol=1e-12)
+
+
 def test_random_unitary_is_unitary():
     rng = np.random.default_rng(22)
     for n in (1, 3, 9):
