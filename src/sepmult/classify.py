@@ -34,9 +34,10 @@ are answered:
 Witness searches run a deterministic probe family first (Hadamard-rotated
 coordinate splittings, involution pairs lambda(e) +- lambda(s)), then seeded
 random disjoint pairs.  Pairs are evaluated as stacks, in chunks of 1, 32,
-32, ... pairs with early exit; the chunks are kept in one least-recently-used
-cache capped in bytes (``PAIR_CACHE``), shared by every map on the same
-algebra, because suite runs reuse the same seed across many symbols.
+32, ... pairs with early exit.  The chunks, and each isometry sample with
+its singular values, are kept in one least-recently-used cache capped in
+bytes (``PAIR_CACHE``), shared by every map on the same algebra, because
+suite runs reuse the same seed across many symbols.
 """
 
 import math
@@ -64,6 +65,8 @@ from .linalg import (
     random_unitaries,
     redraw_rejected,
     schatten_norm,
+    singular_value_norm,
+    singular_values,
     support_projection,
 )
 from .schur import rank_one_unimodular_factor, herz_schur_symbol
@@ -343,11 +346,12 @@ _CHUNK = 32
 
 
 class PairCache:
-    """Least-recently-used store of pair chunks, capped in bytes.
+    """Least-recently-used store of pair chunks and isometry samples,
+    capped in bytes.
 
     ``get(key, build)`` returns the stored tuple of arrays for ``key`` or
     calls ``build()`` and stores its result, evicting the least recently
-    used chunks until the total stays within ``cap_bytes``; a result larger
+    used entries until the total stays within ``cap_bytes``; a result larger
     than the cap is returned without being stored.  Stored arrays are
     read-only.  ``hits`` and ``misses`` count lookups.
     """
@@ -382,9 +386,14 @@ class PairCache:
         return entry
 
 
-#: the probe and trial chunks of every algebra, keyed by the algebra's
-#: dimension or group table, so equal algebras share their pairs
+#: the probe and trial chunks and the isometry samples of every algebra,
+#: keyed by the algebra's dimension or group table (``_algebra_key``), so
+#: equal algebras share them
 PAIR_CACHE = PairCache(64 << 20)
+
+
+def _algebra_key(t):
+    return t.group.mul.tobytes() if t.algebra == "group" else t.matrix_dim
 
 
 def _chunks(total):
@@ -566,7 +575,7 @@ def separating_test(t, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL):
     if t.algebra_dim == 1:
         return Verdict(SEPARATING, p=p, trials=0, seed=seed,
                        note="one-dimensional algebra: separating vacuously")
-    algebra = t.group.mul.tobytes() if t.algebra == "group" else t.matrix_dim
+    algebra = _algebra_key(t)
     unit_t, e = t._over_power_of_two()
     for start, stop in _chunks(_probe_count(t)):
         pairs, defects = PAIR_CACHE.get(
@@ -607,17 +616,31 @@ def _first_witness(t, pairs, defects, tol, e):
 
 
 def isometry_test(t, p=2.0, trials=50, seed=0, tol=DEFAULT_TOL):
-    """Sampled isometry check; returns (within_tol, max relative deviation)."""
+    """Sampled isometry check; returns (within_tol, max relative deviation).
+
+    The ``trials`` samples x are Gaussian elements of the algebra drawn from
+    ``derive_seed(seed, 0x150)``, so they depend on the algebra, ``seed`` and
+    ``trials`` alone: the stack x and its singular values come from
+    ``PAIR_CACHE``, and each call takes only the SVD of T(x).
+    """
     p = check_p(p)
     trials = _check_trials(trials)
     tol = check_tol(tol)
-    rng = np.random.default_rng(derive_seed(seed, 0x150))
-    x = t.random_elements(rng, trials)
-    norm_in = schatten_norm(x, p, t.trace_weight)
+    seed = int(seed)
+    x, sigma_in = PAIR_CACHE.get(
+        ("isometry", _algebra_key(t), seed, trials),
+        lambda: _isometry_sample(t, seed, trials))
+    norm_in = singular_value_norm(sigma_in, p, t.trace_weight)
     norm_out = schatten_norm(t.apply(x), p, t.trace_weight)
     drawn = norm_in != 0.0      # a zero sample has no relative deviation
     worst = float(np.max(np.abs(norm_out[drawn] / norm_in[drawn] - 1.0), initial=0.0))
     return worst <= tol, worst
+
+
+def _isometry_sample(t, seed, trials):
+    """The isometry samples of ``t``'s algebra and their singular values."""
+    x = t.random_elements(np.random.default_rng(derive_seed(seed, 0x150)), trials)
+    return x, singular_values(x)
 
 
 # ---------------------------------------------------------------------------
@@ -804,6 +827,7 @@ def _classify(tmap, certificate, p, trials, seed, tol, isometry_trials):
     """
     p = check_p(p)
     trials = _check_trials(trials)
+    isometry_trials = _check_trials(isometry_trials)
     tol = check_tol(tol)
     seed = int(seed)
     if certificate is not None and _search_cannot_refute(tmap, certificate, tol):

@@ -7,7 +7,9 @@ ascending eigenvalues, descending singular values, unitary factors, fixed
 answers for the zero matrix, and package exception types); polar
 decomposition / support projections / Schatten norms are built on those two.
 The decompositions, ``schatten_norm`` and ``polar_decompose`` also take
-stacks of shape (..., n, n) and apply their contract to each matrix.
+stacks of shape (..., n, n) and apply their contract to each matrix;
+``singular_value_norm`` gives the Schatten norm from singular values already
+computed.
 Intended scale is dim <= ~200; no sparsity, no rectangular SVD.
 
 Tolerance convention: one package-wide default ``DEFAULT_TOL = 1e-9``, always
@@ -220,6 +222,13 @@ def svd(a):
     return u, sigma, v
 
 
+def _check_trace_weight(trace_weight):
+    weight = float(trace_weight)
+    if not weight > 0.0:
+        raise ValueError("trace_weight must be positive, got %r" % (trace_weight,))
+    return weight
+
+
 def schatten_norm(a, p, trace_weight=1.0):
     """Weighted Schatten p-norm ``(w * sum(sigma_i^p))^(1/p)``.
 
@@ -228,12 +237,18 @@ def schatten_norm(a, p, trace_weight=1.0):
     exponent must satisfy ``p >= 1``; ``p = math.inf`` gives the operator
     norm (largest singular value, weight-free, as the limit demands).  A
     matrix gives a float, a stack (..., n, n) an array of shape (...).
+    The exponent and the weight are checked before any SVD runs.
     """
+    check_p(p)
+    _check_trace_weight(trace_weight)
+    return singular_value_norm(singular_values(a), p, trace_weight)
+
+
+def singular_value_norm(sigma, p, trace_weight=1.0):
+    """:func:`schatten_norm` of the matrix, or of each matrix of a stack,
+    with the descending singular values ``sigma`` (last axis)."""
     p = check_p(p)
-    weight = float(trace_weight)
-    if not weight > 0.0:
-        raise ValueError("trace_weight must be positive, got %r" % (trace_weight,))
-    sigma = singular_values(a)
+    weight = _check_trace_weight(trace_weight)
     if math.isinf(p):
         norms = sigma[..., 0] if sigma.shape[-1] else np.zeros(sigma.shape[:-1])
     else:

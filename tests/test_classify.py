@@ -1,6 +1,7 @@
 """Separating/isometric classification and Yeadon triple extraction."""
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -38,6 +39,7 @@ from sepmult.linalg import (
     hermitian_eig,
     polar_decompose,
     psd_pseudo_inverse,
+    schatten_norm,
     support_projection,
 )
 from sepmult.schur import RankOneCertificate
@@ -344,6 +346,98 @@ def test_isometry_sample_matches_per_sample_loop(p):
         ok, got = isometry_test(t, p=p, trials=17, seed=9)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
         assert ok == (got <= 1e-9)
+
+
+def _uncached_isometry(t, p, trials, seed, tol=DEFAULT_TOL):
+    """isometry_test without the cache: draw the samples, norm both stacks."""
+    x = t.random_elements(np.random.default_rng(derive_seed(seed, 0x150)), trials)
+    norm_in = schatten_norm(x, p, t.trace_weight)
+    norm_out = schatten_norm(t.apply(x), p, t.trace_weight)
+    drawn = norm_in != 0.0
+    worst = float(np.max(np.abs(norm_out[drawn] / norm_in[drawn] - 1.0), initial=0.0))
+    return worst <= tol, worst
+
+
+def _isometry_maps():
+    rng = np.random.default_rng(49)
+    g = builtin_group("symmetric(3)")
+    return {
+        "fourier": fourier_multiplier_map(
+            g, rng.standard_normal(6) + 1j * rng.standard_normal(6)),
+        "character": fourier_multiplier_map(g, _sign_character(g).values),
+        "schur": schur_multiplier_map(rng.standard_normal((5, 5))),
+        "unimodular schur": schur_multiplier_map(
+            np.outer(_unimodular(rng, 5), _unimodular(rng, 5))),
+        "transpose": transpose_map(4),
+    }
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    cache = classify.PairCache(classify.PAIR_CACHE.cap_bytes)
+    monkeypatch.setattr(classify, "PAIR_CACHE", cache)
+    return cache
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+def test_isometry_sample_is_bit_identical_cold_and_warm(p, monkeypatch):
+    for name, t in _isometry_maps().items():
+        cache = classify.PairCache(classify.PAIR_CACHE.cap_bytes)
+        monkeypatch.setattr(classify, "PAIR_CACHE", cache)
+        cold = isometry_test(t, p=p, trials=9, seed=5)
+        warm = isometry_test(t, p=p, trials=9, seed=5)
+        assert (cache.misses, cache.hits) == (1, 1), name
+        assert cold == warm == _uncached_isometry(t, p, 9, 5), name
+
+
+def test_isometry_samples_are_keyed_by_algebra_seed_and_trials(fresh_cache):
+    rng = np.random.default_rng(50)
+    g = builtin_group("cyclic(5)")
+    t = fourier_multiplier_map(g, rng.standard_normal(5) + 1j * rng.standard_normal(5))
+    calls = [(0, 6), (0, 6), (1, 6), (0, 7), (1, 6)]
+    got = [isometry_test(t, p=3.0, trials=trials, seed=seed) for seed, trials in calls]
+    assert (fresh_cache.misses, fresh_cache.hits) == (3, 2)
+    assert len(fresh_cache) == 3
+    assert got == [_uncached_isometry(t, 3.0, trials, seed) for seed, trials in calls]
+    assert got[0] != got[2]
+    # another map on an equal group shares the sample; the 5 x 5 matrices do not
+    psi = enumerate_characters(builtin_group("cyclic(5)"))[2].values
+    isometry_test(fourier_multiplier_map(builtin_group("cyclic(5)"), psi), trials=6)
+    assert (fresh_cache.misses, fresh_cache.hits) == (3, 3)
+    isometry_test(schur_multiplier_map(np.ones((5, 5))), trials=6)
+    assert (fresh_cache.misses, fresh_cache.hits) == (4, 3)
+
+
+def test_cached_isometry_sample_is_read_only_and_unchanged_by_apply(fresh_cache):
+    def never():
+        raise AssertionError("sample not cached")
+
+    for name, t in _isometry_maps().items():
+        isometry_test(t, trials=4, seed=2)
+        x, sigma = fresh_cache.get(("isometry", classify._algebra_key(t), 2, 4), never)
+        before = x.copy(), sigma.copy()
+        assert not x.flags.writeable and not sigma.flags.writeable, name
+        with pytest.raises(ValueError):
+            x[0, 0, 0] = 1.0
+        t.apply(x)
+        t.apply(x[0])
+        isometry_test(t, p=3.0, trials=4, seed=2)
+        assert np.array_equal(x, before[0]) and np.array_equal(sigma, before[1]), name
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"p": 0.5}, InvalidExponent),
+    ({"p": "2"}, InvalidExponent),
+    ({"trials": 0}, InvalidTrials),
+    ({"trials": 2.5}, InvalidTrials),
+    ({"tol": 0.0}, ValueError),
+    ({"tol": 1.0}, ValueError),
+], ids=repr)
+def test_refused_isometry_arguments_store_no_sample(kwargs, error, fresh_cache):
+    with pytest.raises(error):
+        isometry_test(schur_multiplier_map(np.ones((3, 3))), **kwargs)
+    assert len(fresh_cache) == 0
+    assert (fresh_cache.misses, fresh_cache.hits) == (0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The input rules every entry point shares: a tolerance is a number with
-0 < tol < 1, a Schatten exponent a real number p >= 1, and a function on a
-group is a 1-D array with one finite value per element."""
+0 < tol < 1, a Schatten exponent a real number p >= 1, a trial count a
+positive integer, and a function on a group is a 1-D array with one finite
+value per element."""
 
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from sepmult.classify import (
+    InvalidTrials,
     classify_fourier,
     classify_schur,
     fourier_multiplier_map,
@@ -17,7 +19,12 @@ from sepmult.classify import (
     separating_test,
     yeadon_extract,
 )
-from sepmult.groups import Character, builtin_group, fit_scalar_character
+from sepmult.groups import (
+    Character,
+    builtin_group,
+    enumerate_characters,
+    fit_scalar_character,
+)
 from sepmult.linalg import (
     InvalidExponent,
     check_p,
@@ -151,3 +158,23 @@ def test_exponent_entry_points_refuse_anything_but_a_real_p_of_at_least_one(p):
         classify_schur(NON_FACTORABLE, p=p, trials=4)
     with pytest.raises(SuiteError, match="must satisfy p >= 1"):
         SuiteConfig(p_values=(p,))
+
+
+#: verdicts that never sample isometry: a certified symbol whose scale is not
+#: unimodular, and symbols with no certificate
+TRIAL_ENTRY_POINTS = {
+    "classify_fourier_scaled": lambda **kw: classify_fourier(
+        C3, 2.0 * enumerate_characters(C3)[1].values, **kw),
+    "classify_fourier_refuted": lambda **kw: classify_fourier(C3, NON_CHARACTER, **kw),
+    "classify_schur_scaled": lambda **kw: classify_schur(2.0 * np.ones((2, 2)), **kw),
+    "classify_schur_refuted": lambda **kw: classify_schur(NON_FACTORABLE, **kw),
+}
+
+
+@pytest.mark.parametrize("count", (0, -1, 2.5, "3", None), ids=repr)
+@pytest.mark.parametrize("keyword", ("trials", "isometry_trials"))
+@pytest.mark.parametrize("entry", sorted(TRIAL_ENTRY_POINTS))
+def test_classifiers_refuse_a_trial_count_that_is_not_a_positive_integer(
+        entry, keyword, count):
+    with pytest.raises(InvalidTrials, match="must be a positive integer"):
+        TRIAL_ENTRY_POINTS[entry](**{keyword: count})

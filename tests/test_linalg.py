@@ -27,6 +27,7 @@ from sepmult.linalg import (
     psd_pseudo_inverse,
     random_unitary,
     schatten_norm,
+    singular_value_norm,
     singular_values,
     support_projection,
     svd,
@@ -260,6 +261,38 @@ def test_schatten_rejects_bad_exponent_and_weight():
         schatten_norm(a, float("nan"), 1.0)
     with pytest.raises(ValueError):
         schatten_norm(a, 2.0, 0.0)
+
+
+BAD_NORM_ARGUMENTS = (
+    (0.5, 1.0, InvalidExponent),
+    (float("nan"), 1.0, InvalidExponent),
+    ("2", 1.0, InvalidExponent),
+    (2.0, 0.0, ValueError),
+    (2.0, -1.0, ValueError),
+    (math.inf, float("nan"), ValueError),
+)
+
+
+@pytest.mark.parametrize("p, weight, error", BAD_NORM_ARGUMENTS)
+def test_schatten_refuses_bad_exponent_and_weight_before_any_svd(p, weight, error,
+                                                                 monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an SVD ran")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    with pytest.raises(error):
+        schatten_norm(np.eye(2), p, weight)
+    with pytest.raises(error):
+        singular_value_norm(np.ones(2), p, weight)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.5, 3.0, math.inf])
+def test_singular_value_norm_is_schatten_norm_bit_for_bit(p):
+    a = _stack_with_zero(18, 5, 4)
+    assert np.array_equal(singular_value_norm(singular_values(a), p, 0.2),
+                          schatten_norm(a, p, 0.2))
+    one = singular_value_norm(singular_values(a[0]), p, 0.2)
+    assert isinstance(one, float) and one == schatten_norm(a[0], p, 0.2)
 
 
 @settings(max_examples=40, deadline=None)

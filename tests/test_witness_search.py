@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sepmult import classify
 from sepmult.classify import (
     NOT_SEPARATING,
     SEPARATING,
@@ -239,15 +240,27 @@ def test_pair_cache_stays_within_cap_across_seeds():
     assert PAIR_CACHE.misses == misses
 
 
-def test_certified_large_schur_symbol_draws_no_pairs():
+def test_certified_large_schur_symbol_draws_no_pairs(monkeypatch):
     # the probes and trials of a 48x48 search exceed the cache's cap, so a
-    # search would miss on every call; a certified verdict runs none
+    # search would miss on every call; a certified verdict looks none up and
+    # draws its isometry sample once
     rng = np.random.default_rng(46)
     m = np.outer(np.exp(2j * np.pi * rng.random(48)),
                  np.exp(2j * np.pi * rng.random(48)))
-    misses = PAIR_CACHE.misses
+    cache = PairCache(PAIR_CACHE.cap_bytes)
+    keys = []
+    get = cache.get
+
+    def recording_get(key, build):
+        keys.append(key)
+        return get(key, build)
+
+    monkeypatch.setattr(cache, "get", recording_get)
+    monkeypatch.setattr(classify, "PAIR_CACHE", cache)
     verdicts = [verdict_to_json(classify_schur(m, seed=0)) for _ in range(3)]
-    assert PAIR_CACHE.misses == misses
+    assert not [key for key in keys if key[0] in ("probe", "trial")]
+    assert keys == [("isometry", 48, 0, 12)] * 3
+    assert (cache.misses, cache.hits) == (1, 2)
     assert verdicts[0]["status"] == SEPARATING
     assert verdicts[1] == verdicts[0] and verdicts[2] == verdicts[0]
 
