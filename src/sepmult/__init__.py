@@ -43,18 +43,11 @@ from .groups import (
 from .vna import (
     DegenerateSpectrum,
     ExhaustedRetries,
-    GroupAlgebraElement,
-    GroupMismatch,
     VnaError,
-    algebra_unit,
-    basis_element,
     derive_seed,
     disjointness_defect,
     is_disjoint,
-    lp_norm,
-    plancherel_trace,
     random_disjoint_pair,
-    random_element,
     regular_representation,
     symbol_from_json,
     symbol_to_json,

@@ -541,7 +541,9 @@ def deterministic_probes(t):
 # tests
 
 
-def _check_trials(trials):
+def check_trials(trials):
+    """``int(trials)``; raises ``InvalidTrials`` unless trials is a positive
+    integer."""
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise InvalidTrials("trials must be a positive integer, got %r" % (trials,))
     return int(trials)
@@ -569,7 +571,7 @@ def separating_test(t, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL):
     so every map on it is separating outright (trials recorded as 0).
     """
     p = check_p(p)
-    trials = _check_trials(trials)
+    trials = check_trials(trials)
     tol = check_tol(tol)
     seed = int(seed)
     if t.algebra_dim == 1:
@@ -624,7 +626,7 @@ def isometry_test(t, p=2.0, trials=50, seed=0, tol=DEFAULT_TOL):
     ``PAIR_CACHE``, and each call takes only the SVD of T(x).
     """
     p = check_p(p)
-    trials = _check_trials(trials)
+    trials = check_trials(trials)
     tol = check_tol(tol)
     seed = int(seed)
     x, sigma_in = PAIR_CACHE.get(
@@ -826,8 +828,8 @@ def _classify(tmap, certificate, p, trials, seed, tol, isometry_trials):
     witness it should not have.
     """
     p = check_p(p)
-    trials = _check_trials(trials)
-    isometry_trials = _check_trials(isometry_trials)
+    trials = check_trials(trials)
+    isometry_trials = check_trials(isometry_trials)
     tol = check_tol(tol)
     seed = int(seed)
     if certificate is not None and _search_cannot_refute(tmap, certificate, tol):

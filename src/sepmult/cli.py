@@ -18,6 +18,7 @@ from .classify import (
     SEPARATING,
     ClassifyError,
     NotSeparating,
+    check_trials,
     classify_fourier,
     classify_schur,
     fourier_multiplier_map,
@@ -26,7 +27,7 @@ from .classify import (
     yeadon_extract,
 )
 from .groups import GroupError, enumerate_characters
-from .linalg import LinalgError, matrix_from_json, matrix_to_json
+from .linalg import LinalgError, check_p, matrix_from_json, matrix_to_json
 from .schur import herz_schur_symbol, rank_one_unimodular_factor, recover_character
 from .vna import VnaError, symbol_from_json, symbol_to_json
 from .verify import (
@@ -119,6 +120,9 @@ def cmd_classify_schur(args):
 
 
 def cmd_herz_schur(args):
+    # the flags are checked whether or not the symbol needs the search
+    check_p(args.p)
+    check_trials(args.trials)
     g = load_group(args.group)
     phi = _load_symbol(args.symbol, g.order)
     matrix = herz_schur_symbol(g, phi)

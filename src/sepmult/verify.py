@@ -55,8 +55,6 @@ from .linalg import (
 from .schur import herz_schur_symbol, rank_one_unimodular_factor, recover_character
 from .vna import (
     derive_seed,
-    lp_norm,
-    random_element,
     regular_representation,
     symbol_from_json,
 )
@@ -125,6 +123,8 @@ class SuiteConfig:
         if any(n < 1 for n in self.matrix_dims):
             raise SuiteError("matrix dims must be positive")
         for item in self.injected:
+            if not isinstance(item, dict):
+                raise SuiteError("each injected case must be an object")
             if item.get("kind") not in ("fourier", "schur"):
                 raise SuiteError("injected case kind must be fourier or schur")
             if item.get("expect") not in _STATUSES:
@@ -142,9 +142,25 @@ def config_to_json(config):
             for key, value in asdict(config).items()}
 
 
+#: the JSON kind of the items of each list field but ``injected``, whose
+#: items SuiteConfig checks
+_ITEM_KINDS = {"groups": str, "p_values": float, "matrix_dims": int}
+
+
+def _is_kind(value, kind):
+    """Whether a JSON value is of the kind of a field of type ``kind``.
+    Nothing is cast: a bool is no number and a float no integer, but an
+    integer is a float."""
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
 def config_from_json(obj):
-    """Inverse of :func:`config_to_json`; each value is cast to the type of
-    its field's default, and absent keys keep their defaults."""
+    """Inverse of :func:`config_to_json`; absent keys keep their defaults.
+
+    Each value must be of its field's kind (see ``_is_kind``), with a JSON
+    array for a tuple field, so ``2.7`` is no trial count and a string no
+    group list.
+    """
     if not isinstance(obj, dict):
         raise SuiteError("suite config must be a JSON object")
     known = fields(SuiteConfig)
@@ -153,11 +169,15 @@ def config_from_json(obj):
         raise SuiteError("unknown config keys: %s" % ", ".join(sorted(unknown)))
     kwargs = {}
     for f in known:
-        if f.name in obj:
-            try:
-                kwargs[f.name] = type(f.default)(obj[f.name])
-            except (TypeError, ValueError) as exc:
-                raise SuiteError("bad config value for %r: %s" % (f.name, exc))
+        if f.name not in obj:
+            continue
+        value = obj[f.name]
+        kind = list if isinstance(f.default, tuple) else type(f.default)
+        item_kind = _ITEM_KINDS.get(f.name)
+        if not _is_kind(value, kind) or (item_kind is not None and not all(
+                _is_kind(item, item_kind) for item in value)):
+            raise SuiteError("bad config value for %r: %s" % (f.name, json.dumps(value)))
+        kwargs[f.name] = value
     return SuiteConfig(**kwargs)
 
 
@@ -421,12 +441,14 @@ def _cell_vna_norms(g, label, config):
     chars = enumerate_characters(g)
     psi = fourier_multiplier_map(g, chars[-1].values)
     for _ in range(config.norm_samples):
-        x = random_element(g, rng)
-        euclid = float(np.linalg.norm(x.coeffs))
-        worst = max(worst, abs(lp_norm(x, 2.0) - euclid) / max(euclid, 1e-300))
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        xm = x[g.rebuild_grid]
+        euclid = float(np.linalg.norm(x))
+        worst = max(worst, abs(schatten_norm(xm, 2.0, 1.0 / n) - euclid)
+                    / max(euclid, 1e-300))
         for p in (1.0, 2.0, 3.0):
-            base = lp_norm(x, p)
-            moved = schatten_norm(psi.apply(x.matrix), p, 1.0 / n)
+            base = schatten_norm(xm, p, 1.0 / n)
+            moved = schatten_norm(psi.apply(xm), p, 1.0 / n)
             worst = max(worst, abs(moved - base) / max(base, 1e-300))
     ok = worst <= config.tol
     detail = "representation and norm identities within %.3g" % worst

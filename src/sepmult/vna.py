@@ -1,16 +1,18 @@
 """Group von Neumann algebra elements, disjointness and seeded disjoint pairs.
 
-An element is a coefficient vector f over the group together with its matrix
-realization ``sum_s f(s) lambda(s)`` acting on l2(G); ``lambda(s)`` is the
-left translation permutation matrix.  Coefficients are authoritative, the
-matrix is a cached derivative.  The trace is the normalized matrix trace,
-which on coefficients reads off the identity coefficient, so the 2-norm of an
-element equals the Euclidean norm of its coefficient vector.
+An element of VN(G) is a coefficient array f over the group.  It acts on
+l2(G) as ``sum_s f(s) lambda(s)``, where ``lambda(s)`` is the left
+translation permutation matrix; that matrix is ``f[g.rebuild_grid]``.  Arrays
+(..., n) hold many elements at once, and (..., n, n) stacks their matrices.
+The trace is the normalized matrix trace, which on coefficients reads off the
+identity coefficient, so the 2-norm of an element equals the Euclidean norm
+of its coefficients; its p-norm is
+``schatten_norm(f[g.rebuild_grid], p, 1 / n)``.
 
-Products are computed by convolution in coefficient space (exact membership,
-no rounding drift out of the algebra); matrices realized from arbitrary input
-are re-projected through the coefficient extraction
-``f(s) = normalized trace of lambda(s)* X``.
+Products are computed by convolution in coefficient space (``convolve``:
+exact membership, no rounding drift out of the algebra); a matrix is
+projected onto the algebra through the coefficient extraction
+``f(s) = normalized trace of lambda(s)* X`` (``coefficients``).
 
 Seeded randomness: every draw is a pure function of (group, seed).  Spectral
 projection pairs come from splitting the spectrum of a random self-adjoint
@@ -23,17 +25,14 @@ own generator exactly what a draw for that seed alone would.
 
 import numpy as np
 
-from .groups import same_group
 from .linalg import (
     DEFAULT_TOL,
     DimMismatch,
     complex_gaussians,
-    frobenius,
     frobenius_each,
     hermitian_eig,
     over_power_of_two,
     redraw_rejected,
-    schatten_norm,
 )
 
 #: relative tolerance for "this matrix lies in the group algebra"
@@ -48,10 +47,6 @@ _PAIR_RETRIES = 64
 
 class VnaError(Exception):
     """Base class for group-algebra failures."""
-
-
-class GroupMismatch(VnaError):
-    """Operands live over different groups."""
 
 
 class DegenerateSpectrum(VnaError):
@@ -86,80 +81,6 @@ def coefficients(g, x):
     return x[..., g.mul, np.arange(n)].sum(axis=-1) / n
 
 
-class GroupAlgebraElement:
-    """Element of the group von Neumann algebra, held as coefficients."""
-
-    __slots__ = ("group", "coeffs", "_matrix")
-
-    def __init__(self, group, coeffs):
-        coeffs = np.asarray(coeffs, dtype=np.complex128).reshape(-1).copy()
-        if coeffs.shape != (group.order,):
-            raise ValueError(
-                "need %d coefficients, got %d" % (group.order, coeffs.shape[0])
-            )
-        if not np.all(np.isfinite(coeffs.view(np.float64))):
-            raise ValueError("coefficients must be finite")
-        self.group = group
-        self.coeffs = coeffs
-        self._matrix = None
-
-    @property
-    def matrix(self):
-        if self._matrix is None:
-            self._matrix = self.coeffs[self.group.rebuild_grid]
-        return self._matrix
-
-    @classmethod
-    def from_matrix(cls, group, matrix, membership_tol=MEMBERSHIP_TOL):
-        """Re-project a matrix onto the algebra through the trace pairing.
-
-        Raises ``ValueError`` when the matrix is not in the algebra within
-        ``membership_tol`` (relative Frobenius); pass ``None`` to skip the
-        check and take the conditional expectation unconditionally.
-        """
-        x = np.asarray(matrix, dtype=np.complex128)
-        n = group.order
-        if x.shape != (n, n):
-            raise DimMismatch("matrix shape %r does not match order %d" % (x.shape, n))
-        element = cls(group, coefficients(group, x))
-        if membership_tol is not None:
-            defect = frobenius(element.matrix - x)
-            if defect > membership_tol * max(frobenius(x), 1e-300):
-                raise ValueError(
-                    "matrix is not in the group algebra "
-                    "(relative defect %.3g)" % (defect / max(frobenius(x), 1e-300))
-                )
-        return element
-
-    def adjoint(self):
-        return GroupAlgebraElement(self.group, np.conj(self.coeffs[self.group.inv]))
-
-    def __add__(self, other):
-        self._check(other)
-        return GroupAlgebraElement(self.group, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._check(other)
-        return GroupAlgebraElement(self.group, self.coeffs - other.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, GroupAlgebraElement):
-            self._check(other)
-            return GroupAlgebraElement(
-                self.group, convolve(self.group, self.coeffs, other.coeffs))
-        return GroupAlgebraElement(self.group, self.coeffs * complex(other))
-
-    def __rmul__(self, scalar):
-        return GroupAlgebraElement(self.group, self.coeffs * complex(scalar))
-
-    def _check(self, other):
-        if not same_group(self.group, other.group):
-            raise GroupMismatch("elements live over different groups")
-
-    def __repr__(self):
-        return "GroupAlgebraElement(order=%d)" % self.group.order
-
-
 def regular_representation(g, s):
     """Left translation matrix lambda(s): column t has its 1 in row s*t."""
     n = g.order
@@ -168,38 +89,12 @@ def regular_representation(g, s):
     return mat
 
 
-def basis_element(g, s):
-    coeffs = np.zeros(g.order, dtype=np.complex128)
-    coeffs[s] = 1.0
-    return GroupAlgebraElement(g, coeffs)
-
-
-def algebra_unit(g):
-    return basis_element(g, g.identity)
-
-
-def plancherel_trace(x):
-    """Normalized trace: the identity coefficient."""
-    return complex(x.coeffs[x.group.identity])
-
-
-def lp_norm(x, p):
-    """Noncommutative p-norm with the normalized trace weight 1/|G|."""
-    return schatten_norm(x.matrix, p, 1.0 / x.group.order)
-
-
-def _as_matrix(x):
-    if isinstance(x, GroupAlgebraElement):
-        return x.matrix
-    return np.asarray(x, dtype=np.complex128)
-
-
 def disjointness_defect(a, b):
     """max(||a* b||, ||a b*||) / (||a|| ||b||), 0 when either factor is 0:
     :func:`disjointness_defects` of one pair, each leg divided by a power of
     two so that no square under- or overflows at any scale."""
-    am = _as_matrix(a)
-    bm = _as_matrix(b)
+    am = np.asarray(a, dtype=np.complex128)
+    bm = np.asarray(b, dtype=np.complex128)
     if am.shape != bm.shape:
         raise DimMismatch("operands have shapes %r and %r" % (am.shape, bm.shape))
     return float(disjointness_defects(
@@ -226,18 +121,9 @@ def is_disjoint(a, b, tol=DEFAULT_TOL):
     return disjointness_defect(a, b) <= tol
 
 
-def random_element(g, rng):
-    coeffs = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
-    return GroupAlgebraElement(g, coeffs)
-
-
-def random_self_adjoint(g, rng):
-    x = random_element(g, rng)
-    return x + x.adjoint()
-
-
 def random_projection_pair(g, seed):
-    """Two orthogonal projections (p, q) in the algebra with p + q = 1.
+    """The coefficients of two orthogonal projections (p, q) in the algebra
+    with p + q = 1: the row of :func:`random_projection_pairs` for ``seed``.
 
     A random self-adjoint element is drawn, its spectrum split at the
     midpoint of the largest gap (which must exceed 1e-6 of the spectral
@@ -247,7 +133,7 @@ def random_projection_pair(g, seed):
     (0, 1) and (1, 0), chosen by the seed.
     """
     p, q = random_projection_pairs(g, [seed])[0]
-    return GroupAlgebraElement(g, p), GroupAlgebraElement(g, q)
+    return p, q
 
 
 def random_projection_pairs(g, seeds):
@@ -264,7 +150,8 @@ def random_projection_pairs(g, seeds):
                          for rng in rngs], dtype=np.complex128).reshape(-1, 2, 1)
     grid = g.rebuild_grid
     cols = np.arange(n)
-    unit = algebra_unit(g).coeffs
+    unit = np.zeros(n, dtype=np.complex128)
+    unit[g.identity] = 1.0
 
     def draw(_, rows):
         x = complex_gaussians([rngs[i] for i in rows], (n,))
@@ -291,17 +178,17 @@ def random_projection_pairs(g, seeds):
 
 
 def random_disjoint_pair(g, seed):
-    """A disjoint pair (a, b): a = p x r, b = q y s for independent splits.
+    """The matrices of a disjoint pair (a, b): a = p x r, b = q y s for
+    independent splits, the row of :func:`random_disjoint_pairs` for ``seed``.
 
     Disjointness (a*b = ab* = 0) holds by construction since pq = rs = 0;
-    the returned pair is verified against ``is_disjoint`` at 1e-10.  Pairs
-    with a vanishing factor are rejected and redrawn; on the one-element
-    group every pair degenerates, so ``ExhaustedRetries`` is immediate.
+    the stacked draw accepts only pairs whose ``disjointness_defects`` is at
+    most 1e-10.  Pairs with a vanishing factor are rejected and redrawn; on
+    the one-element group every pair degenerates, so ``ExhaustedRetries`` is
+    immediate.
     """
     legs, _ = random_disjoint_pairs(g, [seed])
-    # column e of the matrix of f is f itself: the grid's column e is 0..n-1
-    a, b = legs[:, 0, :, g.identity]
-    return GroupAlgebraElement(g, a), GroupAlgebraElement(g, b)
+    return legs[0, 0], legs[1, 0]
 
 
 def random_disjoint_pairs(g, seeds):

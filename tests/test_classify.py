@@ -45,7 +45,6 @@ from sepmult.linalg import (
 from sepmult.schur import RankOneCertificate
 from sepmult.vna import (
     ExhaustedRetries,
-    GroupAlgebraElement,
     derive_seed,
     is_disjoint,
     regular_representation,
@@ -115,8 +114,7 @@ def test_maps_apply_to_stacks():
     rng = np.random.default_rng(13)
     g = builtin_group("dihedral(3)")
     coeffs = rng.standard_normal((2, 3, 6)) + 1j * rng.standard_normal((2, 3, 6))
-    group_stack = np.stack([[GroupAlgebraElement(g, c).matrix for c in row]
-                            for row in coeffs])
+    group_stack = coeffs[..., g.rebuild_grid]
     matrix_stack = rng.standard_normal((2, 3, 3, 3)) + 1j * rng.standard_normal((2, 3, 3, 3))
     cases = ((fourier_multiplier_map(g, rng.standard_normal(6)), group_stack),
              (schur_multiplier_map(rng.standard_normal((3, 3))), matrix_stack),
@@ -324,7 +322,7 @@ def _per_sample_deviation(t, p, trials, seed):
     for _ in range(trials):
         if t.algebra == "group":
             coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            x = GroupAlgebraElement(t.group, coeffs).matrix
+            x = coeffs[t.group.rebuild_grid]
         else:
             x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         worst = max(worst, abs(norm(t.apply(x)) / norm(x) - 1.0))

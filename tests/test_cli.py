@@ -162,6 +162,18 @@ def test_herz_schur_without_factorization(tmp_path, capsys):
     assert blob["verdict"]["status"] == "not-separating"
 
 
+@pytest.mark.parametrize("symbol", [[1.0, 1.0, 1.0], [1.0, 2.0, 1.0]])
+@pytest.mark.parametrize("flag", [["--p", "0.5"], ["--trials", "0"]])
+def test_herz_schur_checks_its_flags_for_every_symbol(tmp_path, capsys, symbol, flag):
+    # [1, 1, 1] factors and [1, 2, 1] does not; neither may decide the exit code
+    path = _symbol_file(tmp_path, "phi.json", symbol)
+    code, out, err = _run(capsys, [
+        "herz-schur", "--group", "cyclic(3)", "--symbol", path] + flag)
+    assert code == EXIT_DATA
+    assert out == ""
+    assert "p >= 1" in err or "positive integer" in err
+
+
 # ---------------------------------------------------------------------------
 # yeadon
 
@@ -389,6 +401,17 @@ def test_verify_empty_p_values_is_data_error(tmp_path, capsys):
     assert code == EXIT_DATA
     assert out == ""
     assert "p_values" in err
+
+
+@pytest.mark.parametrize("value", [
+    {"trials": 2.7}, {"norm_samples": True}, {"groups": "cyclic(3)"}, {"injected": [5]},
+])
+def test_verify_config_value_of_the_wrong_kind_is_data_error(tmp_path, capsys, value):
+    config = _write_json(tmp_path, "config.json", dict(SMALL_SUITE, **value))
+    code, out, err = _run(capsys, ["verify-theorems", "--config", config])
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_verify_unknown_config_key_is_data_error(tmp_path, capsys):

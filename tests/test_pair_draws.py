@@ -21,12 +21,12 @@ from sepmult.groups import builtin_group
 from sepmult.vna import (
     DegenerateSpectrum,
     ExhaustedRetries,
-    GroupAlgebraElement,
+    convolve,
     derive_seed,
     random_disjoint_pair,
     random_disjoint_pairs,
-    random_element,
     random_projection_pair,
+    random_projection_pairs,
 )
 
 SEEDS = [derive_seed(17, i) for i in range(200)]
@@ -232,8 +232,17 @@ def test_projection_pairs_match_per_pair_reference():
         for seed in SEEDS[:50]:
             p, q = random_projection_pair(g, seed)
             want_p, want_q = _reference_projection_pair(g, seed, retries)
-            _assert_close(p.coeffs, want_p)
-            _assert_close(q.coeffs, want_q)
+            _assert_close(p, want_p)
+            _assert_close(q, want_q)
+
+
+def _assert_twin_row(pair, row):
+    """A one-seed wrapper returns plain arrays: the row of its stacked twin."""
+    assert len(pair) == len(row)
+    for leg, want in zip(pair, row):
+        assert type(leg) is np.ndarray
+        assert leg.shape == want.shape
+        np.testing.assert_array_equal(leg, want)
 
 
 @pytest.mark.parametrize("kind", ["group", "matrix"])
@@ -245,14 +254,23 @@ def test_chunking_does_not_change_the_pairs(kind):
         def draw(chunk):
             return random_disjoint_pairs(g, chunk)
 
-        single = [np.stack([a.matrix, b.matrix])
-                  for a, b in (random_disjoint_pair(g, seed) for seed in seeds)]
+        def draw_one(seed):
+            return random_disjoint_pair(g, seed)
+
+        for seed in seeds[:4]:
+            _assert_twin_row(random_projection_pair(g, seed),
+                             random_projection_pairs(g, [seed])[0])
     else:
         def draw(chunk):
             return random_disjoint_pairs_matrix(8, chunk)
 
-        single = [np.stack(random_disjoint_pair_matrix(8, seed)) for seed in seeds]
-    single = np.stack(single, axis=1)
+        def draw_one(seed):
+            return random_disjoint_pair_matrix(8, seed)
+
+    single = [draw_one(seed) for seed in seeds]
+    for seed, pair in zip(seeds[:4], single):
+        _assert_twin_row(pair, draw([seed])[0][:, 0])
+    single = np.stack([np.stack(pair) for pair in single], axis=1)
     chunks = [draw(seeds[:1]), draw(seeds[1:33]), draw(seeds[33:])]
     whole = draw(seeds)
     np.testing.assert_array_equal(np.concatenate([c[0] for c in chunks], axis=1), single)
@@ -284,12 +302,12 @@ def test_one_dimensional_algebras_raise_like_the_reference():
 def test_product_is_the_convolution_sum(name):
     g = builtin_group(name)
     rng = np.random.default_rng(5)
-    f = random_element(g, rng)
-    h = random_element(g, rng)
+    f = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
+    h = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
     want = np.zeros(g.order, dtype=np.complex128)
     for s in range(g.order):
         for t in range(g.order):
-            want[g.mul[s, t]] += f.coeffs[s] * h.coeffs[t]
-    _assert_close((f * h).coeffs, want)
-    _assert_close((f * h).matrix, f.matrix @ h.matrix)
-    assert isinstance(f * h, GroupAlgebraElement)
+            want[g.mul[s, t]] += f[s] * h[t]
+    fh = convolve(g, f, h)
+    _assert_close(fh, want)
+    _assert_close(fh[g.rebuild_grid], f[g.rebuild_grid] @ h[g.rebuild_grid])

@@ -73,6 +73,8 @@ def test_config_rejects_bad_values():
         SuiteConfig(injected=({"kind": "mystery", "expect": "separating"},))
     with pytest.raises(SuiteError):
         SuiteConfig(injected=({"kind": "fourier", "expect": "maybe"},))
+    with pytest.raises(SuiteError):
+        SuiteConfig(injected=(5,))
 
 
 def test_config_from_json_rejects_non_object():
@@ -80,6 +82,27 @@ def test_config_from_json_rejects_non_object():
         config_from_json([1, 2])
     with pytest.raises(SuiteError):
         config_from_json({"trials": "many"})
+
+
+@pytest.mark.parametrize("obj", [
+    {"trials": 2.7},                 # a float is no count
+    {"norm_samples": True},          # nor is a bool
+    {"groups": "cyclic(3)"},         # a string is no group list
+    {"injected": [5]},               # an injected case is an object
+    {"matrix_dims": [2.5]},
+    {"p_values": [True]},
+    {"tol": "1e-9"},
+    {"output": 5},
+])
+def test_config_from_json_casts_nothing(obj):
+    with pytest.raises(SuiteError):
+        config_from_json(obj)
+
+
+def test_config_from_json_takes_json_integers_for_floats():
+    config = config_from_json({"p_values": [1, 2], "groups": ["cyclic(2)"]})
+    assert config.p_values == (1.0, 2.0)
+    assert config.groups == ("cyclic(2)",)
 
 
 def test_empty_group_list_raises():

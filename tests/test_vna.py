@@ -1,26 +1,21 @@
-"""Group algebra elements, p-norms, Fourier multipliers, seeded draws."""
+"""Group algebra elements as coefficient arrays: matrices, products, traces,
+p-norms, Fourier multipliers, disjointness and seeded draws."""
 
 import numpy as np
 import pytest
 
 from sepmult.classify import fourier_multiplier_map
 from sepmult.groups import builtin_group, enumerate_characters
-from sepmult.linalg import DimMismatch, frobenius
+from sepmult.linalg import DimMismatch, frobenius, schatten_norm
 from sepmult.vna import (
     ExhaustedRetries,
-    GroupAlgebraElement,
-    GroupMismatch,
-    algebra_unit,
-    basis_element,
+    coefficients,
+    convolve,
     derive_seed,
     disjointness_defect,
     is_disjoint,
-    lp_norm,
-    plancherel_trace,
     random_disjoint_pair,
-    random_element,
     random_projection_pair,
-    random_self_adjoint,
     regular_representation,
     symbol_from_json,
     symbol_to_json,
@@ -31,6 +26,27 @@ DISJOINT_TOL = 1e-10
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]])
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
 E22 = np.array([[0.0, 0.0], [0.0, 1.0]])
+
+
+def _random_coeffs(g, rng):
+    return rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
+
+
+def _basis(g, s):
+    """The coefficients of lambda(s)."""
+    coeffs = np.zeros(g.order, dtype=np.complex128)
+    coeffs[s] = 1.0
+    return coeffs
+
+
+def _adjoint(g, x):
+    """The coefficients of the adjoint: x*(s) = conj(x(s^-1))."""
+    return np.conj(x[..., g.inv])
+
+
+def _norm(g, x, p):
+    """The noncommutative p-norm with the normalized trace weight 1/|G|."""
+    return schatten_norm(x[g.rebuild_grid], p, 1.0 / g.order)
 
 
 # ---------------------------------------------------------------------------
@@ -72,79 +88,51 @@ def test_lambda_is_a_representation():
 def test_element_matrix_matches_sum_of_translations():
     g = builtin_group("dihedral(3)")
     rng = np.random.default_rng(5)
-    x = random_element(g, rng)
-    direct = sum(x.coeffs[s] * regular_representation(g, s)
-                 for s in range(g.order))
-    np.testing.assert_allclose(x.matrix, direct, atol=1e-12)
+    x = _random_coeffs(g, rng)
+    direct = sum(x[s] * regular_representation(g, s) for s in range(g.order))
+    np.testing.assert_allclose(x[g.rebuild_grid], direct, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# element arithmetic
+# products, adjoints and coefficients
 
 
 def test_convolution_matches_matrix_product():
     g = builtin_group("symmetric(3)")
     rng = np.random.default_rng(6)
-    x = random_element(g, rng)
-    y = random_element(g, rng)
-    np.testing.assert_allclose((x * y).matrix, x.matrix @ y.matrix, atol=1e-12)
+    x = _random_coeffs(g, rng)
+    y = _random_coeffs(g, rng)
+    np.testing.assert_allclose(convolve(g, x, y)[g.rebuild_grid],
+                               x[g.rebuild_grid] @ y[g.rebuild_grid], atol=1e-12)
 
 
 def test_adjoint_matches_conjugate_transpose():
     g = builtin_group("quaternion8")
-    x = random_element(g, np.random.default_rng(7))
-    np.testing.assert_allclose(x.adjoint().matrix, x.matrix.conj().T, atol=1e-12)
-    y = random_element(g, np.random.default_rng(8))
-    np.testing.assert_allclose((x * y).adjoint().matrix,
-                               (y.adjoint() * x.adjoint()).matrix, atol=1e-12)
+    x = _random_coeffs(g, np.random.default_rng(7))
+    np.testing.assert_allclose(_adjoint(g, x)[g.rebuild_grid],
+                               x[g.rebuild_grid].conj().T, atol=1e-12)
+    y = _random_coeffs(g, np.random.default_rng(8))
+    np.testing.assert_allclose(_adjoint(g, convolve(g, x, y)),
+                               convolve(g, _adjoint(g, y), _adjoint(g, x)), atol=1e-12)
 
 
-def test_scalar_and_additive_ops():
+def test_unit_is_the_convolution_identity():
     g = builtin_group("cyclic(4)")
-    x = random_element(g, np.random.default_rng(9))
-    np.testing.assert_allclose((2j * x).coeffs, 2j * x.coeffs)
-    np.testing.assert_allclose((x - x).coeffs, np.zeros(4))
-    np.testing.assert_allclose((x + x).coeffs, 2 * x.coeffs)
-    unit = algebra_unit(g)
-    np.testing.assert_allclose((unit * x).coeffs, x.coeffs, atol=1e-12)
-    np.testing.assert_allclose((x * unit).coeffs, x.coeffs, atol=1e-12)
+    x = _random_coeffs(g, np.random.default_rng(9))
+    unit = _basis(g, g.identity)
+    np.testing.assert_allclose(convolve(g, unit, x), x, atol=1e-12)
+    np.testing.assert_allclose(convolve(g, x, unit), x, atol=1e-12)
 
 
-def test_group_mismatch_raises():
-    x = random_element(builtin_group("cyclic(3)"), np.random.default_rng(0))
-    y = random_element(builtin_group("cyclic(4)"), np.random.default_rng(0))
-    with pytest.raises(GroupMismatch):
-        x * y
-
-
-def test_coefficient_validation():
-    g = builtin_group("cyclic(3)")
-    with pytest.raises(ValueError):
-        GroupAlgebraElement(g, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        GroupAlgebraElement(g, [np.inf, 0.0, 0.0])
-
-
-def test_from_matrix_round_trip():
+def test_coefficients_round_trip():
     g = builtin_group("dihedral(4)")
-    x = random_element(g, np.random.default_rng(10))
-    back = GroupAlgebraElement.from_matrix(g, x.matrix)
-    np.testing.assert_allclose(back.coeffs, x.coeffs, atol=1e-12)
+    x = _random_coeffs(g, np.random.default_rng(10))
+    np.testing.assert_allclose(coefficients(g, x[g.rebuild_grid]), x, atol=1e-12)
 
 
-def test_from_matrix_rejects_outsiders():
+def test_coefficients_project_outsiders():
     g = builtin_group("cyclic(2)")
-    with pytest.raises(ValueError):
-        GroupAlgebraElement.from_matrix(g, E11)
-    # skip-check mode projects instead
-    proj = GroupAlgebraElement.from_matrix(g, E11, membership_tol=None)
-    np.testing.assert_allclose(proj.coeffs, [0.5, 0.0])
-
-
-def test_from_matrix_shape_check():
-    g = builtin_group("cyclic(2)")
-    with pytest.raises(DimMismatch):
-        GroupAlgebraElement.from_matrix(g, np.eye(3))
+    np.testing.assert_allclose(coefficients(g, E11), [0.5, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -153,34 +141,35 @@ def test_from_matrix_shape_check():
 
 def test_trace_reads_identity_coefficient():
     g = builtin_group("symmetric(3)")
-    assert plancherel_trace(algebra_unit(g)) == 1.0
+
+    def trace(x):
+        return np.trace(x[g.rebuild_grid]) / g.order
+
+    assert trace(_basis(g, g.identity)) == 1.0
     for s in range(1, g.order):
-        assert plancherel_trace(basis_element(g, s)) == 0.0
-    x = random_element(g, np.random.default_rng(11))
-    want = np.trace(x.matrix) / g.order
-    assert plancherel_trace(x) == pytest.approx(want, rel=1e-12)
+        assert trace(_basis(g, s)) == 0.0
+    x = _random_coeffs(g, np.random.default_rng(11))
+    assert trace(x) == pytest.approx(x[g.identity], rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_translations_have_unit_norm(p):
     g = builtin_group("dihedral(3)")
-    assert lp_norm(algebra_unit(g), p) == pytest.approx(1.0)
+    assert _norm(g, _basis(g, g.identity), p) == pytest.approx(1.0)
     for s in (1, 3, 5):
-        assert lp_norm(basis_element(g, s), p) == pytest.approx(1.0)
+        assert _norm(g, _basis(g, s), p) == pytest.approx(1.0)
 
 
 def test_two_norm_frozen_sum_of_translations():
     g = builtin_group("cyclic(2)")
-    x = GroupAlgebraElement(g, [1.0, 1.0])
-    assert lp_norm(x, 2.0) == pytest.approx(np.sqrt(2.0))
+    assert _norm(g, np.array([1.0, 1.0]), 2.0) == pytest.approx(np.sqrt(2.0))
 
 
 def test_plancherel_isometry():
     g = builtin_group("quaternion8")
     for seed in range(6):
-        x = random_element(g, np.random.default_rng(seed))
-        assert lp_norm(x, 2.0) == pytest.approx(
-            float(np.linalg.norm(x.coeffs)), rel=1e-11)
+        x = _random_coeffs(g, np.random.default_rng(seed))
+        assert _norm(g, x, 2.0) == pytest.approx(float(np.linalg.norm(x)), rel=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +177,24 @@ def test_plancherel_isometry():
 
 
 def _fourier(g, phi):
-    """The Fourier multiplier with symbol phi as a map of algebra elements."""
+    """The Fourier multiplier with symbol phi as a map of coefficients; each
+    image must lie in the algebra."""
     t = fourier_multiplier_map(g, phi)
-    return lambda x: GroupAlgebraElement.from_matrix(g, t.apply(x.matrix))
+
+    def apply(x):
+        image = t.apply(x[g.rebuild_grid])
+        out = coefficients(g, image)
+        assert frobenius(out[g.rebuild_grid] - image) <= 1e-8 * max(frobenius(image), 1e-300)
+        return out
+
+    return apply
 
 
 def test_identity_symbol_acts_trivially():
     g = builtin_group("dihedral(3)")
     t = _fourier(g, np.ones(g.order))
-    x = random_element(g, np.random.default_rng(12))
-    np.testing.assert_allclose(t(x).coeffs, x.coeffs)
+    x = _random_coeffs(g, np.random.default_rng(12))
+    np.testing.assert_allclose(t(x), x)
 
 
 def test_multiplier_scales_translations():
@@ -205,8 +202,7 @@ def test_multiplier_scales_translations():
     phi = np.array([1.0, 2.0, 3.0, 4.0])
     t = _fourier(g, phi)
     for s in range(4):
-        out = t(basis_element(g, s))
-        np.testing.assert_allclose(out.coeffs, phi[s] * basis_element(g, s).coeffs)
+        np.testing.assert_allclose(t(_basis(g, s)), phi[s] * _basis(g, s))
 
 
 def test_multipliers_commute_and_compose():
@@ -214,12 +210,12 @@ def test_multipliers_commute_and_compose():
     rng = np.random.default_rng(13)
     phi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     psi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    x = random_element(g, rng)
+    x = _random_coeffs(g, rng)
     a = _fourier(g, phi)(_fourier(g, psi)(x))
     b = _fourier(g, psi)(_fourier(g, phi)(x))
     c = _fourier(g, phi * psi)(x)
-    np.testing.assert_allclose(a.coeffs, b.coeffs)
-    np.testing.assert_allclose(a.coeffs, c.coeffs)
+    np.testing.assert_allclose(a, b)
+    np.testing.assert_allclose(a, c)
 
 
 def test_multiplier_two_norm_is_sup_of_symbol():
@@ -229,10 +225,10 @@ def test_multiplier_two_norm_is_sup_of_symbol():
     t = _fourier(g, phi)
     peak = float(np.max(np.abs(phi)))
     for seed in range(5):
-        x = random_element(g, np.random.default_rng(seed))
-        assert lp_norm(t(x), 2.0) <= peak * lp_norm(x, 2.0) * (1 + 1e-12)
-    witness = basis_element(g, int(np.argmax(np.abs(phi))))
-    assert lp_norm(t(witness), 2.0) == pytest.approx(peak, rel=1e-12)
+        x = _random_coeffs(g, np.random.default_rng(seed))
+        assert _norm(g, t(x), 2.0) <= peak * _norm(g, x, 2.0) * (1 + 1e-12)
+    witness = _basis(g, int(np.argmax(np.abs(phi))))
+    assert _norm(g, t(witness), 2.0) == pytest.approx(peak, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
@@ -241,16 +237,15 @@ def test_character_multiplier_is_isometric(p):
     for psi in enumerate_characters(g)[1:3]:
         t = _fourier(g, psi.values)
         for seed in range(3):
-            x = random_element(g, np.random.default_rng(seed))
-            assert lp_norm(t(x), p) == pytest.approx(lp_norm(x, p), rel=1e-9)
+            x = _random_coeffs(g, np.random.default_rng(seed))
+            assert _norm(g, t(x), p) == pytest.approx(_norm(g, x, p), rel=1e-9)
 
 
 def test_multiplier_group_mismatch():
     # an element of a group of another order is refused by shape
     t = fourier_multiplier_map(builtin_group("cyclic(3)"), np.ones(3))
-    x = algebra_unit(builtin_group("cyclic(4)"))
     with pytest.raises(ValueError):
-        t.apply(x.matrix)
+        t.apply(np.eye(4))
 
 
 def test_multiplier_symbol_validation():
@@ -299,32 +294,33 @@ def test_projection_pair_two_elements_closed_form():
     g = builtin_group("cyclic(2)")
     for seed in (0, 1, 7):
         p, q = random_projection_pair(g, seed)
-        got = {tuple(np.round(p.coeffs, 9)), tuple(np.round(q.coeffs, 9))}
+        got = {tuple(np.round(p, 9)), tuple(np.round(q, 9))}
         assert got == {(0.5 + 0j, 0.5 + 0j), (0.5 + 0j, -0.5 + 0j)}
 
 
 def test_projection_pair_properties():
     g = builtin_group("symmetric(3)")
-    unit = algebra_unit(g)
+    grid = g.rebuild_grid
+    unit = _basis(g, g.identity)
     for seed in range(40):
         p, q = random_projection_pair(g, seed)
-        assert frobenius((p * p).matrix - p.matrix) < 1e-8
-        assert frobenius(p.adjoint().matrix - p.matrix) < 1e-8
-        assert frobenius((p * q).matrix) < 1e-8
-        np.testing.assert_allclose((p + q).coeffs, unit.coeffs, atol=1e-10)
+        assert frobenius(convolve(g, p, p)[grid] - p[grid]) < 1e-8
+        assert frobenius(_adjoint(g, p)[grid] - p[grid]) < 1e-8
+        assert frobenius(convolve(g, p, q)[grid]) < 1e-8
+        np.testing.assert_allclose(p + q, unit, atol=1e-10)
 
 
 def test_projection_pair_trivial_group():
     g = builtin_group("cyclic(1)")
     p, q = random_projection_pair(g, 3)
-    assert {complex(p.coeffs[0]), complex(q.coeffs[0])} == {0j, 1 + 0j}
+    assert {complex(p[0]), complex(q[0])} == {0j, 1 + 0j}
 
 
 def test_projection_pair_deterministic_in_seed():
     g = builtin_group("dihedral(3)")
     p1, _ = random_projection_pair(g, 42)
     p2, _ = random_projection_pair(g, 42)
-    np.testing.assert_allclose(p1.coeffs, p2.coeffs)
+    np.testing.assert_allclose(p1, p2)
 
 
 @pytest.mark.parametrize("name", ["symmetric(3)", "cyclic(6)"])
@@ -333,8 +329,11 @@ def test_disjoint_pairs_are_disjoint(name):
     for seed in range(100):
         a, b = random_disjoint_pair(g, seed)
         assert is_disjoint(a, b, DISJOINT_TOL)
-        assert np.linalg.norm(a.coeffs) > 0
-        assert np.linalg.norm(b.coeffs) > 0
+        for leg in (a, b):
+            assert np.linalg.norm(leg) > 0
+            # the legs are matrices of algebra elements
+            np.testing.assert_allclose(coefficients(g, leg)[g.rebuild_grid], leg,
+                                       atol=1e-12)
 
 
 def test_disjoint_pair_trivial_group_raises():

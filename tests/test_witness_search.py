@@ -67,7 +67,6 @@ def _reference_pairs(t, dense, trials, seed):
         pair_seed = derive_seed(seed, i)
         if t.algebra == "group":
             a, b = random_disjoint_pair(t.group, pair_seed)
-            a, b = a.matrix, b.matrix
         else:
             a, b = random_disjoint_pair_matrix(t.matrix_dim, pair_seed)
         yield ("trial:%d" % i, pair_seed) + scored(a, b)
