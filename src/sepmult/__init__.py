@@ -73,10 +73,12 @@ from .classify import (
     classify_schur,
     deterministic_probes,
     fourier_multiplier_map,
+    fourier_verdicts,
     isometry_test,
     positive_definite_test,
     random_disjoint_pair_matrix,
     schur_multiplier_map,
+    schur_verdicts,
     separating_test,
     transpose_map,
     verdict_to_json,

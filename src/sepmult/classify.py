@@ -23,8 +23,11 @@ are answered:
   runs; a certificate short of that bound still runs the search, and one
   contradicted by a witness gives "inconclusive" carrying both.  Both
   families go through one verdict path and differ only in their map and
-  certificate.
-* is T an isometry for a Schatten p-norm? (sampled, with max deviation)
+  certificate.  The answer does not depend on p, so the path gives the
+  verdicts at several exponents from one run (:func:`fourier_verdicts`,
+  :func:`schur_verdicts`).
+* is T an isometry for a Schatten p-norm? (sampled, with max deviation;
+  one SVD of the samples' images serves every p)
 * what is the canonical factorization T(a) = w B J(a) (partial isometry,
   psd weight, Jordan *-homomorphism)?  ``yeadon_extract`` computes the
   triple from T(1) and the pseudo-inverse recipe and validates every
@@ -40,9 +43,11 @@ bytes (``PAIR_CACHE``), shared by every map on the same algebra, because
 suite runs reuse the same seed across many symbols.
 """
 
+from __future__ import annotations
+
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -50,6 +55,7 @@ import numpy as np
 from .groups import as_symbol, fit_scalar_character
 from .linalg import (
     DEFAULT_TOL,
+    InvalidExponent,
     as_complex_matrix,
     check_p,
     check_tol,
@@ -64,7 +70,6 @@ from .linalg import (
     psd_pseudo_inverse,
     random_unitaries,
     redraw_rejected,
-    schatten_norm,
     singular_value_norm,
     singular_values,
     support_projection,
@@ -544,7 +549,8 @@ def deterministic_probes(t):
 def check_trials(trials):
     """``int(trials)``; raises ``InvalidTrials`` unless trials is a positive
     integer."""
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
+    if (not isinstance(trials, (int, np.integer)) or isinstance(trials, bool)
+            or trials < 1):
         raise InvalidTrials("trials must be a positive integer, got %r" % (trials,))
     return int(trials)
 
@@ -628,15 +634,26 @@ def isometry_test(t, p=2.0, trials=50, seed=0, tol=DEFAULT_TOL):
     p = check_p(p)
     trials = check_trials(trials)
     tol = check_tol(tol)
-    seed = int(seed)
+    worst, = _isometry_deviations(t, (p,), trials, int(seed))
+    return worst <= tol, worst
+
+
+def _isometry_deviations(t, ps, trials, seed):
+    """The max relative deviation of :func:`isometry_test` at each exponent
+    of ``ps``, all read from one SVD of T(x)."""
     x, sigma_in = PAIR_CACHE.get(
         ("isometry", _algebra_key(t), seed, trials),
         lambda: _isometry_sample(t, seed, trials))
-    norm_in = singular_value_norm(sigma_in, p, t.trace_weight)
-    norm_out = schatten_norm(t.apply(x), p, t.trace_weight)
-    drawn = norm_in != 0.0      # a zero sample has no relative deviation
-    worst = float(np.max(np.abs(norm_out[drawn] / norm_in[drawn] - 1.0), initial=0.0))
-    return worst <= tol, worst
+    sigma_out = singular_values(t.apply(x))
+    weight = t.trace_weight
+    worst = []
+    for p in ps:
+        norm_in = singular_value_norm(sigma_in, p, weight)
+        norm_out = singular_value_norm(sigma_out, p, weight)
+        drawn = norm_in != 0.0      # a zero sample has no relative deviation
+        worst.append(float(np.max(np.abs(norm_out[drawn] / norm_in[drawn] - 1.0),
+                                  initial=0.0)))
+    return worst
 
 
 def _isometry_sample(t, seed, trials):
@@ -816,44 +833,48 @@ def _search_cannot_refute(tmap, certificate, tol):
     return (delta + 2.0 * rho + rho * rho) / (1.0 - rho) ** 2 <= tol
 
 
-def _classify(tmap, certificate, p, trials, seed, tol, isometry_trials):
-    """The verdict on ``tmap`` given its family's certificate dict or None,
-    by the rules of :func:`classify_fourier`.
+def _classify(tmap, certificate, ps, trials, seed, tol, isometry_trials):
+    """One verdict on ``tmap`` per exponent of ``ps``, given its family's
+    certificate dict or None, by the rules of :func:`classify_fourier`.
 
     A certificate that passes :func:`_search_cannot_refute` gives
     "separating" with no search, reported as ``trials`` 0.  Otherwise the
     witness search runs, and a witness against a certificate gives
     "inconclusive" carrying both: a refutation never carries a certificate,
     so reaching that means a tolerance let through a certificate or a
-    witness it should not have.
+    witness it should not have.  Neither the certificate nor the search
+    depends on p, so both run once and the verdicts differ only in ``p``
+    and in ``max_deviation``, which one SVD of the isometry samples gives at
+    every p.  The verdicts share one certificate and one witness.
     """
-    p = check_p(p)
+    ps = tuple(check_p(p) for p in ps)
+    if not ps:
+        raise InvalidExponent("at least one Schatten exponent is needed")
     trials = check_trials(trials)
     isometry_trials = check_trials(isometry_trials)
     tol = check_tol(tol)
     seed = int(seed)
     if certificate is not None and _search_cannot_refute(tmap, certificate, tol):
-        verdict = Verdict(SEPARATING, p=p, trials=0, seed=seed)
+        verdict = Verdict(SEPARATING, p=ps[0], trials=0, seed=seed)
     else:
-        verdict = separating_test(tmap, p=p, trials=trials, seed=seed, tol=tol)
+        verdict = separating_test(tmap, p=ps[0], trials=trials, seed=seed, tol=tol)
+    deviations = (None,) * len(ps)
     if certificate is None:
-        if verdict.status == NOT_SEPARATING:
-            return verdict
-        return Verdict(INCONCLUSIVE, p=verdict.p, trials=verdict.trials,
-                       seed=verdict.seed,
-                       note="no certificate and no witness found")
-    if verdict.status == NOT_SEPARATING:
-        return Verdict(INCONCLUSIVE, p=verdict.p, trials=verdict.trials,
-                       seed=verdict.seed, certificate=certificate,
-                       witness=verdict.witness,
-                       note="witness contradicts certificate; check tolerances")
-    max_dev = None
-    if abs(abs(certificate["c"]) - 1.0) <= tol:
-        _, max_dev = isometry_test(tmap, p=p, trials=isometry_trials,
-                                   seed=seed, tol=tol)
-    return Verdict(SEPARATING, p=verdict.p, trials=verdict.trials,
-                   seed=verdict.seed, certificate=certificate,
-                   max_deviation=max_dev)
+        if verdict.status != NOT_SEPARATING:
+            verdict = Verdict(INCONCLUSIVE, p=verdict.p, trials=verdict.trials,
+                              seed=verdict.seed,
+                              note="no certificate and no witness found")
+    elif verdict.status == NOT_SEPARATING:
+        verdict = Verdict(INCONCLUSIVE, p=verdict.p, trials=verdict.trials,
+                          seed=verdict.seed, certificate=certificate,
+                          witness=verdict.witness,
+                          note="witness contradicts certificate; check tolerances")
+    else:
+        verdict = Verdict(SEPARATING, p=verdict.p, trials=verdict.trials,
+                          seed=verdict.seed, certificate=certificate)
+        if abs(abs(certificate["c"]) - 1.0) <= tol:
+            deviations = _isometry_deviations(tmap, ps, isometry_trials, seed)
+    return [replace(verdict, p=p, max_deviation=dev) for p, dev in zip(ps, deviations)]
 
 
 def classify_fourier(g, phi, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL,
@@ -870,8 +891,17 @@ def classify_fourier(g, phi, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL,
     the search, and a witness then makes the verdict "inconclusive".  When
     |c| = 1 an isometry sample is added.  Without a certificate the verdict
     is the witness search's refutation, or "inconclusive" if none was
-    found; sampling alone never upgrades to "separating".
+    found; sampling alone never upgrades to "separating".  This is the
+    one-exponent case of :func:`fourier_verdicts`.
     """
+    return fourier_verdicts(g, phi, (p,), trials, seed, tol, isometry_trials)[0]
+
+
+def fourier_verdicts(g, phi, ps, trials=200, seed=0, tol=DEFAULT_TOL,
+                     isometry_trials=12):
+    """The verdict of :func:`classify_fourier` at each exponent of ``ps``,
+    in order, from one fit, at most one witness search and one SVD of the
+    isometry samples."""
     tmap = fourier_multiplier_map(g, phi)
     fit = fit_scalar_character(g, phi, tol)
     certificate = None
@@ -882,7 +912,7 @@ def classify_fourier(g, phi, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL,
             "c": complex(c),
             "character": psi.values.copy(),
         }
-    return _classify(tmap, certificate, p, trials, seed, tol, isometry_trials)
+    return _classify(tmap, certificate, ps, trials, seed, tol, isometry_trials)
 
 
 def classify_schur(m, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL,
@@ -893,8 +923,17 @@ def classify_schur(m, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL,
     rank-one unimodular factorization is the certificate.  It makes the
     verdict "separating" with no witness search when rho = max|m/c - alpha
     beta^T| satisfies the bound of :func:`classify_fourier`, and the
-    verdict rules are the same.
+    verdict rules are the same.  This is the one-exponent case of
+    :func:`schur_verdicts`.
     """
+    return schur_verdicts(m, (p,), trials, seed, tol, isometry_trials)[0]
+
+
+def schur_verdicts(m, ps, trials=200, seed=0, tol=DEFAULT_TOL,
+                   isometry_trials=12):
+    """The verdict of :func:`classify_schur` at each exponent of ``ps``, in
+    order, from one factorization, at most one witness search and one SVD
+    of the isometry samples."""
     mm = as_complex_matrix(m)
     tmap = schur_multiplier_map(mm)
     cert = rank_one_unimodular_factor(mm, tol)
@@ -906,4 +945,4 @@ def classify_schur(m, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL,
             "alpha": cert.alpha.copy(),
             "beta": cert.beta.copy(),
         }
-    return _classify(tmap, certificate, p, trials, seed, tol, isometry_trials)
+    return _classify(tmap, certificate, ps, trials, seed, tol, isometry_trials)

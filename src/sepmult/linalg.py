@@ -70,8 +70,9 @@ def check_tol(tol, error=ValueError):
 
 def check_p(p, error=InvalidExponent):
     """``float(p)``; raises ``error`` unless p is a Python or numpy real
-    number >= 1 (``math.inf`` included, NaN not)."""
-    if not (isinstance(p, (int, float, np.integer, np.floating)) and p >= 1.0):
+    number >= 1 (``math.inf`` included, NaN not, a bool is no number)."""
+    if not (isinstance(p, (int, float, np.integer, np.floating))
+            and not isinstance(p, bool) and p >= 1.0):
         raise error("Schatten exponent must satisfy p >= 1, got %r" % (p,))
     return float(p)
 

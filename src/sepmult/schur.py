@@ -14,6 +14,8 @@ to the certificate's identity row, verifying translation covariance on the
 way.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass, field
 from typing import Optional
 

@@ -27,9 +27,9 @@ from .classify import (
     classify_fourier,
     classify_schur,
     fourier_multiplier_map,
+    fourier_verdicts,
     positive_definite_test,
     schur_multiplier_map,
-    separating_test,
     transpose_map,
     yeadon_extract,
 )
@@ -89,6 +89,11 @@ def _rng(config, cell, label=None):
     return np.random.default_rng(derive_seed(config.seed, _tag(cell), *labels))
 
 
+def _is_count(value):
+    """Whether ``value`` is a positive Python int; a bool is no count."""
+    return type(value) is int and value >= 1
+
+
 @dataclass
 class SuiteConfig:
     groups: tuple = _DEFAULT_GROUPS
@@ -108,17 +113,18 @@ class SuiteConfig:
     def __post_init__(self):
         self.groups = tuple(self.groups)
         self.p_values = tuple(check_p(p, SuiteError) for p in self.p_values)
+        if any(isinstance(n, bool) for n in self.matrix_dims):
+            raise SuiteError("matrix dims must be integers, not bools")
         self.matrix_dims = tuple(int(n) for n in self.matrix_dims)
         self.injected = tuple(self.injected)
         if not self.p_values:
             raise SuiteError("p_values must be a nonempty list of p >= 1")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not _is_count(self.trials):
             raise InvalidTrials("trials must be a positive integer")
         check_tol(self.tol, SuiteError)
         for name in ("converse_samples", "schur_samples", "cp_samples",
                      "norm_samples", "linalg_samples"):
-            count = getattr(self, name)
-            if not isinstance(count, int) or count < 1:
+            if not _is_count(getattr(self, name)):
                 raise SuiteError("%s must be a positive integer" % name)
         if any(n < 1 for n in self.matrix_dims):
             raise SuiteError("matrix dims must be positive")
@@ -259,10 +265,10 @@ def _cell_fourier_forward(g, label, config):
     for ch in chars:
         for c in _FORWARD_SCALARS:
             phi = c * ch.values
-            for p in config.p_values:
-                verdict = classify_fourier(
-                    g, phi, p=p, trials=config.trials, seed=config.seed,
-                    tol=config.tol, isometry_trials=6)
+            verdicts = fourier_verdicts(
+                g, phi, config.p_values, trials=config.trials, seed=config.seed,
+                tol=config.tol, isometry_trials=6)
+            for p, verdict in zip(config.p_values, verdicts):
                 checked += 1
                 if verdict.status != SEPARATING or verdict.certificate is None:
                     detail = "character %s scaled by %s at p=%s came back %s" % (
@@ -310,6 +316,15 @@ def _cell_fourier_converse(g, label, config):
         g, phi, p=2.0, trials=config.trials, seed=config.seed, tol=config.tol))
 
 
+def _verdict_key(verdict):
+    """Status, certificate kind and scalar, and witness label of a verdict:
+    what must not change with p."""
+    cert, witness = verdict.certificate, verdict.witness
+    return (verdict.status,
+            None if cert is None else (cert["kind"], cert["c"]),
+            None if witness is None else witness.label)
+
+
 def _cell_cross_p(g, label, config):
     if g.order < 2:
         return True, 0.0, "vacuous on the one-element group"
@@ -322,13 +337,12 @@ def _cell_cross_p(g, label, config):
     symbols.append(_draw_nonfitting_symbol(g, rng))
     disagreements = 0
     for phi in symbols:
-        tmap = fourier_multiplier_map(g, phi)
-        statuses = {
-            separating_test(tmap, p=p, trials=config.trials, seed=config.seed,
-                            tol=config.tol).status
-            for p in config.p_values
-        }
-        if len(statuses) != 1:
+        verdicts = fourier_verdicts(
+            g, phi, config.p_values, trials=config.trials, seed=config.seed,
+            tol=config.tol, isometry_trials=6)
+        deviations = [v.max_deviation for v in verdicts if v.max_deviation is not None]
+        if (len({_verdict_key(v) for v in verdicts}) != 1
+                or max(deviations, default=0.0) > config.tol):
             disagreements += 1
     ok = disagreements == 0
     detail = "%d symbols at p in %s, %d verdict disagreements" % (

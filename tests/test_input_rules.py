@@ -147,7 +147,7 @@ def test_exponent_entry_points_accept_numpy_scalars(p):
     assert SuiteConfig(p_values=(p,)).p_values == (float(p),)
 
 
-@pytest.mark.parametrize("p", (math.nan, 0.5, -math.inf, 0, "2", None, 2j),
+@pytest.mark.parametrize("p", (math.nan, 0.5, -math.inf, 0, "2", None, 2j, True),
                          ids=repr)
 def test_exponent_entry_points_refuse_anything_but_a_real_p_of_at_least_one(p):
     with pytest.raises(InvalidExponent, match="must satisfy p >= 1"):
@@ -171,10 +171,24 @@ TRIAL_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("count", (0, -1, 2.5, "3", None), ids=repr)
+@pytest.mark.parametrize("count", (0, -1, 2.5, "3", None, True), ids=repr)
 @pytest.mark.parametrize("keyword", ("trials", "isometry_trials"))
 @pytest.mark.parametrize("entry", sorted(TRIAL_ENTRY_POINTS))
 def test_classifiers_refuse_a_trial_count_that_is_not_a_positive_integer(
         entry, keyword, count):
     with pytest.raises(InvalidTrials, match="must be a positive integer"):
         TRIAL_ENTRY_POINTS[entry](**{keyword: count})
+
+
+@pytest.mark.parametrize("field", ("converse_samples", "schur_samples", "cp_samples",
+                                   "norm_samples", "linalg_samples"))
+def test_suite_config_refuses_a_bool_sample_count(field):
+    with pytest.raises(SuiteError, match="must be a positive integer"):
+        SuiteConfig(**{field: True})
+
+
+def test_suite_config_refuses_a_bool_trial_count_or_matrix_dim():
+    with pytest.raises(InvalidTrials, match="must be a positive integer"):
+        SuiteConfig(trials=True)
+    with pytest.raises(SuiteError, match="not bools"):
+        SuiteConfig(matrix_dims=(2, True))
