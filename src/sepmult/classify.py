@@ -5,9 +5,8 @@ group algebra.  Every Fourier and Schur multiplier is held by one n x n
 symbol and acts entrywise, ``T(x) = x * symbol``: a Schur symbol is its
 matrix m, and the Fourier multiplier phi is the Schur multiplier
 [phi(u t^-1)] restricted to VN(G) (Fourier-Schur transference).  Other maps
-(the transpose, the Jordan part of a Yeadon triple) are held by their images
-on the canonical basis (matrix units, left translations).  Three questions
-are answered:
+(the transpose, the Jordan part of a Yeadon triple) are held by the function
+that applies them.  Three questions are answered:
 
 * is T separating, i.e. does it send disjoint pairs (a*b = ab* = 0) to
   disjoint pairs?  Refutation is sound: a verified witness ends the matter.
@@ -63,7 +62,6 @@ from .linalg import (
     frobenius,
     frobenius_each,
     hermitian_eig,
-    ldexp,
     matrix_to_json,
     over_power_of_two,
     polar_decompose,
@@ -77,7 +75,6 @@ from .linalg import (
 from .schur import rank_one_unimodular_factor, herz_schur_symbol
 from .vna import (
     ExhaustedRetries,
-    coefficients,
     derive_seed,
     disjointness_defects,
     random_disjoint_pairs,
@@ -120,69 +117,49 @@ class NotSeparating(ClassifyError):
 
 
 class LinearMap:
-    """Linear map on an operator algebra, held by its symbol or its images.
+    """Linear map on an operator algebra, held by the function that applies it.
 
     ``algebra`` is "matrix" (full matrix algebra, basis e_ij in row-major
     order, trace weight 1) or "group" (group von Neumann algebra, basis
-    lambda(s), trace weight 1/|G|).  ``LinearMap(images, algebra, group)``
-    holds a general map by its basis images, ``images[k]`` being T applied
-    to the k-th basis element; ``apply`` decomposes its argument in the
-    basis.  Fourier and Schur multipliers are held by an n x n symbol alone
-    (:func:`fourier_multiplier_map`, :func:`schur_multiplier_map`) and
-    ``apply`` multiplies entrywise by it; their ``images`` stack is built on
-    first read.  A Fourier map acts on any n x n matrix as the Schur symbol
-    [phi(u t^-1)]: the matrix of sum_s f(s) lambda(s) has f(u t^-1) at
-    (u, t), so on VN(G) this is M_phi.  Arguments of "group" maps must lie
-    in the group algebra.  ``apply`` takes one matrix or a stack of shape
-    (..., n, n).
+    lambda(s), trace weight 1/|G|).  ``LinearMap(func, n, algebra, group)``
+    is the map that ``func`` applies to a (..., n, n) stack of matrices;
+    ``apply`` checks the shape of its argument, one matrix or a stack, and
+    calls ``func``.  Fourier and Schur multipliers
+    (:func:`fourier_multiplier_map`, :func:`schur_multiplier_map`) also keep
+    their n x n symbol, and their function multiplies entrywise by it.  A
+    Fourier map acts on any n x n matrix as the Schur symbol [phi(u t^-1)]:
+    the matrix of sum_s f(s) lambda(s) has f(u t^-1) at (u, t), so on VN(G)
+    this is M_phi.  ``images``, the stack of T applied to the canonical
+    basis, is computed on each read.
     """
 
-    __slots__ = ("algebra", "group", "_n", "_symbol", "_images", "_flat")
+    __slots__ = ("algebra", "group", "_n", "_func", "_symbol")
 
-    def __init__(self, images, algebra, group=None):
-        images = np.ascontiguousarray(images, dtype=np.complex128)
-        if images.ndim != 3 or images.shape[1] != images.shape[2]:
-            raise ValueError("images must be a stack of square matrices")
-        if not np.all(np.isfinite(images.view(np.float64))):
-            raise ValueError("image entries must be finite")
-        n = images.shape[1]
+    def __init__(self, func, n, algebra, group=None):
         if algebra == "matrix":
             if group is not None:
                 raise ValueError("matrix-algebra maps take no group")
-            if images.shape[0] != n * n:
-                raise ValueError("matrix algebra of dim %d has %d basis elements"
-                                 % (n, n * n))
         elif algebra == "group":
             if group is None or group.order != n:
                 raise ValueError("group-algebra maps need a group of order %d" % n)
-            if images.shape[0] != n:
-                raise ValueError("group algebra needs one image per element")
         else:
             raise ValueError("algebra must be 'matrix' or 'group'")
         self.algebra = algebra
         self.group = group
         self._n = n
+        self._func = func
         self._symbol = None
-        self._images = images
-        self._flat = np.ascontiguousarray(images.reshape(images.shape[0], n * n))
 
     @classmethod
     def _multiplier(cls, symbol, algebra, group=None):
         """The map x -> x * symbol for an n x n ``symbol``."""
-        t = cls.__new__(cls)
-        t.algebra = algebra
-        t.group = group
-        t._n = symbol.shape[0]
+        t = cls(lambda x: x * symbol, symbol.shape[0], algebra, group)
         t._symbol = symbol
-        t._images = None
-        t._flat = None
         return t
 
     @property
     def images(self):
-        if self._images is None:
-            self._images = self.basis() * self._symbol
-        return self._images
+        return self.apply(self.basis())
 
     @property
     def matrix_dim(self):
@@ -198,44 +175,19 @@ class LinearMap:
 
     def basis(self):
         """The canonical basis as a (algebra_dim, n, n) stack."""
-        return self._realize(np.eye(self.algebra_dim, dtype=np.complex128))
+        eye = np.eye(self.algebra_dim, dtype=np.complex128)
+        if self.algebra == "group":
+            return eye[:, self.group.rebuild_grid]
+        return eye.reshape(-1, self._n, self._n)
 
     def unit(self):
         return np.eye(self.matrix_dim, dtype=np.complex128)
 
-    def decompose(self, x):
-        """Basis coefficients of a matrix, or of each matrix of a stack."""
-        x = self._operand(x)
-        if self.algebra == "group":
-            return coefficients(self.group, x)
-        return x.reshape(x.shape[:-2] + (self._n * self._n,))
-
-    def _operand(self, x):
+    def apply(self, x):
         x = np.asarray(x, dtype=np.complex128)
         if x.shape[-2:] != (self._n, self._n):
             raise ValueError("operand shape %r does not match dim %d" % (x.shape, self._n))
-        return x
-
-    def _realize(self, coeffs):
-        """The matrices with the given basis coefficients (last axis)."""
-        if self.algebra == "group":
-            return coeffs[..., self.group.rebuild_grid]
-        return coeffs.reshape(coeffs.shape[:-1] + (self._n, self._n))
-
-    def _over_power_of_two(self):
-        """(this map divided by 2**e, e), with e chosen so that the largest
-        real or imaginary part of its symbol or images lies in [0.5, 1); the
-        division is exact unless an entry falls below the normal range."""
-        unit, e = over_power_of_two(self._images if self._symbol is None else self._symbol)
-        if self._symbol is not None:
-            return LinearMap._multiplier(unit, self.algebra, self.group), e
-        return LinearMap(unit, self.algebra, self.group), e
-
-    def apply(self, x):
-        if self._symbol is not None:
-            return self._operand(x) * self._symbol
-        coeffs = self.decompose(x)
-        return (coeffs @ self._flat).reshape(coeffs.shape[:-1] + (self._n, self._n))
+        return self._func(x)
 
     def random_elements(self, rng, count):
         """``count`` Gaussian elements of the algebra as a (count, n, n)
@@ -243,7 +195,7 @@ class LinearMap:
         coefficients."""
         n = self.matrix_dim
         if self.algebra == "group":
-            return self._realize(complex_gaussians([rng] * count, (n,)))
+            return complex_gaussians([rng] * count, (n,))[:, self.group.rebuild_grid]
         return complex_gaussians([rng] * count, (n, n))
 
 
@@ -268,8 +220,7 @@ def schur_multiplier_map(m):
 def transpose_map(n):
     """LinearMap of the transpose x -> x^T on the n x n matrices."""
     _check_matrix_dim(n)
-    units = schur_multiplier_map(np.ones((n, n))).basis()
-    return LinearMap(units.swapaxes(1, 2), "matrix")
+    return LinearMap(lambda x: np.ascontiguousarray(x.swapaxes(-1, -2)), n, "matrix")
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +506,14 @@ def check_trials(trials):
     return int(trials)
 
 
+def check_seed(seed, error=ValueError):
+    """``int(seed)``; raises ``error`` unless seed is a Python or numpy
+    integer (a bool is no seed)."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise error("seed must be an integer, got %r" % (seed,))
+    return int(seed)
+
+
 def separating_test(t, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL):
     """Search for a disjoint pair whose images are not disjoint.
 
@@ -567,11 +526,10 @@ def separating_test(t, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL):
     exponent p is recorded for reporting and does not influence the search.
 
     Pairs are evaluated in chunks (see ``_chunks``), each with one batched
-    application of ``t``; chunks come from ``PAIR_CACHE``.  The search runs
-    on ``t / 2**e`` with its largest entry in [0.5, 1) (see
-    ``LinearMap._over_power_of_two``), so no square under- or overflows and
-    the verdict does not depend on the scale of ``t``; the witness images
-    are multiplied back by ``2**e``.
+    application of ``t``; chunks come from ``PAIR_CACHE``.  The defects of
+    each chunk's images are read on the images divided by a power of two
+    (``over_power_of_two``), so no square under- or overflows and the
+    verdict does not depend on the scale of ``t``.
 
     A one-dimensional algebra has no disjoint pair with two nonzero legs,
     so every map on it is separating outright (trials recorded as 0).
@@ -579,17 +537,16 @@ def separating_test(t, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL):
     p = check_p(p)
     trials = check_trials(trials)
     tol = check_tol(tol)
-    seed = int(seed)
+    seed = check_seed(seed)
     if t.algebra_dim == 1:
         return Verdict(SEPARATING, p=p, trials=0, seed=seed,
                        note="one-dimensional algebra: separating vacuously")
     algebra = _algebra_key(t)
-    unit_t, e = t._over_power_of_two()
     for start, stop in _chunks(_probe_count(t)):
         pairs, defects = PAIR_CACHE.get(
             ("probe", algebra, start, stop),
             lambda: _with_defects(_probe_stack(t, start, stop)))
-        hit = _first_witness(unit_t, pairs, defects, tol, e)
+        hit = _first_witness(t, pairs, defects, tol)
         if hit is not None:
             k, witness = hit
             witness.label = _probe_label(t, start + k)
@@ -599,7 +556,7 @@ def separating_test(t, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL):
         pairs, defects = PAIR_CACHE.get(
             ("trial", algebra, seed, start, stop),
             lambda: _trial_stack(t, seed, start, stop))
-        hit = _first_witness(unit_t, pairs, defects, tol, e)
+        hit = _first_witness(t, pairs, defects, tol)
         if hit is not None:
             k, witness = hit
             witness.label = "trial:%d" % (start + k)
@@ -609,17 +566,18 @@ def separating_test(t, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL):
     return Verdict(SEPARATING, p=p, trials=trials, seed=seed)
 
 
-def _first_witness(t, pairs, defects, tol, e):
+def _first_witness(t, pairs, defects, tol):
     """(index, Witness) of the chunk's first disjoint pair with non-disjoint
-    images, or None; the witness images are multiplied by ``2**e``."""
+    images, or None; the defects are read on the images divided by a power
+    of two, which is exact."""
     images = t.apply(pairs)
-    violations = disjointness_defects(images)
+    violations = disjointness_defects(over_power_of_two(images)[0])
     hits = np.flatnonzero((defects <= tol) & (violations > tol))
     if hits.size == 0:
         return None
     k = int(hits[0])
     return k, Witness(pairs[0, k].copy(), pairs[1, k].copy(),
-                      ldexp(images[0, k], e), ldexp(images[1, k], e),
+                      images[0, k].copy(), images[1, k].copy(),
                       float(violations[k]))
 
 
@@ -634,7 +592,7 @@ def isometry_test(t, p=2.0, trials=50, seed=0, tol=DEFAULT_TOL):
     p = check_p(p)
     trials = check_trials(trials)
     tol = check_tol(tol)
-    worst, = _isometry_deviations(t, (p,), trials, int(seed))
+    worst, = _isometry_deviations(t, (p,), trials, check_seed(seed))
     return worst <= tol, worst
 
 
@@ -676,8 +634,9 @@ class YeadonTriple:
     residuals: dict = field(default_factory=dict)
 
     def reconstruct_map(self):
-        images = (self.w @ self.b) @ self.jmap.images
-        return LinearMap(images, self.jmap.algebra, self.jmap.group)
+        """The map x -> w B J(x)."""
+        wb, j = self.w @ self.b, self.jmap
+        return LinearMap(lambda x: wb @ j.apply(x), j.matrix_dim, j.algebra, j.group)
 
 
 def _b_cluster_projections(b):
@@ -703,8 +662,8 @@ def _worst(stack):
 def yeadon_extract(t, tol=DEFAULT_TOL):
     """Compute and validate the triple (w, B, J) with T(a) = w B J(a).
 
-    w and B come from the polar decomposition of T(1); J(a) is
-    ``B^+ w* T(a)`` with the pseudo-inverse cut at 1e-9 of the top
+    w and B come from the polar decomposition of T(1); J is the map
+    x -> ``B^+ w* T(x)``, with the pseudo-inverse cut at 1e-9 of the top
     eigenvalue.  Validated invariants (all relative to operand scale):
 
     * w* w = J(1) = support(B),
@@ -712,9 +671,9 @@ def yeadon_extract(t, tol=DEFAULT_TOL):
     * every spectral projection of B commutes with every J(basis element),
     * J(a^2) = J(a)^2 and J(a*) = J(a)* on basis and random elements.
 
-    J is applied as ``B^+ w* T`` to whole stacks: the basis, and one sample
-    stack of the normalized basis followed by ``_EXTRACT_SAMPLES``
-    normalized random elements.  Any breach beyond ``tol`` raises
+    J is applied to whole stacks: the basis, and one sample stack of the
+    normalized basis followed by ``_EXTRACT_SAMPLES`` normalized random
+    elements.  Any breach beyond ``tol`` raises
     ``NotSeparating`` carrying the residual table, so a successful return is
     a deterministic structural certificate.
     """
@@ -724,8 +683,8 @@ def yeadon_extract(t, tol=DEFAULT_TOL):
     bpw = psd_pseudo_inverse(b, _PINV_CUTOFF) @ w.conj().T
     basis = t.basis()
     t_images = t.apply(basis)
-    jmap = LinearMap(bpw @ t_images, t.algebra, t.group)
-    j_images = jmap.images
+    jmap = LinearMap(lambda x: bpw @ t.apply(x), t.matrix_dim, t.algebra, t.group)
+    j_images = bpw @ t_images
 
     residuals = {}
     supp = support_projection(b, _PINV_CUTOFF)
@@ -749,12 +708,12 @@ def yeadon_extract(t, tol=DEFAULT_TOL):
     samples = np.concatenate([basis, t.random_elements(rng, _EXTRACT_SAMPLES)])
     del basis
     samples /= np.maximum(frobenius_each(samples), 1e-300)[:, None, None]
-    j_samples = bpw @ t.apply(samples)
-    square = bpw @ t.apply(samples @ samples)
+    j_samples = jmap.apply(samples)
+    square = jmap.apply(samples @ samples)
     square -= j_samples @ j_samples
     residuals["jordan_square"] = _worst(square)
     del square
-    star = bpw @ t.apply(np.conj(samples.swapaxes(-1, -2), order="C"))
+    star = jmap.apply(np.conj(samples.swapaxes(-1, -2), order="C"))
     star -= j_samples.conj().swapaxes(-1, -2)
     residuals["jordan_adjoint"] = _worst(star)
 
@@ -853,7 +812,7 @@ def _classify(tmap, certificate, ps, trials, seed, tol, isometry_trials):
     trials = check_trials(trials)
     isometry_trials = check_trials(isometry_trials)
     tol = check_tol(tol)
-    seed = int(seed)
+    seed = check_seed(seed)
     if certificate is not None and _search_cannot_refute(tmap, certificate, tol):
         verdict = Verdict(SEPARATING, p=ps[0], trials=0, seed=seed)
     else:

@@ -24,6 +24,7 @@ from .classify import (
     SEPARATING,
     InvalidTrials,
     NotSeparating,
+    check_seed,
     classify_fourier,
     classify_schur,
     fourier_multiplier_map,
@@ -116,11 +117,18 @@ class SuiteConfig:
         if any(isinstance(n, bool) for n in self.matrix_dims):
             raise SuiteError("matrix dims must be integers, not bools")
         self.matrix_dims = tuple(int(n) for n in self.matrix_dims)
+        for name in ("groups", "matrix_dims"):
+            # each entry names its cells, so a repeat would run them twice
+            labels = [str(item) for item in getattr(self, name)]
+            twice = next((x for i, x in enumerate(labels) if x in labels[:i]), None)
+            if twice is not None:
+                raise SuiteError("%s lists %s twice" % (name, twice))
         self.injected = tuple(self.injected)
         if not self.p_values:
             raise SuiteError("p_values must be a nonempty list of p >= 1")
         if not _is_count(self.trials):
             raise InvalidTrials("trials must be a positive integer")
+        self.seed = check_seed(self.seed, SuiteError)
         check_tol(self.tol, SuiteError)
         for name in ("converse_samples", "schur_samples", "cp_samples",
                      "norm_samples", "linalg_samples"):

@@ -50,6 +50,8 @@ from sepmult.vna import (
     regular_representation,
 )
 
+from dense_maps import dense_map
+
 RESIDUAL_KEYS = {
     "initial_projection",
     "jordan_unit",
@@ -133,22 +135,18 @@ def test_transpose_map_is_separating():
 
 def test_linear_map_validation():
     g = builtin_group("cyclic(2)")
-    good = np.zeros((2, 2, 2))
-    with pytest.raises(ValueError):
-        LinearMap(np.zeros((3, 2, 2)), "group", g)
-    with pytest.raises(ValueError):
-        LinearMap(good, "matrix")          # needs 4 basis images
-    with pytest.raises(ValueError):
-        LinearMap(good, "group")           # group missing
-    with pytest.raises(ValueError):
-        LinearMap(good, "weird", g)
-    with pytest.raises(ValueError):
-        LinearMap(np.full((2, 2, 2), np.nan), "group", g)
-    with pytest.raises(ValueError):
-        LinearMap(good, "matrix", g)
+    identity = lambda x: x
+    with pytest.raises(ValueError, match="algebra must be"):
+        LinearMap(identity, 2, "weird", g)
+    with pytest.raises(ValueError, match="need a group of order 2"):
+        LinearMap(identity, 2, "group")
+    with pytest.raises(ValueError, match="need a group of order 3"):
+        LinearMap(identity, 3, "group", g)
+    with pytest.raises(ValueError, match="take no group"):
+        LinearMap(identity, 2, "matrix", g)
 
 
-def test_decompose_shape_check():
+def test_apply_checks_the_operand_shape():
     t = transpose_map(2)
     with pytest.raises(ValueError):
         t.apply(np.eye(3))
@@ -539,7 +537,7 @@ def _reference_yeadon(t):
     bpw = psd_pseudo_inverse(b, cutoff) @ w.conj().T
     basis = list(_reference_basis(t))
     t_images = [t.apply(a) for a in basis]
-    jmap = LinearMap(np.stack([bpw @ img for img in t_images]), t.algebra, t.group)
+    jmap = dense_map([bpw @ img for img in t_images], t.algebra, t.group)
 
     scale_t = max(frobenius(img) for img in t_images) or 1.0
     residuals = {}
@@ -671,10 +669,26 @@ def test_extraction_refuses_rescaled_non_separating_map(scale):
     g = builtin_group("cyclic(2)")
     p = np.full((2, 2), 0.5, dtype=np.complex128)
     q = np.eye(2) - p
-    t = LinearMap(scale * np.stack([p, p + q]), "group", g)
+    t = dense_map(scale * np.stack([p, p + q]), "group", g)
     with pytest.raises(NotSeparating) as info:
         yeadon_extract(t)
     assert info.value.residuals["reconstruction"] == pytest.approx(2 ** -0.5, rel=1e-9)
+
+
+def test_yeadon_triple_holds_no_dense_stack():
+    # w, B and the function maps J and w B J: no (n^2, n, n) stack of basis
+    # images, which would be 16 MB at n = 32
+    rng = np.random.default_rng(36)
+    t = schur_multiplier_map(np.outer(_unimodular(rng, 32), _unimodular(rng, 32)))
+    tracemalloc.start()
+    try:
+        triple = yeadon_extract(t)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 ** 20
+    x = t.random_elements(rng, 3)
+    np.testing.assert_allclose(triple.reconstruct_map().apply(x), t.apply(x), atol=1e-9)
 
 
 @pytest.mark.parametrize("moduli", ["unimodular", "distinct"])

@@ -395,6 +395,19 @@ def test_verify_invalid_override_is_data_error(tmp_path, capsys, override):
     assert "must be positive" in err or "positive integer" in err
 
 
+@pytest.mark.parametrize("values, flags, repeated", [
+    ({}, ["--group", "cyclic(2)", "--group", "cyclic(2)"], "groups lists cyclic(2) twice"),
+    ({"matrix_dims": [2, 3, 2]}, [], "matrix_dims lists 2 twice"),
+])
+def test_verify_repeated_label_is_data_error(tmp_path, capsys, values, flags, repeated):
+    # a repeated group or dimension would run and list its cells twice
+    config = _write_json(tmp_path, "config.json", dict(SMALL_SUITE, **values))
+    code, out, err = _run(capsys, ["verify-theorems", "--config", config] + flags)
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err == "error: %s\n" % repeated
+
+
 def test_verify_empty_p_values_is_data_error(tmp_path, capsys):
     config = _write_json(tmp_path, "config.json", dict(SMALL_SUITE, p_values=[]))
     code, out, err = _run(capsys, ["verify-theorems", "--config", config])

@@ -1,7 +1,7 @@
 """The input rules every entry point shares: a tolerance is a number with
 0 < tol < 1, a Schatten exponent a real number p >= 1, a trial count a
-positive integer, and a function on a group is a 1-D array with one finite
-value per element."""
+positive integer, a seed a Python or numpy integer, and a function on a group
+is a 1-D array with one finite value per element."""
 
 import math
 
@@ -17,6 +17,7 @@ from sepmult.classify import (
     positive_definite_test,
     schur_multiplier_map,
     separating_test,
+    verdict_to_json,
     yeadon_extract,
 )
 from sepmult.groups import (
@@ -192,3 +193,37 @@ def test_suite_config_refuses_a_bool_trial_count_or_matrix_dim():
         SuiteConfig(trials=True)
     with pytest.raises(SuiteError, match="not bools"):
         SuiteConfig(matrix_dims=(2, True))
+
+
+#: a seed is a Python or numpy integer; no bool, float or string is one
+BAD_SEEDS = (0.5, 1.5, True, np.bool_(True), "1", None)
+
+SEED_ENTRY_POINTS = dict(
+    TRIAL_ENTRY_POINTS,
+    separating_test=lambda **kw: separating_test(
+        schur_multiplier_map(NON_FACTORABLE), trials=4, **kw),
+    isometry_test=lambda **kw: isometry_test(
+        schur_multiplier_map(NON_FACTORABLE), trials=4, **kw),
+)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+@pytest.mark.parametrize("entry", sorted(SEED_ENTRY_POINTS))
+def test_entry_points_refuse_a_seed_that_is_not_an_integer(entry, seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SEED_ENTRY_POINTS[entry](seed=seed)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+def test_suite_config_refuses_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(SuiteError, match="seed must be an integer"):
+        SuiteConfig(seed=seed)
+
+
+@pytest.mark.parametrize("seed", (np.int64(5), np.uint16(5), np.int8(5)), ids=repr)
+def test_seed_entry_points_accept_numpy_integers(seed):
+    got = classify_schur(NON_FACTORABLE, trials=4, seed=seed)
+    assert type(got.seed) is int
+    assert verdict_to_json(got) == verdict_to_json(
+        classify_schur(NON_FACTORABLE, trials=4, seed=5))
+    assert type(SuiteConfig(seed=seed).seed) is int and SuiteConfig(seed=seed).seed == 5

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sepmult.classify import LinearMap, schur_multiplier_map, transpose_map
+from sepmult.classify import schur_multiplier_map, transpose_map
 from sepmult.groups import builtin_group, enumerate_characters
 from sepmult.linalg import schatten_norm
 from sepmult.schur import (
@@ -14,6 +14,8 @@ from sepmult.schur import (
 )
 from sepmult.verify import _moved_units
 from sepmult.vna import is_disjoint
+
+from dense_maps import dense_map
 
 RECON_TOL = 1e-10
 
@@ -294,11 +296,11 @@ def test_schur_map_images_move_no_unit(n):
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     t = schur_multiplier_map(m)
     assert _moved_units(t).size == 0
-    assert _moved_units(LinearMap(t.images, "matrix")).size == 0
+    assert _moved_units(dense_map(t.images, "matrix")).size == 0
 
 
 def test_unit_creating_entry_is_moved():
     # e_00 -> e_00 + e_01 creates an entry where e_00 vanishes
     images = transpose_map(2).basis()
     images[0] = _unit(2, 0, 0) + _unit(2, 0, 1)
-    assert _moved_units(LinearMap(images, "matrix")).tolist() == [0]
+    assert _moved_units(dense_map(images, "matrix")).tolist() == [0]

@@ -64,6 +64,10 @@ def test_config_rejects_bad_values():
         SuiteConfig(tol=0.0)
     with pytest.raises(SuiteError):
         SuiteConfig(matrix_dims=(0,))
+    with pytest.raises(SuiteError, match="groups lists cyclic\\(2\\) twice"):
+        SuiteConfig(groups=("cyclic(2)", "cyclic(3)", "cyclic(2)"))
+    with pytest.raises(SuiteError, match="matrix_dims lists 2 twice"):
+        SuiteConfig(matrix_dims=(2, 3, 2))
     for name in ("converse_samples", "schur_samples", "cp_samples",
                  "norm_samples", "linalg_samples"):
         for count in (0, -1):

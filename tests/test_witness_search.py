@@ -10,7 +10,6 @@ from sepmult import classify
 from sepmult.classify import (
     NOT_SEPARATING,
     SEPARATING,
-    LinearMap,
     PairCache,
     PAIR_CACHE,
     _chunks,
@@ -31,6 +30,8 @@ from sepmult.vna import (
     regular_representation,
 )
 
+from dense_maps import dense_map
+
 TRIALS = 200
 SEED = 3
 
@@ -42,7 +43,7 @@ SEED = 3
 def _dense_fourier(g, phi):
     images = np.stack([phi[s] * regular_representation(g, s)
                        for s in range(g.order)])
-    return LinearMap(images, "group", g)
+    return dense_map(images, "group", g)
 
 
 def _dense_schur(m):
@@ -51,7 +52,7 @@ def _dense_schur(m):
     for i in range(n):
         for j in range(n):
             images[i * n + j, i, j] = m[i, j]
-    return LinearMap(images, "matrix")
+    return dense_map(images, "matrix")
 
 
 def _reference_pairs(t, dense, trials, seed):
