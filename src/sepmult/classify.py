@@ -29,9 +29,12 @@ that applies them.  Three questions are answered:
   one SVD of the samples' images serves every p)
 * what is the canonical factorization T(a) = w B J(a) (partial isometry,
   psd weight, Jordan *-homomorphism)?  ``yeadon_extract`` computes the
-  triple from T(1) and the pseudo-inverse recipe and validates every
-  defining invariant, raising ``NotSeparating`` when any fails, which makes
-  a successful extraction a deterministic structural check.
+  triple from T(1) and validates every defining invariant, raising
+  ``NotSeparating`` when any fails, which makes a successful extraction a
+  deterministic structural check.  A multiplier's triple is read off its
+  symbol S in O(n^2) memory: w and B from diag(S), and J the multiplier
+  with symbol S_ij / S_ii.  Only a map held by a function is applied to
+  the whole basis.
 
 Witness searches run a deterministic probe family first (Hadamard-rotated
 coordinate splittings, involution pairs lambda(e) +- lambda(s)), then seeded
@@ -125,8 +128,9 @@ class LinearMap:
     is the map that ``func`` applies to a (..., n, n) stack of matrices;
     ``apply`` checks the shape of its argument, one matrix or a stack, and
     calls ``func``.  Fourier and Schur multipliers
-    (:func:`fourier_multiplier_map`, :func:`schur_multiplier_map`) also keep
-    their n x n symbol, and their function multiplies entrywise by it.  A
+    (:func:`fourier_multiplier_map`, :func:`schur_multiplier_map`) and the
+    J and w B J of their Yeadon triples also keep their n x n ``symbol``,
+    and their function multiplies entrywise by it.  A
     Fourier map acts on any n x n matrix as the Schur symbol [phi(u t^-1)]:
     the matrix of sum_s f(s) lambda(s) has f(u t^-1) at (u, t), so on VN(G)
     this is M_phi.  ``images``, the stack of T applied to the canonical
@@ -160,6 +164,12 @@ class LinearMap:
     @property
     def images(self):
         return self.apply(self.basis())
+
+    @property
+    def symbol(self):
+        """The n x n symbol of a multiplier map, None for a map held by a
+        function."""
+        return self._symbol
 
     @property
     def matrix_dim(self):
@@ -634,8 +644,12 @@ class YeadonTriple:
     residuals: dict = field(default_factory=dict)
 
     def reconstruct_map(self):
-        """The map x -> w B J(x)."""
+        """The map x -> w B J(x): the symbol map diag(w B) K when J is the
+        symbol map K (w and B are then diagonal), a function otherwise."""
         wb, j = self.w @ self.b, self.jmap
+        if j.symbol is not None:
+            return LinearMap._multiplier(wb.diagonal()[:, None] * j.symbol,
+                                         j.algebra, j.group)
         return LinearMap(lambda x: wb @ j.apply(x), j.matrix_dim, j.algebra, j.group)
 
 
@@ -659,25 +673,80 @@ def _worst(stack):
     return peak * float(np.max(frobenius_each(parts / peak)))
 
 
-def yeadon_extract(t, tol=DEFAULT_TOL):
-    """Compute and validate the triple (w, B, J) with T(a) = w B J(a).
+def _jordan_defects(jmap, samples):
+    """Largest ||J(x^2) - J(x)^2|| and ||J(x*) - J(x)*|| over a stack of
+    samples, each first divided in place by its Frobenius norm."""
+    samples /= np.maximum(frobenius_each(samples), 1e-300)[:, None, None]
+    j_samples = jmap.apply(samples)
+    square = jmap.apply(samples @ samples)
+    square -= j_samples @ j_samples
+    worst_square = _worst(square)
+    del square
+    star = jmap.apply(np.conj(samples.swapaxes(-1, -2), order="C"))
+    star -= j_samples.conj().swapaxes(-1, -2)
+    return worst_square, _worst(star)
 
-    w and B come from the polar decomposition of T(1); J is the map
-    x -> ``B^+ w* T(x)``, with the pseudo-inverse cut at 1e-9 of the top
-    eigenvalue.  Validated invariants (all relative to operand scale):
 
-    * w* w = J(1) = support(B),
-    * T(a) = w B J(a) on the whole basis,
-    * every spectral projection of B commutes with every J(basis element),
-    * J(a^2) = J(a)^2 and J(a*) = J(a)* on basis and random elements.
+def _symbol_triple(t):
+    """(w, B, J, residuals on the basis) of the symbol map x -> x * S, read
+    off the symbol.
 
-    J is applied to whole stacks: the basis, and one sample stack of the
-    normalized basis followed by ``_EXTRACT_SAMPLES`` normalized random
-    elements.  Any breach beyond ``tol`` raises
-    ``NotSeparating`` carrying the residual table, so a successful return is
-    a deterministic structural certificate.
+    T(1) = diag(S), so w = diag(S_ii / |S_ii|) on the support (the |S_ii|
+    above 1e-9 of the largest), B = diag|S_ii|, and J = B^+ w* T is the
+    symbol map K with K_ij = S_ij / S_ii on the support rows and 0 off
+    them.  A basis element takes its entries of S and K alone (e_ij the
+    entry (i, j), lambda(s) the entries at u t^-1 = s), so each basis
+    residual is a formula in S and K.
     """
-    tol = check_tol(tol)
+    s = t.symbol
+    d = s.diagonal()
+    modulus = np.abs(d)
+    top = float(np.max(modulus))
+    supp = modulus > _PINV_CUTOFF * top
+    phase = np.where(supp, d / np.where(supp, modulus, 1.0), 0.0)
+    k = np.where(supp[:, None], s / np.where(supp, d, 1.0)[:, None], 0.0)
+    jmap = LinearMap._multiplier(k, t.algebra, t.group)
+
+    residuals = {}
+    supp_scale = max(1.0, math.sqrt(np.count_nonzero(supp)))
+    residuals["initial_projection"] = frobenius(np.abs(phase) ** 2 - supp) / supp_scale
+    residuals["jordan_unit"] = frobenius(k.diagonal() - supp) / supp_scale
+    residuals["reconstruction"] = (float(np.max(np.abs(s - (phase * modulus)[:, None] * k)))
+                                   / (float(np.max(np.abs(s))) or 1.0))
+    # the projections onto the clusters of B's diagonal are diagonal too, so
+    # J(e_ij) = K_ij e_ij commutes with all of them unless i and j lie in
+    # different clusters; a Fourier symbol's diagonal is the constant
+    # phi(e), so its B is one cluster
+    ranked = np.sort(modulus)
+    starts = ranked[1:][np.diff(ranked) > _CLUSTER_GAP * top]
+    cluster = np.searchsorted(starts, modulus, side="right")
+    size = np.abs(k)
+    residuals["weight_commutation"] = float(np.max(np.where(
+        cluster[:, None] != cluster[None, :], size / np.maximum(size, 1.0), 0.0)))
+    if t.algebra == "group":
+        # lambda(s) / sqrt(n) squares to lambda(s^2) / n
+        g = t.group
+        psi = k[:, g.identity]
+        residuals["jordan_square"] = float(np.max(
+            np.abs(psi[g.mul.diagonal()] - psi * psi))) / math.sqrt(g.order)
+    else:
+        # e_ij squares to 0 unless i = j
+        kd = k.diagonal()
+        residuals["jordan_square"] = float(np.max(np.abs(kd - kd * kd)))
+    # J(x*) - J(x)* is (K_ji - conj K_ij) e_ji on e_ij, and on lambda(s) /
+    # sqrt(n) it is (psi(s^-1) - conj psi(s)) lambda(s^-1) / sqrt(n), of the
+    # norm of K - K* at every (u, t) with t u^-1 = s
+    residuals["jordan_adjoint"] = float(np.max(np.abs(k - k.conj().T)))
+    w = np.diag(phase)
+    b = np.diag(modulus.astype(np.complex128))
+    return w, b, jmap, residuals
+
+
+def _stack_triple(t):
+    """(w, B, J, residuals on the basis) of a map held by a function, from
+    T applied to the whole basis: w B is the polar decomposition of T(1),
+    and J is x -> B^+ w* T(x) with the pseudo-inverse cut at 1e-9 of the
+    top eigenvalue."""
     t_unit = t.apply(t.unit())
     w, b = polar_decompose(t_unit, _PINV_CUTOFF)
     bpw = psd_pseudo_inverse(b, _PINV_CUTOFF) @ w.conj().T
@@ -703,19 +772,41 @@ def yeadon_extract(t, tol=DEFAULT_TOL):
     residuals["weight_commutation"] = max(
         (float(np.max(frobenius_each(proj @ j_images - j_images @ proj) / denom))
          for proj in _b_cluster_projections(b)), default=0.0)
+    del j_images
+    residuals["jordan_square"], residuals["jordan_adjoint"] = _jordan_defects(jmap, basis)
+    return w, b, jmap, residuals
 
+
+def yeadon_extract(t, tol=DEFAULT_TOL):
+    """Compute and validate the triple (w, B, J) with T(a) = w B J(a).
+
+    w and B come from the polar decomposition of T(1); J is the map
+    x -> ``B^+ w* T(x)``, with the pseudo-inverse cut at 1e-9 of the top
+    eigenvalue.  Validated invariants (all relative to operand scale):
+
+    * w* w = J(1) = support(B),
+    * T(a) = w B J(a) on the whole basis,
+    * every spectral projection of B commutes with every J(basis element),
+    * J(a^2) = J(a)^2 and J(a*) = J(a)* on the normalized basis and on
+      ``_EXTRACT_SAMPLES`` normalized seeded random elements.
+
+    A Fourier or Schur multiplier gets its triple from its symbol S in
+    O(n^2) memory: T(1) = diag(S), so w and B are diagonal, J is the symbol
+    map S_ij / S_ii and ``YeadonTriple.reconstruct_map()`` the symbol map
+    diag(w B) J; each basis residual is a formula in S and J's symbol, and
+    J is applied to the random elements as one stack.  A map held by a
+    function (the transpose) is applied to the whole basis as one stack and
+    keeps function maps J and w B J.  Any breach beyond ``tol`` raises
+    ``NotSeparating`` carrying the residual table, so a successful return
+    is a deterministic structural certificate.
+    """
+    tol = check_tol(tol)
+    extract = _symbol_triple if t.symbol is not None else _stack_triple
+    w, b, jmap, residuals = extract(t)
     rng = np.random.default_rng(derive_seed(_EXTRACT_SEED))
-    samples = np.concatenate([basis, t.random_elements(rng, _EXTRACT_SAMPLES)])
-    del basis
-    samples /= np.maximum(frobenius_each(samples), 1e-300)[:, None, None]
-    j_samples = jmap.apply(samples)
-    square = jmap.apply(samples @ samples)
-    square -= j_samples @ j_samples
-    residuals["jordan_square"] = _worst(square)
-    del square
-    star = jmap.apply(np.conj(samples.swapaxes(-1, -2), order="C"))
-    star -= j_samples.conj().swapaxes(-1, -2)
-    residuals["jordan_adjoint"] = _worst(star)
+    square, star = _jordan_defects(jmap, t.random_elements(rng, _EXTRACT_SAMPLES))
+    residuals["jordan_square"] = max(residuals["jordan_square"], square)
+    residuals["jordan_adjoint"] = max(residuals["jordan_adjoint"], star)
 
     worst = max(residuals.values())
     if worst > tol:
@@ -772,7 +863,7 @@ def _search_cannot_refute(tmap, certificate, tol):
     = 0 and every image defect is 0.  False when ``tmap`` is not a symbol
     map, and then only the search can decide.
     """
-    symbol, c = tmap._symbol, certificate["c"]
+    symbol, c = tmap.symbol, certificate["c"]
     if symbol is None:
         return False
     if c == 0:

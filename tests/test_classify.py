@@ -622,11 +622,46 @@ def _transpose_extraction_cases():
         yield transpose_map(n)
 
 
+def _larger_fourier_extraction_cases():
+    rng = np.random.default_rng(37)
+    for name in ("symmetric(4)", "cyclic(16)"):
+        g = builtin_group(name)
+        for psi in enumerate_characters(g):
+            for c in (1.0, 1.5j):
+                yield fourier_multiplier_map(g, c * psi.values)
+        yield fourier_multiplier_map(g, rng.standard_normal(g.order)
+                                     + 1j * rng.standard_normal(g.order))
+    # phi(e) = 0: T(1) = 0, so w = B = 0 and nothing is reconstructed
+    yield fourier_multiplier_map(builtin_group("cyclic(3)"), [0.0, 1.0, 1.0])
+
+
+def _diagonal_schur_extraction_cases():
+    rng = np.random.default_rng(38)
+    for n in range(2, 7):
+        # distinct diagonal moduli: B has one spectral cluster per entry
+        yield schur_multiplier_map(np.diag(np.arange(1.0, n + 1.0)))
+        alpha = _unimodular(rng, n) * np.arange(1.0, n + 1.0)
+        yield schur_multiplier_map(np.outer(alpha, _unimodular(rng, n)))
+    for diagonal in (0.0, 1e-12):
+        # an entry of T(1) on or below the 1e-9 support cutoff: J drops its
+        # row, which holds the largest entries, so the reconstruction
+        # residual reads 1 and no other residual comes near it
+        m = np.outer(_unimodular(rng, 4), _unimodular(rng, 4))
+        m[1] *= 10.0
+        m[:, 1] *= 0.1
+        m[1, 1] *= diagonal
+        yield schur_multiplier_map(m)
+    for n in (1, 3):
+        yield schur_multiplier_map(np.zeros((n, n)))
+
+
 @pytest.mark.parametrize("cases, refusals", [
     (_fourier_extraction_cases, 4),       # the random symbols but cyclic(1)'s
     (_rank_one_extraction_cases, 0),
     (_nonfactorable_extraction_cases, 7),
     (_transpose_extraction_cases, 0),
+    (_larger_fourier_extraction_cases, 3),    # the random symbols and [0, 1, 1]
+    (_diagonal_schur_extraction_cases, 12),   # all but the zero symbols
 ])
 def test_stacked_extraction_matches_per_element_reference(cases, refusals):
     refused = 0
@@ -691,25 +726,70 @@ def test_yeadon_triple_holds_no_dense_stack():
     np.testing.assert_allclose(triple.reconstruct_map().apply(x), t.apply(x), atol=1e-9)
 
 
-@pytest.mark.parametrize("moduli", ["unimodular", "distinct"])
-def test_extraction_memory_stays_within_ten_basis_stacks(moduli):
-    # a handful of dense (n^2, n, n) stacks: the basis, T and J of it, the
-    # samples; never a (clusters x basis) or n^5 broadcast.  Distinct moduli
-    # give B = |T(1)| one spectral cluster per eigenvalue.
-    n = 24
-    rng = np.random.default_rng(35)
+@pytest.mark.parametrize("kind", ["rank-one", "distinct-moduli", "non-factorable"])
+def test_multiplier_extraction_reads_the_symbol_not_the_basis(kind):
+    # a 48 x 48 Schur map: T of the whole basis would be one 85 MB stack.
+    # Read off the symbol, the triple costs a few n x n arrays and the
+    # eight n x n random samples.  Distinct moduli give B = |T(1)| one
+    # spectral cluster per eigenvalue
+    n = 48
+    rng = np.random.default_rng(39)
     alpha = _unimodular(rng, n)
-    if moduli == "distinct":
+    if kind == "distinct-moduli":
         alpha *= np.arange(1.0, n + 1.0)
-    t = schur_multiplier_map(np.outer(alpha, _unimodular(rng, n)))
-    stack_bytes = n ** 4 * np.dtype(np.complex128).itemsize
+    m = np.outer(alpha, _unimodular(rng, n))
+    if kind == "non-factorable":
+        m += 2.0 * np.eye(n)
+    t = schur_multiplier_map(m)
     tracemalloc.start()
     try:
-        _extraction_outcome(yeadon_extract, t)
+        outcome = _extraction_outcome(yeadon_extract, t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 10 * stack_bytes
+    assert peak < 8 * 2 ** 20
+    assert isinstance(outcome, NotSeparating) == (kind != "rank-one")
+    if kind == "rank-one":
+        rebuilt = outcome.reconstruct_map()
+        assert outcome.jmap.symbol is not None and rebuilt.symbol is not None
+        np.testing.assert_allclose(rebuilt.symbol, m, rtol=0, atol=1e-13)
+
+
+def _rescaling_cases():
+    """(group or None, symbol, refused) for Schur and Fourier symbols."""
+    rng = np.random.default_rng(40)
+    for n in (3, 6):
+        yield None, np.outer(_unimodular(rng, n), _unimodular(rng, n)) + 2.0 * np.eye(n), True
+        yield None, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), True
+        yield None, 2.5j * np.outer(_unimodular(rng, n), _unimodular(rng, n)), False
+    for name in ("symmetric(3)", "cyclic(5)"):
+        g = builtin_group(name)
+        yield g, rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order), True
+        yield g, 1.5j * enumerate_characters(g)[-1].values, False
+    yield builtin_group("cyclic(3)"), np.array([0.0, 1.0, 1.0]), True
+
+
+def _rescaled_map(g, symbol, scale):
+    if g is None:
+        return schur_multiplier_map(scale * symbol)
+    return fourier_multiplier_map(g, scale * symbol)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600, 1e160, 1e-160], ids=repr)
+def test_extraction_verdict_does_not_change_when_the_symbol_is_rescaled(scale):
+    # at 1e+-160 every square of an entry under- or overflows.  A refusal
+    # names the same failing residual, and every residual moves by
+    # round-off only, relative to the table's largest
+    for g, symbol, refused in _rescaling_cases():
+        want = _extraction_outcome(yeadon_extract, _rescaled_map(g, symbol, 1.0))
+        got = _extraction_outcome(yeadon_extract, _rescaled_map(g, symbol, scale))
+        assert isinstance(want, NotSeparating) == isinstance(got, NotSeparating) == refused
+        if refused:
+            assert max(got.residuals, key=got.residuals.get) == max(
+                want.residuals, key=want.residuals.get)
+            worst = max(want.residuals.values())
+            for key, value in want.residuals.items():
+                assert got.residuals[key] == pytest.approx(value, rel=0, abs=1e-12 * worst), key
 
 
 # ---------------------------------------------------------------------------

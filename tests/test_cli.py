@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from sepmult.classify import fourier_multiplier_map, schur_multiplier_map
 from sepmult.cli import (
     EXIT_DATA,
     EXIT_INCONCLUSIVE,
@@ -189,8 +190,9 @@ def test_yeadon_fourier_triple(tmp_path, capsys):
     assert blob["separating"] is True
     np.testing.assert_allclose(blob["b"]["re"], [[1.5, 0.0], [0.0, 1.5]],
                                atol=1e-9)
-    assert len(blob["jordan_images"]) == 2
     assert max(blob["residuals"].values()) <= 1e-9
+    psi = enumerate_characters(g)[1].values
+    _assert_jordan_images(blob, fourier_multiplier_map(g, 1.5 * psi), psi[g.rebuild_grid])
 
 
 def test_yeadon_rejects_indicator(tmp_path, capsys):
@@ -209,7 +211,20 @@ def test_yeadon_schur_matrix_path(tmp_path, capsys):
     matrix = _matrix_file(tmp_path, "m.json", 2.0 * np.outer(alpha, alpha))
     code, out, _ = _run(capsys, ["yeadon", "--symbol", matrix, "--json"])
     assert code == EXIT_SEPARATING
-    assert json.loads(out)["separating"] is True
+    blob = json.loads(out)
+    assert blob["separating"] is True
+    m = 2.0 * np.outer(alpha, alpha)
+    _assert_jordan_images(blob, schur_multiplier_map(m), m / m.diagonal()[:, None])
+
+
+def _assert_jordan_images(blob, tmap, symbol):
+    # one image per basis element of tmap's algebra, in order: J of that
+    # element, for J the multiplier with the given symbol (S_ij / S_ii)
+    images = blob["jordan_images"]
+    assert len(images) == tmap.algebra_dim
+    for image, element in zip(images, tmap.basis()):
+        got = np.asarray(image["re"]) + 1j * np.asarray(image["im"])
+        np.testing.assert_allclose(got, element * symbol, rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
