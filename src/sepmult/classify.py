@@ -102,6 +102,13 @@ _EXTRACT_SEED = 0x9EAD07
 #: the basis
 _EXTRACT_SAMPLES = 8
 
+#: a refusal names the first residual in this order whose value is within
+#: ``_TIE_RTOL`` of the largest, so that round-off cannot pick between
+#: residuals that read the same value
+_RESIDUAL_ORDER = ("initial_projection", "jordan_unit", "reconstruction",
+                   "weight_commutation", "jordan_square", "jordan_adjoint")
+_TIE_RTOL = 1e-10
+
 
 class ClassifyError(Exception):
     """Base class for classification failures."""
@@ -112,11 +119,13 @@ class InvalidTrials(ClassifyError):
 
 
 class NotSeparating(ClassifyError):
-    """Triple extraction found an invariant violated beyond tolerance."""
+    """Triple extraction found an invariant violated beyond tolerance;
+    ``failing`` names the residual reported."""
 
-    def __init__(self, message, residuals=None):
+    def __init__(self, message, residuals=None, failing=None):
         super().__init__(message)
         self.residuals = dict(residuals or {})
+        self.failing = failing
 
 
 class LinearMap:
@@ -797,8 +806,9 @@ def yeadon_extract(t, tol=DEFAULT_TOL):
     J is applied to the random elements as one stack.  A map held by a
     function (the transpose) is applied to the whole basis as one stack and
     keeps function maps J and w B J.  Any breach beyond ``tol`` raises
-    ``NotSeparating`` carrying the residual table, so a successful return
-    is a deterministic structural certificate.
+    ``NotSeparating`` carrying the residual table and naming the first
+    residual of ``_RESIDUAL_ORDER`` within round-off of the largest, so a
+    successful return is a deterministic structural certificate.
     """
     tol = check_tol(tol)
     extract = _symbol_triple if t.symbol is not None else _stack_triple
@@ -810,11 +820,13 @@ def yeadon_extract(t, tol=DEFAULT_TOL):
 
     worst = max(residuals.values())
     if worst > tol:
-        failing = max(residuals, key=residuals.get)
+        failing = next(key for key in _RESIDUAL_ORDER
+                       if residuals[key] >= (1.0 - _TIE_RTOL) * worst)
         raise NotSeparating(
             "triple invariants violated: %s residual %.3g exceeds %.3g"
             % (failing, residuals[failing], tol),
             residuals,
+            failing,
         )
     return YeadonTriple(w, b, jmap, residuals)
 

@@ -359,21 +359,17 @@ def _cell_cross_p(g, label, config):
 
 
 def _yeadon_round_trip(tmap):
-    """Worst residual of the triple of ``tmap`` and of its re-extraction
-    from the reconstructed map w B J.  Two symbol maps J are compared on
-    their symbols: each basis element's image reads its own entries of the
-    symbol, so that is the largest difference of their basis images."""
+    """Worst residual of the triple of the multiplier ``tmap`` and of its
+    re-extraction from the reconstructed map w B J.  Both J are symbol maps
+    and are compared on their symbols: each basis element's image reads its
+    own entries of the symbol, so that is the largest difference of their
+    basis images."""
     triple = yeadon_extract(tmap, tol=1e-8)
     again = yeadon_extract(triple.reconstruct_map(), tol=1e-8)
-    first, second = triple.jmap, again.jmap
-    if first.symbol is not None and second.symbol is not None:
-        drift = np.abs(first.symbol - second.symbol)
-    else:
-        drift = np.abs(first.images - second.images)
     return max(max(triple.residuals.values()),
                frobenius(triple.w - again.w),
                frobenius(triple.b - again.b),
-               float(np.max(drift)))
+               float(np.max(np.abs(triple.jmap.symbol - again.jmap.symbol))))
 
 
 def _yeadon_refused(tmap):
