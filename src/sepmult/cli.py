@@ -160,6 +160,7 @@ def cmd_yeadon(args):
         phi = _load_symbol(args.symbol, g.order)
         tmap = fourier_multiplier_map(g, phi)
     else:
+        g = None
         tmap = schur_multiplier_map(_load_matrix(args.symbol))
     try:
         triple = yeadon_extract(tmap, tol=args.tol)
@@ -168,11 +169,15 @@ def cmd_yeadon(args):
                "residuals": {k: float(v) for k, v in exc.residuals.items()}},
               args)
         return EXIT_WITNESS
+    # J is the multiplier with symbol K = S_ij / S_ii; a Fourier K is
+    # [psi(u t^-1)], whose column at the identity is psi = phi / phi(e)
+    symbol = triple.jmap.symbol
     _emit({
         "separating": True,
         "w": matrix_to_json(triple.w),
         "b": matrix_to_json(triple.b),
-        "jordan_images": [matrix_to_json(img) for img in triple.jmap.images],
+        "jordan_symbol": (matrix_to_json(symbol) if g is None
+                          else symbol_to_json(symbol[:, g.identity])),
         "residuals": {k: float(v) for k, v in triple.residuals.items()},
     }, args)
     return EXIT_SEPARATING

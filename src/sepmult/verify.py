@@ -22,9 +22,9 @@ from .classify import (
     INCONCLUSIVE,
     NOT_SEPARATING,
     SEPARATING,
-    InvalidTrials,
     NotSeparating,
     check_seed,
+    check_trials,
     classify_fourier,
     classify_schur,
     fourier_multiplier_map,
@@ -42,7 +42,6 @@ from .groups import (
     group_from_json,
 )
 from .linalg import (
-    check_p,
     check_tol,
     frobenius,
     hermitian_eig,
@@ -69,6 +68,18 @@ _DEFAULT_GROUPS = (
     "dihedral(3)", "dihedral(4)", "quaternion8", "symmetric(3)",
 )
 
+#: the exponents at which the cross-p and forward cells classify each symbol
+_P_VALUES = (1.0, 2.0, 4.0)
+
+#: symbols per cell: converse and factored Schur symbols, unimodular
+#: non-characters for positive definiteness, Gaussian elements for the norm
+#: identities and matrices for the linear-algebra invariants
+_CONVERSE_SAMPLES = 20
+_SCHUR_SAMPLES = 20
+_CP_SAMPLES = 20
+_NORM_SAMPLES = 8
+_LINALG_SAMPLES = 40
+
 
 class SuiteError(Exception):
     """Configuration problems that prevent the suite from running."""
@@ -90,32 +101,23 @@ def _rng(config, cell, label=None):
     return np.random.default_rng(derive_seed(config.seed, _tag(cell), *labels))
 
 
-def _is_count(value):
-    """Whether ``value`` is a positive Python int; a bool is no count."""
-    return type(value) is int and value >= 1
-
-
 @dataclass
 class SuiteConfig:
     groups: tuple = _DEFAULT_GROUPS
-    p_values: tuple = (1.0, 2.0, 4.0)
     trials: int = 200
     seed: int = 0
     tol: float = 1e-9
     output: str = ""
     matrix_dims: tuple = (2, 3, 5)
-    converse_samples: int = 20
-    schur_samples: int = 20
-    cp_samples: int = 20
-    norm_samples: int = 8
-    linalg_samples: int = 40
     injected: tuple = ()
 
     def __post_init__(self):
         self.groups = tuple(self.groups)
-        self.p_values = tuple(check_p(p, SuiteError) for p in self.p_values)
-        if any(isinstance(n, bool) for n in self.matrix_dims):
-            raise SuiteError("matrix dims must be integers, not bools")
+        self.matrix_dims = tuple(self.matrix_dims)   # read twice below
+        for n in self.matrix_dims:
+            # int() would run 2.7 as dimension 2 and "3" as dimension 3
+            if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+                raise SuiteError("matrix dims must be integers (not bools), got %r" % (n,))
         self.matrix_dims = tuple(int(n) for n in self.matrix_dims)
         for name in ("groups", "matrix_dims"):
             # each entry names its cells, so a repeat would run them twice
@@ -124,16 +126,9 @@ class SuiteConfig:
             if twice is not None:
                 raise SuiteError("%s lists %s twice" % (name, twice))
         self.injected = tuple(self.injected)
-        if not self.p_values:
-            raise SuiteError("p_values must be a nonempty list of p >= 1")
-        if not _is_count(self.trials):
-            raise InvalidTrials("trials must be a positive integer")
+        self.trials = check_trials(self.trials)
         self.seed = check_seed(self.seed, SuiteError)
         check_tol(self.tol, SuiteError)
-        for name in ("converse_samples", "schur_samples", "cp_samples",
-                     "norm_samples", "linalg_samples"):
-            if not _is_count(getattr(self, name)):
-                raise SuiteError("%s must be a positive integer" % name)
         if any(n < 1 for n in self.matrix_dims):
             raise SuiteError("matrix dims must be positive")
         for item in self.injected:
@@ -158,22 +153,15 @@ def config_to_json(config):
 
 #: the JSON kind of the items of each list field but ``injected``, whose
 #: items SuiteConfig checks
-_ITEM_KINDS = {"groups": str, "p_values": float, "matrix_dims": int}
-
-
-def _is_kind(value, kind):
-    """Whether a JSON value is of the kind of a field of type ``kind``.
-    Nothing is cast: a bool is no number and a float no integer, but an
-    integer is a float."""
-    return type(value) is kind or (kind is float and type(value) is int)
+_ITEM_KINDS = {"groups": str, "matrix_dims": int}
 
 
 def config_from_json(obj):
     """Inverse of :func:`config_to_json`; absent keys keep their defaults.
 
-    Each value must be of its field's kind (see ``_is_kind``), with a JSON
-    array for a tuple field, so ``2.7`` is no trial count and a string no
-    group list.
+    Each value must be of its field's type exactly, with a JSON array for a
+    tuple field.  Nothing is cast, so ``2.7`` is no trial count, a bool no
+    number and a string no group list.
     """
     if not isinstance(obj, dict):
         raise SuiteError("suite config must be a JSON object")
@@ -188,8 +176,8 @@ def config_from_json(obj):
         value = obj[f.name]
         kind = list if isinstance(f.default, tuple) else type(f.default)
         item_kind = _ITEM_KINDS.get(f.name)
-        if not _is_kind(value, kind) or (item_kind is not None and not all(
-                _is_kind(item, item_kind) for item in value)):
+        if type(value) is not kind or (item_kind is not None and not all(
+                type(item) is item_kind for item in value)):
             raise SuiteError("bad config value for %r: %s" % (f.name, json.dumps(value)))
         kwargs[f.name] = value
     return SuiteConfig(**kwargs)
@@ -274,9 +262,9 @@ def _cell_fourier_forward(g, label, config):
         for c in _FORWARD_SCALARS:
             phi = c * ch.values
             verdicts = fourier_verdicts(
-                g, phi, config.p_values, trials=config.trials, seed=config.seed,
+                g, phi, _P_VALUES, trials=config.trials, seed=config.seed,
                 tol=config.tol, isometry_trials=6)
-            for p, verdict in zip(config.p_values, verdicts):
+            for p, verdict in zip(_P_VALUES, verdicts):
                 checked += 1
                 if verdict.status != SEPARATING or verdict.certificate is None:
                     detail = "character %s scaled by %s at p=%s came back %s" % (
@@ -319,7 +307,7 @@ def _cell_fourier_converse(g, label, config):
     if g.order < 2:
         return True, 0.0, "vacuous: every symbol is a multiple of the character"
     rng = _rng(config, "fourier-converse", label)
-    symbols = [_draw_nonfitting_symbol(g, rng) for _ in range(config.converse_samples)]
+    symbols = [_draw_nonfitting_symbol(g, rng) for _ in range(_CONVERSE_SAMPLES)]
     return _converse(symbols, lambda phi: classify_fourier(
         g, phi, p=2.0, trials=config.trials, seed=config.seed, tol=config.tol))
 
@@ -346,7 +334,7 @@ def _cell_cross_p(g, label, config):
     disagreements = 0
     for phi in symbols:
         verdicts = fourier_verdicts(
-            g, phi, config.p_values, trials=config.trials, seed=config.seed,
+            g, phi, _P_VALUES, trials=config.trials, seed=config.seed,
             tol=config.tol, isometry_trials=6)
         deviations = [v.max_deviation for v in verdicts if v.max_deviation is not None]
         if (len({_verdict_key(v) for v in verdicts}) != 1
@@ -354,7 +342,7 @@ def _cell_cross_p(g, label, config):
             disagreements += 1
     ok = disagreements == 0
     detail = "%d symbols at p in %s, %d verdict disagreements" % (
-        len(symbols), list(config.p_values), disagreements)
+        len(symbols), list(_P_VALUES), disagreements)
     return ok, float(disagreements), detail
 
 
@@ -410,7 +398,7 @@ def _cell_cp(g, label, config):
     samples = 0
     if g.order >= 2:
         rng = _rng(config, "cp", label)
-        for _ in range(config.cp_samples):
+        for _ in range(_CP_SAMPLES):
             theta = rng.uniform(0.0, 2.0 * math.pi, size=g.order)
             theta[g.identity] = 0.0
             phi = np.exp(1j * theta)
@@ -465,7 +453,7 @@ def _cell_vna_norms(g, label, config):
                                      - regular_representation(g, g.inv[s])))
     chars = enumerate_characters(g)
     psi = fourier_multiplier_map(g, chars[-1].values)
-    for _ in range(config.norm_samples):
+    for _ in range(_NORM_SAMPLES):
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         xm = x[g.rebuild_grid]
         euclid = float(np.linalg.norm(x))
@@ -492,7 +480,7 @@ def _cell_schur_factor(n, config):
     rng = _rng(config, "schur-factor", n)
     worst_recon = 0.0
     worst_dev = 0.0
-    for index in range(config.schur_samples):
+    for index in range(_SCHUR_SAMPLES):
         alpha = _random_unimodular_vector(rng, n)
         beta = _random_unimodular_vector(rng, n)
         if index % 2 == 0:
@@ -515,7 +503,7 @@ def _cell_schur_factor(n, config):
             worst_dev = max(worst_dev, verdict.max_deviation)
     ok = worst_recon <= 1e-10 and worst_dev <= config.tol
     detail = ("%d factored symbols, reconstruction %.3g, isometry deviation %.3g"
-              % (config.schur_samples, worst_recon, worst_dev))
+              % (_SCHUR_SAMPLES, worst_recon, worst_dev))
     return ok, max(worst_recon, worst_dev), detail
 
 
@@ -534,7 +522,7 @@ def _cell_schur_converse(n, config):
     if n < 2:
         return True, 0.0, "vacuous in dimension 1"
     rng = _rng(config, "schur-converse", n)
-    symbols = [_draw_nonfactorable_matrix(rng, n) for _ in range(config.schur_samples)]
+    symbols = [_draw_nonfactorable_matrix(rng, n) for _ in range(_SCHUR_SAMPLES)]
     return _converse(symbols, lambda m: classify_schur(
         m, p=2.0, trials=config.trials, seed=config.seed, tol=config.tol))
 
@@ -595,7 +583,7 @@ def _cell_linalg(config):
     worst_norm = 0.0
     worst_holder = 0.0
     worst_unitary = 0.0
-    for _ in range(config.linalg_samples):
+    for _ in range(_LINALG_SAMPLES):
         n = int(rng.integers(1, 13))
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         scale = max(frobenius(a), 1e-300)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sepmult.classify import fourier_multiplier_map, schur_multiplier_map
+from sepmult.classify import fourier_multiplier_map, schur_multiplier_map, yeadon_extract
 from sepmult.cli import (
     EXIT_DATA,
     EXIT_INCONCLUSIVE,
@@ -15,20 +15,14 @@ from sepmult.cli import (
     main,
 )
 from sepmult.groups import builtin_group, enumerate_characters, group_to_json
-from sepmult.linalg import matrix_to_json
-from sepmult.vna import symbol_to_json
+from sepmult.linalg import matrix_from_json, matrix_to_json
+from sepmult.vna import symbol_from_json, symbol_to_json
 
 SMALL_SUITE = {
     "groups": ["cyclic(2)"],
-    "p_values": [1.0, 2.0],
     "trials": 30,
     "seed": 0,
     "matrix_dims": [2],
-    "converse_samples": 3,
-    "schur_samples": 3,
-    "cp_samples": 3,
-    "norm_samples": 2,
-    "linalg_samples": 8,
 }
 
 
@@ -192,7 +186,11 @@ def test_yeadon_fourier_triple(tmp_path, capsys):
                                atol=1e-9)
     assert max(blob["residuals"].values()) <= 1e-9
     psi = enumerate_characters(g)[1].values
-    _assert_jordan_images(blob, fourier_multiplier_map(g, 1.5 * psi), psi[g.rebuild_grid])
+    # J's symbol is printed as a symbol array, psi = phi / phi(e)
+    printed = symbol_from_json(blob["jordan_symbol"], g.order)
+    np.testing.assert_allclose(printed, psi, rtol=0, atol=1e-13)
+    _assert_jordan_symbol(fourier_multiplier_map(g, printed),
+                          fourier_multiplier_map(g, 1.5 * psi))
 
 
 def test_yeadon_rejects_indicator(tmp_path, capsys):
@@ -214,17 +212,30 @@ def test_yeadon_schur_matrix_path(tmp_path, capsys):
     blob = json.loads(out)
     assert blob["separating"] is True
     m = 2.0 * np.outer(alpha, alpha)
-    _assert_jordan_images(blob, schur_multiplier_map(m), m / m.diagonal()[:, None])
+    # J's symbol is printed as matrix JSON, K = S_ij / S_ii
+    printed = matrix_from_json(blob["jordan_symbol"])
+    np.testing.assert_allclose(printed, m / m.diagonal()[:, None], rtol=0, atol=1e-13)
+    _assert_jordan_symbol(schur_multiplier_map(printed), schur_multiplier_map(m))
 
 
-def _assert_jordan_images(blob, tmap, symbol):
-    # one image per basis element of tmap's algebra, in order: J of that
-    # element, for J the multiplier with the given symbol (S_ij / S_ii)
-    images = blob["jordan_images"]
-    assert len(images) == tmap.algebra_dim
-    for image, element in zip(images, tmap.basis()):
-        got = np.asarray(image["re"]) + 1j * np.asarray(image["im"])
-        np.testing.assert_allclose(got, element * symbol, rtol=0, atol=1e-13)
+def test_yeadon_large_schur_symbol_prints_no_basis_images(tmp_path, capsys):
+    # J is printed as its 48 x 48 symbol, not as 48^2 basis images of 48 x 48
+    rng = np.random.default_rng(2)
+    m = 2.0 * np.outer(np.exp(2j * np.pi * rng.random(48)),
+                       np.exp(2j * np.pi * rng.random(48)))
+    code, out, _ = _run(capsys, ["yeadon", "--symbol", _matrix_file(tmp_path, "m.json", m)])
+    assert code == EXIT_SEPARATING
+    assert len(out.encode("utf-8")) < 1_000_000
+    blob = json.loads(out)
+    assert sorted(blob) == ["b", "jordan_symbol", "residuals", "separating", "w"]
+    printed = matrix_from_json(blob["jordan_symbol"])
+    _assert_jordan_symbol(schur_multiplier_map(printed), schur_multiplier_map(m))
+
+
+def _assert_jordan_symbol(printed_map, tmap):
+    # the multiplier with the printed symbol is the triple's J, entry for entry
+    np.testing.assert_array_equal(printed_map.symbol,
+                                  yeadon_extract(tmap, tol=1e-9).jmap.symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -423,16 +434,8 @@ def test_verify_repeated_label_is_data_error(tmp_path, capsys, values, flags, re
     assert err == "error: %s\n" % repeated
 
 
-def test_verify_empty_p_values_is_data_error(tmp_path, capsys):
-    config = _write_json(tmp_path, "config.json", dict(SMALL_SUITE, p_values=[]))
-    code, out, err = _run(capsys, ["verify-theorems", "--config", config])
-    assert code == EXIT_DATA
-    assert out == ""
-    assert "p_values" in err
-
-
 @pytest.mark.parametrize("value", [
-    {"trials": 2.7}, {"norm_samples": True}, {"groups": "cyclic(3)"}, {"injected": [5]},
+    {"trials": 2.7}, {"trials": True}, {"groups": "cyclic(3)"}, {"injected": [5]},
 ])
 def test_verify_config_value_of_the_wrong_kind_is_data_error(tmp_path, capsys, value):
     config = _write_json(tmp_path, "config.json", dict(SMALL_SUITE, **value))
@@ -443,11 +446,14 @@ def test_verify_config_value_of_the_wrong_kind_is_data_error(tmp_path, capsys, v
 
 
 def test_verify_unknown_config_key_is_data_error(tmp_path, capsys):
-    config = _write_json(tmp_path, "config.json", {"groups": ["cyclic(2)"],
-                                                   "bogus": 1})
-    code, _, err = _run(capsys, ["verify-theorems", "--config", config])
-    assert code == EXIT_DATA
-    assert "unknown config keys" in err
+    # the suite's exponents and sample counts are constants, not keys
+    for key in ("bogus", "p_values", "converse_samples", "schur_samples",
+                "cp_samples", "norm_samples", "linalg_samples"):
+        config = _write_json(tmp_path, "config.json", {"groups": ["cyclic(2)"], key: 1})
+        code, out, err = _run(capsys, ["verify-theorems", "--config", config])
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == "error: unknown config keys: %s\n" % key
 
 
 def test_verify_missing_group_file_is_data_error(tmp_path, capsys):

@@ -26,6 +26,7 @@ from sepmult.linalg import DEFAULT_TOL
 from sepmult.vna import (
     derive_seed,
     disjointness_defect,
+    disjointness_defects,
     random_disjoint_pair,
     regular_representation,
 )
@@ -148,6 +149,11 @@ def _schur_cases():
     # it, but the whole matrix is not: the witness is a trial
     w = np.exp(0.7j)
     cases.append(("3/corners", np.array([[1, 1, 1], [1, 1, w], [1, np.conj(w), 1]])))
+    # the block symbol: ones but m[0, n-1] = m[n-1, 0] = -1; every 2x2
+    # principal corner is rank-one unimodular, so the whole probe sweep runs
+    block = np.ones((6, 6), dtype=np.complex128)
+    block[0, 5] = block[5, 0] = -1.0
+    cases.append(("6/block", block))
     return cases
 
 
@@ -179,6 +185,22 @@ def test_late_trial_witness_matches_reference(kind):
     _assert_matches_reference(t, dense, tol)
     verdict = separating_test(t, trials=TRIALS, seed=SEED, tol=tol)
     assert int(verdict.witness.label.split(":")[1]) >= 40
+
+
+@pytest.mark.parametrize("algebra", ["cyclic(2)", "cyclic(8)", "cyclic(2)xcyclic(2)",
+                                     "dihedral(4)", "quaternion8", "symmetric(3)",
+                                     "symmetric(4)", 2, 3, 8, 24])
+def test_probe_pairs_are_disjoint_to_round_off(algebra):
+    # the search takes every probe's disjointness defect as 0; the defect
+    # computed on the probe legs is round-off only
+    if isinstance(algebra, str):
+        g = builtin_group(algebra)
+        t = fourier_multiplier_map(g, np.ones(g.order))
+    else:
+        t = schur_multiplier_map(np.ones((algebra, algebra)))
+    count = classify._probe_count(t)
+    assert count > 0
+    assert disjointness_defects(classify._probe_stack(t, 0, count)).max() <= 1e-30
 
 
 @pytest.mark.parametrize("total", [0, 1, 2, 32, 33, 34, 65, 200])
