@@ -1,12 +1,12 @@
 """Classification of linear maps on matrix and group von Neumann algebras.
 
 The objects under test are linear maps T on a full matrix algebra or a
-group algebra.  Every Fourier and Schur multiplier is held by one n x n
-symbol and acts entrywise, ``T(x) = x * symbol``: a Schur symbol is its
-matrix m, and the Fourier multiplier phi is the Schur multiplier
-[phi(u t^-1)] restricted to VN(G) (Fourier-Schur transference).  Other maps
-(the transpose, the Jordan part of a Yeadon triple) are held by the function
-that applies them.  Three questions are answered:
+group algebra, each held by one n x n symbol S.  Fourier and Schur
+multipliers act entrywise, ``T(x) = S * x``: a Schur symbol is its matrix
+m, and the Fourier multiplier phi is the Schur multiplier [phi(u t^-1)]
+restricted to VN(G) (Fourier-Schur transference).  The only other form is
+a multiplier after the transpose, ``T(x) = S * x^T``: the transpose itself
+is the all-ones symbol, transposed.  Three questions are answered:
 
 * is T separating, i.e. does it send disjoint pairs (a*b = ab* = 0) to
   disjoint pairs?  Refutation is sound: a verified witness ends the matter.
@@ -31,10 +31,9 @@ that applies them.  Three questions are answered:
   psd weight, Jordan *-homomorphism)?  ``yeadon_extract`` computes the
   triple from T(1) and validates every defining invariant, raising
   ``NotSeparating`` when any fails, which makes a successful extraction a
-  deterministic structural check.  A multiplier's triple is read off its
-  symbol S in O(n^2) memory: w and B from diag(S), and J the multiplier
-  with symbol S_ij / S_ii.  Only a map held by a function is applied to
-  the whole basis.
+  deterministic structural check.  The triple is read off the symbol S in
+  O(n^2) memory: w and B from diag(S), and J the map with symbol S_ij /
+  S_ii, transposed when T is; no map is applied to the whole basis.
 
 Witness searches run a deterministic probe family first (Hadamard-rotated
 coordinate splittings, involution pairs lambda(e) +- lambda(s)), then seeded
@@ -67,13 +66,10 @@ from .linalg import (
     hermitian_eig,
     matrix_to_json,
     over_power_of_two,
-    polar_decompose,
-    psd_pseudo_inverse,
     random_unitaries,
     redraw_rejected,
     singular_value_norm,
     singular_values,
-    support_projection,
 )
 from .schur import rank_one_unimodular_factor, herz_schur_symbol
 from .vna import (
@@ -129,46 +125,40 @@ class NotSeparating(ClassifyError):
 
 
 class LinearMap:
-    """Linear map on an operator algebra, held by the function that applies it.
+    """Multiplier map on an operator algebra, held by its n x n symbol S.
 
     ``algebra`` is "matrix" (full matrix algebra, basis e_ij in row-major
     order, trace weight 1) or "group" (group von Neumann algebra, basis
-    lambda(s), trace weight 1/|G|).  ``LinearMap(func, n, algebra, group)``
-    is the map that ``func`` applies to a (..., n, n) stack of matrices;
-    ``apply`` checks the shape of its argument, one matrix or a stack, and
-    calls ``func``.  Fourier and Schur multipliers
-    (:func:`fourier_multiplier_map`, :func:`schur_multiplier_map`) and the
-    J and w B J of their Yeadon triples also keep their n x n ``symbol``,
-    and their function multiplies entrywise by it.  A
-    Fourier map acts on any n x n matrix as the Schur symbol [phi(u t^-1)]:
-    the matrix of sum_s f(s) lambda(s) has f(u t^-1) at (u, t), so on VN(G)
-    this is M_phi.  ``images``, the stack of T applied to the canonical
-    basis, is computed on each read.
+    lambda(s), trace weight 1/|G|).  ``LinearMap(symbol, algebra, group)``
+    is the multiplier x -> S * x (entrywise), and with ``transposed`` the
+    map x -> S * x^T; the transpose is the all-ones symbol, transposed.
+    ``apply`` checks the shape of its argument, one matrix or a stack of
+    them.  A group-algebra symbol is [phi(u t^-1)]: the matrix of sum_s
+    f(s) lambda(s) has f(u t^-1) at (u, t), so on VN(G) the map is the
+    Fourier multiplier M_phi (Fourier-Schur transference).  ``images``, the
+    stack of T applied to the canonical basis, is computed on each read.
     """
 
-    __slots__ = ("algebra", "group", "_n", "_func", "_symbol")
+    __slots__ = ("algebra", "group", "transposed", "_symbol")
 
-    def __init__(self, func, n, algebra, group=None):
+    def __init__(self, symbol, algebra, group=None, transposed=False):
+        symbol = as_complex_matrix(symbol)
+        n = symbol.shape[0]
+        _check_matrix_dim(n)
         if algebra == "matrix":
             if group is not None:
                 raise ValueError("matrix-algebra maps take no group")
         elif algebra == "group":
             if group is None or group.order != n:
                 raise ValueError("group-algebra maps need a group of order %d" % n)
+            if not np.array_equal(symbol, symbol[:, group.identity][group.rebuild_grid]):
+                raise ValueError("a group-algebra symbol must be [phi(u t^-1)]")
         else:
             raise ValueError("algebra must be 'matrix' or 'group'")
         self.algebra = algebra
         self.group = group
-        self._n = n
-        self._func = func
-        self._symbol = None
-
-    @classmethod
-    def _multiplier(cls, symbol, algebra, group=None):
-        """The map x -> x * symbol for an n x n ``symbol``."""
-        t = cls(lambda x: x * symbol, symbol.shape[0], algebra, group)
-        t._symbol = symbol
-        return t
+        self.transposed = bool(transposed)
+        self._symbol = symbol
 
     @property
     def images(self):
@@ -176,17 +166,18 @@ class LinearMap:
 
     @property
     def symbol(self):
-        """The n x n symbol of a multiplier map, None for a map held by a
-        function."""
+        """The n x n symbol S: T(x) is S * x, or S * x^T when
+        ``transposed``."""
         return self._symbol
 
     @property
     def matrix_dim(self):
-        return self._n
+        return self._symbol.shape[0]
 
     @property
     def algebra_dim(self):
-        return self._n if self.algebra == "group" else self._n * self._n
+        n = self.matrix_dim
+        return n if self.algebra == "group" else n * n
 
     @property
     def trace_weight(self):
@@ -197,16 +188,19 @@ class LinearMap:
         eye = np.eye(self.algebra_dim, dtype=np.complex128)
         if self.algebra == "group":
             return eye[:, self.group.rebuild_grid]
-        return eye.reshape(-1, self._n, self._n)
+        return eye.reshape(-1, self.matrix_dim, self.matrix_dim)
 
     def unit(self):
         return np.eye(self.matrix_dim, dtype=np.complex128)
 
     def apply(self, x):
         x = np.asarray(x, dtype=np.complex128)
-        if x.shape[-2:] != (self._n, self._n):
-            raise ValueError("operand shape %r does not match dim %d" % (x.shape, self._n))
-        return self._func(x)
+        if x.shape[-2:] != self._symbol.shape:
+            raise ValueError("operand shape %r does not match dim %d"
+                             % (x.shape, self.matrix_dim))
+        if self.transposed:
+            x = x.swapaxes(-1, -2)
+        return x * self._symbol
 
     def random_elements(self, rng, count):
         """``count`` Gaussian elements of the algebra as a (count, n, n)
@@ -221,25 +215,26 @@ class LinearMap:
 def fourier_multiplier_map(g, phi):
     """LinearMap of the Fourier multiplier lambda(s) -> phi[s] lambda(s),
     held as the Schur symbol [phi(u t^-1)]."""
-    return LinearMap._multiplier(as_symbol(g, phi)[g.rebuild_grid], "group", g)
+    return LinearMap(as_symbol(g, phi)[g.rebuild_grid], "group", g)
 
 
 def _check_matrix_dim(n):
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ValueError("matrix dimension must be an integer, got %r" % (n,))
     if n < 1:
         raise ValueError("matrix dimension must be at least 1, got %d" % n)
 
 
 def schur_multiplier_map(m):
     """LinearMap of the entrywise action x -> m .* x on a matrix algebra."""
-    mm = as_complex_matrix(m)
-    _check_matrix_dim(mm.shape[0])
-    return LinearMap._multiplier(mm, "matrix")
+    return LinearMap(m, "matrix")
 
 
 def transpose_map(n):
-    """LinearMap of the transpose x -> x^T on the n x n matrices."""
+    """LinearMap of the transpose x -> x^T on the n x n matrices: the
+    all-ones symbol, transposed."""
     _check_matrix_dim(n)
-    return LinearMap(lambda x: np.ascontiguousarray(x.swapaxes(-1, -2)), n, "matrix")
+    return LinearMap(np.ones((n, n)), "matrix", transposed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -657,22 +652,11 @@ class YeadonTriple:
     residuals: dict = field(default_factory=dict)
 
     def reconstruct_map(self):
-        """The map x -> w B J(x): the symbol map diag(w B) K when J is the
-        symbol map K (w and B are then diagonal), a function otherwise."""
-        wb, j = self.w @ self.b, self.jmap
-        if j.symbol is not None:
-            return LinearMap._multiplier(wb.diagonal()[:, None] * j.symbol,
-                                         j.algebra, j.group)
-        return LinearMap(lambda x: wb @ j.apply(x), j.matrix_dim, j.algebra, j.group)
-
-
-def _b_cluster_projections(b):
-    vals, vecs = hermitian_eig(b)
-    scale = float(np.max(np.abs(vals), initial=0.0))
-    if scale == 0.0:
-        return []
-    cuts = np.flatnonzero(np.diff(vals) > _CLUSTER_GAP * scale) + 1
-    return [vk @ vk.conj().T for vk in np.split(vecs, cuts, axis=1)]
+        """The map x -> w B J(x): J is the symbol map K and w, B are
+        diagonal, so it is the symbol map diag(w B) K, transposed with J."""
+        j = self.jmap
+        return LinearMap((self.w @ self.b).diagonal()[:, None] * j.symbol,
+                         j.algebra, j.group, j.transposed)
 
 
 def _worst(stack):
@@ -701,15 +685,17 @@ def _jordan_defects(jmap, samples):
 
 
 def _symbol_triple(t):
-    """(w, B, J, residuals on the basis) of the symbol map x -> x * S, read
-    off the symbol.
+    """(w, B, J's symbol K, residuals on the basis) of the symbol map T,
+    read off its symbol S.
 
     T(1) = diag(S), so w = diag(S_ii / |S_ii|) on the support (the |S_ii|
     above 1e-9 of the largest), B = diag|S_ii|, and J = B^+ w* T is the
     symbol map K with K_ij = S_ij / S_ii on the support rows and 0 off
-    them.  A basis element takes its entries of S and K alone (e_ij the
-    entry (i, j), lambda(s) the entries at u t^-1 = s), so each basis
-    residual is a formula in S and K.
+    them, transposed when T is.  A basis element takes its entries of S
+    and K alone (e_ij the entry (i, j), lambda(s) the entries at u t^-1 =
+    s), so each basis residual is a formula in S and K.  Transposing T
+    moves e_ij to K_ji e_ji but reads the same set of entries of K for every
+    residual, so the formulas hold for both.
     """
     s = t.symbol
     d = s.diagonal()
@@ -718,7 +704,6 @@ def _symbol_triple(t):
     supp = modulus > _PINV_CUTOFF * top
     phase = np.where(supp, d / np.where(supp, modulus, 1.0), 0.0)
     k = np.where(supp[:, None], s / np.where(supp, d, 1.0)[:, None], 0.0)
-    jmap = LinearMap._multiplier(k, t.algebra, t.group)
 
     residuals = {}
     supp_scale = max(1.0, math.sqrt(np.count_nonzero(supp)))
@@ -727,9 +712,9 @@ def _symbol_triple(t):
     residuals["reconstruction"] = (float(np.max(np.abs(s - (phase * modulus)[:, None] * k)))
                                    / (float(np.max(np.abs(s))) or 1.0))
     # the projections onto the clusters of B's diagonal are diagonal too, so
-    # J(e_ij) = K_ij e_ij commutes with all of them unless i and j lie in
-    # different clusters; a Fourier symbol's diagonal is the constant
-    # phi(e), so its B is one cluster
+    # J(e_ij) = K_ij e_ij (or K_ji e_ji) commutes with all of them unless i
+    # and j lie in different clusters; a Fourier symbol's diagonal is the
+    # constant phi(e), so its B is one cluster
     ranked = np.sort(modulus)
     starts = ranked[1:][np.diff(ranked) > _CLUSTER_GAP * top]
     cluster = np.searchsorted(starts, modulus, side="right")
@@ -752,42 +737,7 @@ def _symbol_triple(t):
     residuals["jordan_adjoint"] = float(np.max(np.abs(k - k.conj().T)))
     w = np.diag(phase)
     b = np.diag(modulus.astype(np.complex128))
-    return w, b, jmap, residuals
-
-
-def _stack_triple(t):
-    """(w, B, J, residuals on the basis) of a map held by a function, from
-    T applied to the whole basis: w B is the polar decomposition of T(1),
-    and J is x -> B^+ w* T(x) with the pseudo-inverse cut at 1e-9 of the
-    top eigenvalue."""
-    t_unit = t.apply(t.unit())
-    w, b = polar_decompose(t_unit, _PINV_CUTOFF)
-    bpw = psd_pseudo_inverse(b, _PINV_CUTOFF) @ w.conj().T
-    basis = t.basis()
-    t_images = t.apply(basis)
-    jmap = LinearMap(lambda x: bpw @ t.apply(x), t.matrix_dim, t.algebra, t.group)
-    j_images = bpw @ t_images
-
-    residuals = {}
-    supp = support_projection(b, _PINV_CUTOFF)
-    supp_scale = max(1.0, frobenius(supp))
-    residuals["initial_projection"] = frobenius(w.conj().T @ w - supp) / supp_scale
-    residuals["jordan_unit"] = frobenius(bpw @ t_unit - supp) / supp_scale
-
-    # each dense (d, n, n) stack is dropped once read, so that at most about
-    # five are alive at a time
-    recon = (w @ b) @ j_images
-    recon -= t_images
-    residuals["reconstruction"] = _worst(recon) / (_worst(t_images) or 1.0)
-    del recon, t_images
-
-    denom = np.maximum(frobenius_each(j_images), 1.0)
-    residuals["weight_commutation"] = max(
-        (float(np.max(frobenius_each(proj @ j_images - j_images @ proj) / denom))
-         for proj in _b_cluster_projections(b)), default=0.0)
-    del j_images
-    residuals["jordan_square"], residuals["jordan_adjoint"] = _jordan_defects(jmap, basis)
-    return w, b, jmap, residuals
+    return w, b, k, residuals
 
 
 def yeadon_extract(t, tol=DEFAULT_TOL):
@@ -803,24 +753,27 @@ def yeadon_extract(t, tol=DEFAULT_TOL):
     * J(a^2) = J(a)^2 and J(a*) = J(a)* on the normalized basis and on
       ``_EXTRACT_SAMPLES`` normalized seeded random elements.
 
-    A Fourier or Schur multiplier gets its triple from its symbol S in
-    O(n^2) memory: T(1) = diag(S), so w and B are diagonal, J is the symbol
-    map S_ij / S_ii and ``YeadonTriple.reconstruct_map()`` the symbol map
-    diag(w B) J; each basis residual is a formula in S and J's symbol, and
-    J is applied to the random elements as one stack.  A map held by a
-    function (the transpose) is applied to the whole basis as one stack and
-    keeps function maps J and w B J.  Any breach beyond ``tol`` raises
+    The triple is read off T's symbol S in O(n^2) memory: T(1) = diag(S),
+    so w and B are diagonal, J is the symbol map S_ij / S_ii and
+    ``YeadonTriple.reconstruct_map()`` the symbol map diag(w B) J, both
+    transposed when T is; each basis residual is a formula in S and J's
+    symbol, and J is applied to the random elements as one stack.  A
+    symbol whose S_ij / S_ii overflows has no finite J, and its
+    reconstruction residual reads infinity.  Any breach beyond ``tol`` raises
     ``NotSeparating`` carrying the residual table and naming the first
     residual of ``_RESIDUAL_ORDER`` within round-off of the largest, so a
     successful return is a deterministic structural certificate.
     """
     tol = check_tol(tol)
-    extract = _symbol_triple if t.symbol is not None else _stack_triple
-    w, b, jmap, residuals = extract(t)
-    rng = np.random.default_rng(derive_seed(_EXTRACT_SEED))
-    square, star = _jordan_defects(jmap, t.random_elements(rng, _EXTRACT_SAMPLES))
-    residuals["jordan_square"] = max(residuals["jordan_square"], square)
-    residuals["jordan_adjoint"] = max(residuals["jordan_adjoint"], star)
+    w, b, k, residuals = _symbol_triple(t)
+    if np.isfinite(k).all():
+        jmap = LinearMap(k, t.algebra, t.group, t.transposed)
+        rng = np.random.default_rng(derive_seed(_EXTRACT_SEED))
+        square, star = _jordan_defects(jmap, t.random_elements(rng, _EXTRACT_SAMPLES))
+        residuals["jordan_square"] = max(residuals["jordan_square"], square)
+        residuals["jordan_adjoint"] = max(residuals["jordan_adjoint"], star)
+    else:
+        residuals["reconstruction"] = math.inf
 
     worst = max(residuals.values())
     if worst > tol:
@@ -876,12 +829,9 @@ def _search_cannot_refute(tmap, certificate, tol):
     (delta + 2 rho + rho^2) / (1 - rho)^2.  The search examines pairs with
     delta <= min(tol, 1e-10), and 64 n eps covers the round-off of
     computing the defects.  For c = 0 it is True exactly when S = 0: then T
-    = 0 and every image defect is 0.  False when ``tmap`` is not a symbol
-    map, and then only the search can decide.
+    = 0 and every image defect is 0.
     """
     symbol, c = tmap.symbol, certificate["c"]
-    if symbol is None:
-        return False
     if c == 0:
         return not symbol.any()
     if certificate["kind"] == "scalar-character":
@@ -1000,9 +950,8 @@ def schur_verdicts(m, ps, trials=200, seed=0, tol=DEFAULT_TOL,
     """The verdict of :func:`classify_schur` at each exponent of ``ps``, in
     order, from one factorization, at most one witness search and one SVD
     of the isometry samples."""
-    mm = as_complex_matrix(m)
-    tmap = schur_multiplier_map(mm)
-    cert = rank_one_unimodular_factor(mm, tol)
+    tmap = schur_multiplier_map(m)
+    cert = rank_one_unimodular_factor(tmap.symbol, tol)
     certificate = None
     if cert is not None:
         certificate = {

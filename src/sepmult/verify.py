@@ -527,18 +527,22 @@ def _cell_schur_converse(n, config):
         m, p=2.0, trials=config.trials, seed=config.seed, tol=config.tol))
 
 
-def _moved_units(tmap):
-    """Indices k of the matrix units e_k whose image T(e_k) is not exactly a
-    multiple of e_k; a map on M_n is a Schur multiplier iff there is none."""
-    return np.flatnonzero((tmap.images * (1.0 - tmap.basis())).any(axis=(1, 2)))
+def _moved_units(images):
+    """Indices k of the matrix units e_k whose image T(e_k), the k-th of
+    the (n^2, n, n) stack ``images``, is not exactly a multiple of e_k; a
+    map on M_n is a Schur multiplier iff there is none."""
+    n = images.shape[-1]
+    units = np.eye(n * n).reshape(-1, n, n)
+    return np.flatnonzero((images * (1.0 - units)).any(axis=(1, 2)))
 
 
 def _cell_transpose(n, config):
     if n < 2:
         return True, 0.0, "transposition is the identity in dimension 1"
     tmap = transpose_map(n)
-    # transposition moves every off-diagonal unit e_ij to e_ji
-    if _moved_units(tmap).size != n * n - n:
+    # transposition moves every off-diagonal unit e_ij to e_ji; read off
+    # the images, not the map's transposed flag, which would assume it
+    if _moved_units(tmap.images).size != n * n - n:
         return False, math.inf, "an entrywise symbol reproduced transposition"
     triple = yeadon_extract(tmap, tol=1e-8)
     worst = max(triple.residuals.values())

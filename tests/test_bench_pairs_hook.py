@@ -1,7 +1,9 @@
 """The traced benchmark run counts the pairs each witness search examined by
-parsing the verdict's witness label (``_pairs_hook`` in perfbench/run.py).
-These tests feed it real verdicts, so a change of the labels that the parser
-does not follow fails here rather than in a traced run."""
+parsing the verdict's witness label (``_pairs_hook`` in perfbench/run.py),
+and records the largest basis-image stack of the maps built
+(``_map_hook``).  These tests feed the hooks real verdicts and maps, so a
+change of the labels or of the map representation that the hooks do not
+follow fails here rather than in a traced run."""
 
 import importlib.util
 import os
@@ -11,7 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sepmult.classify import fourier_multiplier_map, schur_multiplier_map, separating_test
+from sepmult.classify import (
+    fourier_multiplier_map,
+    schur_multiplier_map,
+    separating_test,
+    transpose_map,
+)
 from sepmult.groups import builtin_group
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -78,6 +85,18 @@ def test_trial_witness(run_module):
 def test_separating_verdict_counts_every_pair(run_module):
     assert _counts(run_module, _dihedral4(), 7) == (5 + 7, 7)
     assert _counts(run_module, schur_multiplier_map(np.ones((3, 3))), 7) == (3 + 7, 7)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _dihedral4(sr2=1j),
+    lambda: schur_multiplier_map(np.arange(16.0).reshape(4, 4)),
+    lambda: transpose_map(4),
+], ids=["fourier", "schur", "transpose"])
+def test_map_hook_records_the_basis_image_bytes(run_module, build):
+    tmap = build()
+    recorder = run_module.new_recorder()
+    run_module._map_hook(recorder, (), tmap)
+    assert recorder.maxima["classify.map_bytes_max"] == tmap.images.nbytes > 0
 
 
 def test_environment_restored(run_module):

@@ -50,7 +50,7 @@ from sepmult.vna import (
     regular_representation,
 )
 
-from dense_maps import dense_map
+from dense_maps import DenseMap
 
 # a refusal names the first residual in this order that reads the largest
 # value up to round-off
@@ -138,15 +138,29 @@ def test_transpose_map_is_separating():
 
 def test_linear_map_validation():
     g = builtin_group("cyclic(2)")
-    identity = lambda x: x
+    ones = np.ones((2, 2))
     with pytest.raises(ValueError, match="algebra must be"):
-        LinearMap(identity, 2, "weird", g)
+        LinearMap(ones, "weird", g)
     with pytest.raises(ValueError, match="need a group of order 2"):
-        LinearMap(identity, 2, "group")
+        LinearMap(ones, "group")
     with pytest.raises(ValueError, match="need a group of order 3"):
-        LinearMap(identity, 3, "group", g)
+        LinearMap(np.ones((3, 3)), "group", g)
     with pytest.raises(ValueError, match="take no group"):
-        LinearMap(identity, 2, "matrix", g)
+        LinearMap(ones, "matrix", g)
+    with pytest.raises(ValueError, match="must be \\[phi"):
+        LinearMap([[1.0, 2.0], [3.0, 4.0]], "group", g)
+    with pytest.raises(ValueError, match="square matrix"):
+        LinearMap(np.ones((2, 3)), "matrix")
+    with pytest.raises(ValueError, match="finite"):
+        LinearMap([[1.0, np.nan], [1.0, 1.0]], "matrix", transposed=True)
+
+
+def test_linear_map_keeps_its_own_symbol():
+    m = np.ones((2, 2))
+    t = LinearMap(m, "matrix", transposed=True)
+    m[0, 1] = 5.0
+    np.testing.assert_array_equal(t.symbol, np.ones((2, 2)))
+    assert t.transposed and not schur_multiplier_map(m).transposed
 
 
 def test_apply_checks_the_operand_shape():
@@ -540,7 +554,7 @@ def _reference_yeadon(t):
     bpw = psd_pseudo_inverse(b, cutoff) @ w.conj().T
     basis = list(_reference_basis(t))
     t_images = [t.apply(a) for a in basis]
-    jmap = dense_map([bpw @ img for img in t_images], t.algebra, t.group)
+    jmap = DenseMap([bpw @ img for img in t_images], t.algebra, t.group)
 
     scale_t = max(frobenius(img) for img in t_images) or 1.0
     residuals = {}
@@ -623,8 +637,21 @@ def _nonfactorable_extraction_cases():
 
 
 def _transpose_extraction_cases():
+    rng = np.random.default_rng(42)
     for n in range(2, 6):
         yield transpose_map(n)
+    for n in range(1, 7):
+        # x -> S * x^T: rank-one unimodular, distinct moduli (B one cluster
+        # per entry), non-factorable with T(1) invertible, and one zero
+        # entry of T(1)
+        alpha, beta = _unimodular(rng, n), _unimodular(rng, n)
+        yield LinearMap(np.outer(alpha, beta), "matrix", transposed=True)
+        yield LinearMap(np.outer(alpha * np.arange(1.0, n + 1.0), beta), "matrix",
+                        transposed=True)
+        yield LinearMap(np.outer(alpha, beta) + 2.0 * np.eye(n), "matrix", transposed=True)
+        m = np.outer(_unimodular(rng, n), _unimodular(rng, n))
+        m[-1, -1] = 0.0
+        yield LinearMap(m, "matrix", transposed=True)
 
 
 def _larger_fourier_extraction_cases():
@@ -671,7 +698,7 @@ def _diagonal_schur_extraction_cases():
     (_fourier_extraction_cases, 4),       # the random symbols but cyclic(1)'s
     (_rank_one_extraction_cases, 0),
     (_nonfactorable_extraction_cases, 7),
-    (_transpose_extraction_cases, 0),
+    (_transpose_extraction_cases, 15),    # n > 1 and not rank-one unimodular
     (_larger_fourier_extraction_cases, 3),    # the random symbols and [0, 1, 1]
     (_diagonal_schur_extraction_cases, 14),   # all but the zero symbols
 ])
@@ -708,49 +735,6 @@ def test_extraction_accepts_rescaled_rank_one_schur_map(scale):
     np.testing.assert_allclose(triple.b / scale, np.eye(3), atol=1e-12)
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-10, 1e-200])
-def test_extraction_refuses_rescaled_non_separating_map(scale):
-    # T(lambda(e)) = P, T(lambda(s)) = P + Q on cyclic(2) is not separating:
-    # T(E+)* T(E-) = -Q/4 for the minimal projections E+-.  The
-    # reconstruction residual is relative to T(basis), so it reads the same
-    # at every scale
-    g = builtin_group("cyclic(2)")
-    p = np.full((2, 2), 0.5, dtype=np.complex128)
-    q = np.eye(2) - p
-    t = dense_map(scale * np.stack([p, p + q]), "group", g)
-    with pytest.raises(NotSeparating) as info:
-        yeadon_extract(t)
-    assert info.value.residuals["reconstruction"] == pytest.approx(2 ** -0.5, rel=1e-9)
-
-
-@pytest.mark.parametrize("moduli", ["unimodular", "distinct", "transpose"])
-def test_extraction_memory_stays_within_ten_basis_stacks(moduli):
-    # a map held by a function takes the stack path: a handful of dense
-    # (n^2, n, n) stacks, the basis, T and J of it, the samples; never a
-    # (clusters x basis) or n^5 broadcast.  The Schur symbol is applied by
-    # a function that keeps no symbol; distinct moduli give B = |T(1)| one
-    # spectral cluster per eigenvalue
-    n = 24
-    rng = np.random.default_rng(35)
-    if moduli == "transpose":
-        t = transpose_map(n)
-    else:
-        alpha = _unimodular(rng, n)
-        if moduli == "distinct":
-            alpha *= np.arange(1.0, n + 1.0)
-        m = np.outer(alpha, _unimodular(rng, n))
-        t = LinearMap(lambda x: x * m, n, "matrix")
-    assert t.symbol is None
-    stack_bytes = n ** 4 * np.dtype(np.complex128).itemsize
-    tracemalloc.start()
-    try:
-        _extraction_outcome(yeadon_extract, t)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * stack_bytes
-
-
 def test_yeadon_triple_holds_no_dense_stack():
     # w, B and the symbol maps J and w B J, n x n each: no (n^2, n, n)
     # stack of basis images, which would be 16 MB at n = 32
@@ -767,12 +751,13 @@ def test_yeadon_triple_holds_no_dense_stack():
     np.testing.assert_allclose(triple.reconstruct_map().apply(x), t.apply(x), atol=1e-9)
 
 
-@pytest.mark.parametrize("kind", ["rank-one", "distinct-moduli", "non-factorable"])
+@pytest.mark.parametrize("kind", ["rank-one", "distinct-moduli", "non-factorable",
+                                  "transpose"])
 def test_multiplier_extraction_reads_the_symbol_not_the_basis(kind):
-    # a 48 x 48 Schur map: T of the whole basis would be one 85 MB stack.
-    # Read off the symbol, the triple costs a few n x n arrays and the
-    # eight n x n random samples.  Distinct moduli give B = |T(1)| one
-    # spectral cluster per eigenvalue
+    # a 48 x 48 Schur map or the transpose: T of the whole basis would be
+    # one 85 MB stack.  Read off the symbol, the triple costs a few n x n
+    # arrays and the eight n x n random samples.  Distinct moduli give B =
+    # |T(1)| one spectral cluster per eigenvalue
     n = 48
     rng = np.random.default_rng(39)
     alpha = _unimodular(rng, n)
@@ -781,7 +766,10 @@ def test_multiplier_extraction_reads_the_symbol_not_the_basis(kind):
     m = np.outer(alpha, _unimodular(rng, n))
     if kind == "non-factorable":
         m += 2.0 * np.eye(n)
-    t = schur_multiplier_map(m)
+    if kind == "transpose":
+        t, m = transpose_map(n), np.ones((n, n))
+    else:
+        t = schur_multiplier_map(m)
     tracemalloc.start()
     try:
         outcome = _extraction_outcome(yeadon_extract, t)
@@ -789,11 +777,21 @@ def test_multiplier_extraction_reads_the_symbol_not_the_basis(kind):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
-    assert isinstance(outcome, NotSeparating) == (kind != "rank-one")
-    if kind == "rank-one":
+    accepted = kind in ("rank-one", "transpose")
+    assert isinstance(outcome, NotSeparating) != accepted
+    if accepted:
         rebuilt = outcome.reconstruct_map()
-        assert outcome.jmap.symbol is not None and rebuilt.symbol is not None
+        assert outcome.jmap.transposed == rebuilt.transposed == (kind == "transpose")
         np.testing.assert_allclose(rebuilt.symbol, m, rtol=0, atol=1e-13)
+
+
+def test_overflowing_jordan_symbol_is_refused():
+    # S_01 / S_00 = 1e600 overflows: no finite J rebuilds T
+    m = np.array([[1e-300, 1e300], [1e300, 1e-300]])
+    with np.errstate(all="ignore"), pytest.raises(NotSeparating) as info:
+        yeadon_extract(schur_multiplier_map(m))
+    assert info.value.failing == "reconstruction"
+    assert info.value.residuals["reconstruction"] == math.inf
 
 
 def _rescaling_cases():
@@ -1034,6 +1032,17 @@ def test_classify_schur_zero_symbol():
 def test_matrix_dimension_below_one_is_refused(build):
     with pytest.raises(ValueError, match="matrix dimension must be at least 1, got"):
         build()
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", True, False], ids=repr)
+def test_matrix_dimension_that_is_no_integer_is_refused(n):
+    # 2.5 would build a map of algebra_dim 6.25, True the 1 x 1 transpose
+    with pytest.raises(ValueError, match="matrix dimension must be an integer, got"):
+        transpose_map(n)
+
+
+def test_numpy_integer_matrix_dimension_is_accepted():
+    assert transpose_map(np.int64(3)).matrix_dim == 3
 
 
 # ---------------------------------------------------------------------------

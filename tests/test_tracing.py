@@ -45,6 +45,8 @@ MAP_BUILDERS = {
     "transpose": lambda: transpose_map(3),
     "jmap": lambda: _triple().jmap,
     "reconstruct_map": lambda: _triple().reconstruct_map(),
+    "transpose jmap": lambda: yeadon_extract(transpose_map(3)).jmap,
+    "transpose reconstruct_map": lambda: yeadon_extract(transpose_map(3)).reconstruct_map(),
 }
 
 

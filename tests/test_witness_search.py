@@ -12,6 +12,7 @@ from sepmult.classify import (
     SEPARATING,
     PairCache,
     PAIR_CACHE,
+    LinearMap,
     _chunks,
     classify_schur,
     deterministic_probes,
@@ -31,7 +32,7 @@ from sepmult.vna import (
     regular_representation,
 )
 
-from dense_maps import dense_map
+from dense_maps import DenseMap
 
 TRIALS = 200
 SEED = 3
@@ -44,16 +45,20 @@ SEED = 3
 def _dense_fourier(g, phi):
     images = np.stack([phi[s] * regular_representation(g, s)
                        for s in range(g.order)])
-    return dense_map(images, "group", g)
+    return DenseMap(images, "group", g)
 
 
-def _dense_schur(m):
+def _dense_schur(m, transposed=False):
+    """x -> m * x, or x -> m * x^T, from the image of each e_ij."""
     n = m.shape[0]
     images = np.zeros((n * n, n, n), dtype=np.complex128)
     for i in range(n):
         for j in range(n):
-            images[i * n + j, i, j] = m[i, j]
-    return dense_map(images, "matrix")
+            if transposed:
+                images[i * n + j, j, i] = m[j, i]
+            else:
+                images[i * n + j, i, j] = m[i, j]
+    return DenseMap(images, "matrix")
 
 
 def _reference_pairs(t, dense, trials, seed):
@@ -134,34 +139,40 @@ def test_fourier_search_matches_per_pair_reference(case):
 
 
 def _schur_cases():
+    """(label, symbol, transposed) of each map."""
     rng = np.random.default_rng(43)
     cases = []
     for n in (2, 3, 8, 24):
         cases.append(("%d/random" % n,
-                      rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))))
+                      rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), False))
         late = np.ones((n, n), dtype=np.complex128)
         late[n - 1, n - 2] = 2.0      # only the last Hadamard probe sees it
-        cases.append(("%d/last-probe" % n, late))
+        cases.append(("%d/last-probe" % n, late, False))
         rank_one = np.outer(np.exp(2j * np.pi * rng.random(n)),
                             np.exp(2j * np.pi * rng.random(n)))
-        cases.append(("%d/rank-one" % n, 1.5 * rank_one))
+        cases.append(("%d/rank-one" % n, 1.5 * rank_one, False))
+    # x -> m * x^T for Gaussian m
+    for n in (3, 5):
+        cases.append(("%d/random-transposed" % n,
+                      rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), True))
     # every 2x2 principal corner is rank-one unimodular, so no probe sees
     # it, but the whole matrix is not: the witness is a trial
     w = np.exp(0.7j)
-    cases.append(("3/corners", np.array([[1, 1, 1], [1, 1, w], [1, np.conj(w), 1]])))
+    cases.append(("3/corners", np.array([[1, 1, 1], [1, 1, w], [1, np.conj(w), 1]]), False))
     # the block symbol: ones but m[0, n-1] = m[n-1, 0] = -1; every 2x2
     # principal corner is rank-one unimodular, so the whole probe sweep runs
     block = np.ones((6, 6), dtype=np.complex128)
     block[0, 5] = block[5, 0] = -1.0
-    cases.append(("6/block", block))
+    cases.append(("6/block", block, False))
     return cases
 
 
 @pytest.mark.parametrize("case", _schur_cases(), ids=lambda case: case[0])
 def test_schur_search_matches_per_pair_reference(case):
-    _, m = case
+    _, m, transposed = case
     m = np.asarray(m, dtype=np.complex128)
-    _assert_matches_reference(schur_multiplier_map(m), _dense_schur(m))
+    _assert_matches_reference(LinearMap(m, "matrix", transposed=transposed),
+                              _dense_schur(m, transposed))
 
 
 @pytest.mark.parametrize("kind", ["fourier", "schur"])
