@@ -1,12 +1,13 @@
 """Classification of linear maps on matrix and group von Neumann algebras.
 
-The objects under test are linear maps T on a full matrix algebra or a
-group algebra, each held by one n x n symbol S.  Fourier and Schur
-multipliers act entrywise, ``T(x) = S * x``: a Schur symbol is its matrix
-m, and the Fourier multiplier phi is the Schur multiplier [phi(u t^-1)]
-restricted to VN(G) (Fourier-Schur transference).  The only other form is
-a multiplier after the transpose, ``T(x) = S * x^T``: the transpose itself
-is the all-ones symbol, transposed.  Three questions are answered:
+The objects under test are multipliers built from the symbol the theory
+names: ``LinearMap(m)`` is the Schur multiplier of an n x n matrix m, and
+``LinearMap(phi, g)`` the Fourier multiplier M_phi of a function phi on a
+group g.  Both act entrywise, ``T(x) = S * x``, with S = m, or S = [phi(u
+t^-1)], whose Schur multiplier restricted to VN(G) is M_phi (Fourier-Schur
+transference).  The only other form is a multiplier after the transpose,
+``T(x) = S * x^T``: the transpose is the all-ones symbol, transposed.
+Three questions are answered:
 
 * is T separating, i.e. does it send disjoint pairs (a*b = ab* = 0) to
   disjoint pairs?  Refutation is sound: a verified witness ends the matter.
@@ -125,40 +126,35 @@ class NotSeparating(ClassifyError):
 
 
 class LinearMap:
-    """Multiplier map on an operator algebra, held by its n x n symbol S.
+    """Multiplier on an operator algebra, built from its symbol.
 
-    ``algebra`` is "matrix" (full matrix algebra, basis e_ij in row-major
-    order, trace weight 1) or "group" (group von Neumann algebra, basis
-    lambda(s), trace weight 1/|G|).  ``LinearMap(symbol, algebra, group)``
-    is the multiplier x -> S * x (entrywise), and with ``transposed`` the
-    map x -> S * x^T; the transpose is the all-ones symbol, transposed.
-    ``apply`` checks the shape of its argument, one matrix or a stack of
-    them.  A group-algebra symbol is [phi(u t^-1)]: the matrix of sum_s
-    f(s) lambda(s) has f(u t^-1) at (u, t), so on VN(G) the map is the
-    Fourier multiplier M_phi (Fourier-Schur transference).  ``images``, the
-    stack of T applied to the canonical basis, is computed on each read.
+    ``LinearMap(m)`` is the Schur multiplier x -> m * x (entrywise) on the
+    n x n matrices: ``algebra`` "matrix", basis e_ij in row-major order,
+    trace weight 1.  ``LinearMap(phi, g)``, phi one value per element of g
+    in table order, is the Fourier multiplier lambda(s) -> phi(s) lambda(s):
+    ``algebra`` "group", basis lambda(s), trace weight 1/|G|.  The matrix of
+    sum_s f(s) lambda(s) has f(u t^-1) at (u, t), so M_phi is the entrywise
+    product with its ``symbol`` S = [phi(u t^-1)] (Fourier-Schur
+    transference).  With ``transposed`` the map is x -> S * x^T.  ``apply``
+    takes one matrix or a stack of them; ``images``, T of the canonical
+    basis, is computed on each read.
     """
 
-    __slots__ = ("algebra", "group", "transposed", "_symbol")
+    __slots__ = ("group", "transposed", "_symbol")
 
-    def __init__(self, symbol, algebra, group=None, transposed=False):
-        symbol = as_complex_matrix(symbol)
-        n = symbol.shape[0]
-        _check_matrix_dim(n)
-        if algebra == "matrix":
-            if group is not None:
-                raise ValueError("matrix-algebra maps take no group")
-        elif algebra == "group":
-            if group is None or group.order != n:
-                raise ValueError("group-algebra maps need a group of order %d" % n)
-            if not np.array_equal(symbol, symbol[:, group.identity][group.rebuild_grid]):
-                raise ValueError("a group-algebra symbol must be [phi(u t^-1)]")
+    def __init__(self, symbol, group=None, transposed=False):
+        if group is None:
+            symbol = as_complex_matrix(symbol)
+            check_dim(symbol.shape[0])
         else:
-            raise ValueError("algebra must be 'matrix' or 'group'")
-        self.algebra = algebra
+            symbol = as_symbol(group, symbol)[group.rebuild_grid]
         self.group = group
         self.transposed = bool(transposed)
         self._symbol = symbol
+
+    @property
+    def algebra(self):
+        return "matrix" if self.group is None else "group"
 
     @property
     def images(self):
@@ -177,21 +173,18 @@ class LinearMap:
     @property
     def algebra_dim(self):
         n = self.matrix_dim
-        return n if self.algebra == "group" else n * n
+        return n if self.group is not None else n * n
 
     @property
     def trace_weight(self):
-        return 1.0 / self.group.order if self.algebra == "group" else 1.0
+        return 1.0 / self.group.order if self.group is not None else 1.0
 
     def basis(self):
         """The canonical basis as a (algebra_dim, n, n) stack."""
         eye = np.eye(self.algebra_dim, dtype=np.complex128)
-        if self.algebra == "group":
+        if self.group is not None:
             return eye[:, self.group.rebuild_grid]
         return eye.reshape(-1, self.matrix_dim, self.matrix_dim)
-
-    def unit(self):
-        return np.eye(self.matrix_dim, dtype=np.complex128)
 
     def apply(self, x):
         x = np.asarray(x, dtype=np.complex128)
@@ -207,34 +200,26 @@ class LinearMap:
         stack; each draws the real, then the imaginary parts of its basis
         coefficients."""
         n = self.matrix_dim
-        if self.algebra == "group":
+        if self.group is not None:
             return complex_gaussians([rng] * count, (n,))[:, self.group.rebuild_grid]
         return complex_gaussians([rng] * count, (n, n))
 
 
 def fourier_multiplier_map(g, phi):
-    """LinearMap of the Fourier multiplier lambda(s) -> phi[s] lambda(s),
-    held as the Schur symbol [phi(u t^-1)]."""
-    return LinearMap(as_symbol(g, phi)[g.rebuild_grid], "group", g)
-
-
-def _check_matrix_dim(n):
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError("matrix dimension must be an integer, got %r" % (n,))
-    if n < 1:
-        raise ValueError("matrix dimension must be at least 1, got %d" % n)
+    """LinearMap of the Fourier multiplier lambda(s) -> phi[s] lambda(s)."""
+    return LinearMap(phi, g)
 
 
 def schur_multiplier_map(m):
     """LinearMap of the entrywise action x -> m .* x on a matrix algebra."""
-    return LinearMap(m, "matrix")
+    return LinearMap(m)
 
 
 def transpose_map(n):
     """LinearMap of the transpose x -> x^T on the n x n matrices: the
     all-ones symbol, transposed."""
-    _check_matrix_dim(n)
-    return LinearMap(np.ones((n, n)), "matrix", transposed=True)
+    n = check_dim(n)
+    return LinearMap(np.ones((n, n)), transposed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +508,16 @@ def check_trials(trials):
     return int(trials)
 
 
+def check_dim(n, error=ValueError):
+    """``int(n)``; raises ``error`` unless n is a Python or numpy integer of
+    at least 1 (a bool is no dimension)."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise error("matrix dimension must be an integer, got %r" % (n,))
+    if n < 1:
+        raise error("matrix dimension must be at least 1, got %d" % n)
+    return int(n)
+
+
 def check_seed(seed, error=ValueError):
     """``int(seed)``; raises ``error`` unless seed is a Python or numpy
     integer (a bool is no seed)."""
@@ -654,9 +649,16 @@ class YeadonTriple:
     def reconstruct_map(self):
         """The map x -> w B J(x): J is the symbol map K and w, B are
         diagonal, so it is the symbol map diag(w B) K, transposed with J."""
-        j = self.jmap
-        return LinearMap((self.w @ self.b).diagonal()[:, None] * j.symbol,
-                         j.algebra, j.group, j.transposed)
+        return _map_like(self.jmap, (self.w @ self.b).diagonal()[:, None] * self.jmap.symbol)
+
+
+def _map_like(t, k):
+    """The map with n x n symbol k on t's algebra, transposed with t.  On a
+    group algebra k must be [psi(u t^-1)], as the symbols of J and w B J
+    are; its column at the identity then rebuilds it bit for bit."""
+    if t.group is None:
+        return LinearMap(k, transposed=t.transposed)
+    return LinearMap(k[:, t.group.identity], t.group, t.transposed)
 
 
 def _worst(stack):
@@ -684,6 +686,9 @@ def _jordan_defects(jmap, samples):
     return worst_square, _worst(star)
 
 
+# an S_ij / S_ii that overflows leaves K infinite and the residuals inf or
+# NaN; yeadon_extract refuses such a K whatever they read, so nothing warns
+@np.errstate(over="ignore", invalid="ignore")
 def _symbol_triple(t):
     """(w, B, J's symbol K, residuals on the basis) of the symbol map T,
     read off its symbol S.
@@ -767,7 +772,7 @@ def yeadon_extract(t, tol=DEFAULT_TOL):
     tol = check_tol(tol)
     w, b, k, residuals = _symbol_triple(t)
     if np.isfinite(k).all():
-        jmap = LinearMap(k, t.algebra, t.group, t.transposed)
+        jmap = _map_like(t, k)
         rng = np.random.default_rng(derive_seed(_EXTRACT_SEED))
         square, star = _jordan_defects(jmap, t.random_elements(rng, _EXTRACT_SAMPLES))
         residuals["jordan_square"] = max(residuals["jordan_square"], square)

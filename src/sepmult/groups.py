@@ -308,7 +308,7 @@ def as_symbol(g, phi):
     if values.shape != (g.order,):
         raise ValueError("symbol needs shape (%d,), one value per group element, "
                          "got %r" % (g.order, values.shape))
-    if not np.isfinite(values.view(np.float64)).all():
+    if not np.isfinite(values).all():
         raise ValueError("symbol values must be finite")
     return values
 

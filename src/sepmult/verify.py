@@ -23,6 +23,7 @@ from .classify import (
     NOT_SEPARATING,
     SEPARATING,
     NotSeparating,
+    check_dim,
     check_seed,
     check_trials,
     classify_fourier,
@@ -113,12 +114,7 @@ class SuiteConfig:
 
     def __post_init__(self):
         self.groups = tuple(self.groups)
-        self.matrix_dims = tuple(self.matrix_dims)   # read twice below
-        for n in self.matrix_dims:
-            # int() would run 2.7 as dimension 2 and "3" as dimension 3
-            if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-                raise SuiteError("matrix dims must be integers (not bools), got %r" % (n,))
-        self.matrix_dims = tuple(int(n) for n in self.matrix_dims)
+        self.matrix_dims = tuple(check_dim(n, SuiteError) for n in self.matrix_dims)
         for name in ("groups", "matrix_dims"):
             # each entry names its cells, so a repeat would run them twice
             labels = [str(item) for item in getattr(self, name)]
@@ -129,8 +125,6 @@ class SuiteConfig:
         self.trials = check_trials(self.trials)
         self.seed = check_seed(self.seed, SuiteError)
         check_tol(self.tol, SuiteError)
-        if any(n < 1 for n in self.matrix_dims):
-            raise SuiteError("matrix dims must be positive")
         for item in self.injected:
             if not isinstance(item, dict):
                 raise SuiteError("each injected case must be an object")

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -136,28 +137,68 @@ def test_transpose_map_is_separating():
     assert verdict.status == SEPARATING
 
 
-def test_linear_map_validation():
-    g = builtin_group("cyclic(2)")
-    ones = np.ones((2, 2))
-    with pytest.raises(ValueError, match="algebra must be"):
-        LinearMap(ones, "weird", g)
-    with pytest.raises(ValueError, match="need a group of order 2"):
-        LinearMap(ones, "group")
-    with pytest.raises(ValueError, match="need a group of order 3"):
-        LinearMap(np.ones((3, 3)), "group", g)
-    with pytest.raises(ValueError, match="take no group"):
-        LinearMap(ones, "matrix", g)
-    with pytest.raises(ValueError, match="must be \\[phi"):
-        LinearMap([[1.0, 2.0], [3.0, 4.0]], "group", g)
-    with pytest.raises(ValueError, match="square matrix"):
-        LinearMap(np.ones((2, 3)), "matrix")
-    with pytest.raises(ValueError, match="finite"):
-        LinearMap([[1.0, np.nan], [1.0, 1.0]], "matrix", transposed=True)
+@pytest.mark.parametrize("m, message", [
+    (np.ones(2), "square matrix"),
+    (np.ones((2, 3)), "square matrix"),
+    ([[1.0, np.nan], [1.0, 1.0]], "finite"),
+    (np.zeros((0, 0)), "matrix dimension must be at least 1, got 0"),
+], ids=["one-dimensional", "not-square", "nan", "empty"])
+def test_matrix_map_refuses_an_m_that_is_no_symbol(m, message):
+    with pytest.raises(ValueError, match=message):
+        LinearMap(m)
+    with pytest.raises(ValueError, match=message):
+        LinearMap(m, transposed=True)
+
+
+def test_algebra_is_read_off_the_group():
+    g = builtin_group("symmetric(3)")
+    maps = {"group": [LinearMap(np.arange(6.0), g), fourier_multiplier_map(g, np.ones(6)),
+                      LinearMap(np.ones(6), g, transposed=True)],
+            "matrix": [LinearMap(np.ones((6, 6))), schur_multiplier_map(np.ones((2, 2))),
+                       transpose_map(3)]}
+    for algebra, built in maps.items():
+        for t in built:
+            assert t.algebra == algebra
+            assert (t.group is g) == (algebra == "group")
+            with pytest.raises(AttributeError):
+                t.algebra = "matrix" if algebra == "group" else "group"
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["cyclic(1)", "cyclic(8)", "dihedral(4)",
+                                  "quaternion8", "symmetric(4)"])
+def test_fourier_map_symbol_is_phi_on_the_rebuild_grid(name):
+    g = builtin_group(name)
+    rng = np.random.default_rng(7)
+    phi = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
+    for t in (LinearMap(phi, g), fourier_multiplier_map(g, phi)):
+        assert _same_bits(t.symbol, phi[g.rebuild_grid])
+        assert t.matrix_dim == t.algebra_dim == g.order
+
+
+@pytest.mark.parametrize("name", ["cyclic(8)", "dihedral(4)", "quaternion8", "symmetric(4)"])
+def test_fourier_triple_maps_equal_their_n_by_n_symbols(name):
+    # J and w B J are built from the identity column of their n x n symbols
+    # K and diag(w B) K; that column rebuilds each symbol bit for bit
+    g = builtin_group(name)
+    for psi in enumerate_characters(g):
+        for c in (1.0, 1.5j, 0.3 - 2.0j):
+            t = fourier_multiplier_map(g, c * psi.values)
+            w, b, k, _ = classify._symbol_triple(t)
+            triple = yeadon_extract(t)
+            rebuilt = triple.reconstruct_map()
+            assert triple.jmap.algebra == rebuilt.algebra == "group"
+            assert triple.jmap.group is rebuilt.group is g
+            assert _same_bits(triple.jmap.symbol, k)
+            assert _same_bits(rebuilt.symbol, (w @ b).diagonal()[:, None] * k)
 
 
 def test_linear_map_keeps_its_own_symbol():
     m = np.ones((2, 2))
-    t = LinearMap(m, "matrix", transposed=True)
+    t = LinearMap(m, transposed=True)
     m[0, 1] = 5.0
     np.testing.assert_array_equal(t.symbol, np.ones((2, 2)))
     assert t.transposed and not schur_multiplier_map(m).transposed
@@ -549,7 +590,7 @@ def _reference_yeadon(t):
     """Per-element Yeadon extraction: one ``apply`` of T or of the dense J
     per basis element and per sample, one cluster cut at a time."""
     cutoff = classify._PINV_CUTOFF
-    unit = t.unit()
+    unit = np.eye(t.matrix_dim, dtype=np.complex128)
     w, b = polar_decompose(t.apply(unit), cutoff)
     bpw = psd_pseudo_inverse(b, cutoff) @ w.conj().T
     basis = list(_reference_basis(t))
@@ -645,13 +686,12 @@ def _transpose_extraction_cases():
         # per entry), non-factorable with T(1) invertible, and one zero
         # entry of T(1)
         alpha, beta = _unimodular(rng, n), _unimodular(rng, n)
-        yield LinearMap(np.outer(alpha, beta), "matrix", transposed=True)
-        yield LinearMap(np.outer(alpha * np.arange(1.0, n + 1.0), beta), "matrix",
-                        transposed=True)
-        yield LinearMap(np.outer(alpha, beta) + 2.0 * np.eye(n), "matrix", transposed=True)
+        yield LinearMap(np.outer(alpha, beta), transposed=True)
+        yield LinearMap(np.outer(alpha * np.arange(1.0, n + 1.0), beta), transposed=True)
+        yield LinearMap(np.outer(alpha, beta) + 2.0 * np.eye(n), transposed=True)
         m = np.outer(_unimodular(rng, n), _unimodular(rng, n))
         m[-1, -1] = 0.0
-        yield LinearMap(m, "matrix", transposed=True)
+        yield LinearMap(m, transposed=True)
 
 
 def _larger_fourier_extraction_cases():
@@ -787,9 +827,12 @@ def test_multiplier_extraction_reads_the_symbol_not_the_basis(kind):
 
 def test_overflowing_jordan_symbol_is_refused():
     # S_01 / S_00 = 1e600 overflows: no finite J rebuilds T
+    # and no numpy warning escapes on the way
     m = np.array([[1e-300, 1e300], [1e300, 1e-300]])
-    with np.errstate(all="ignore"), pytest.raises(NotSeparating) as info:
-        yeadon_extract(schur_multiplier_map(m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotSeparating) as info:
+            yeadon_extract(schur_multiplier_map(m))
     assert info.value.failing == "reconstruction"
     assert info.value.residuals["reconstruction"] == math.inf
 

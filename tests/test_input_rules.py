@@ -10,6 +10,7 @@ import pytest
 
 from sepmult.classify import (
     InvalidTrials,
+    LinearMap,
     classify_fourier,
     classify_schur,
     fourier_multiplier_map,
@@ -106,9 +107,12 @@ BAD_SHAPES = {
     "column": np.ones((4, 1)),
     "row": np.ones((1, 4)),
     "square": np.ones((2, 2)),
+    # the n x n symbol [phi(u t^-1)] where phi belongs
+    "n-by-n": np.ones((4, 4)),
 }
 
 SYMBOL_ENTRY_POINTS = {
+    "LinearMap": lambda phi: LinearMap(phi, C4),
     "fourier_multiplier_map": lambda phi: fourier_multiplier_map(C4, phi),
     "herz_schur_symbol": lambda phi: herz_schur_symbol(C4, phi),
     "fit_scalar_character": lambda phi: fit_scalar_character(C4, phi),
@@ -129,9 +133,45 @@ def test_entry_points_refuse_a_symbol_that_is_not_one_dimensional(entry, shape):
 
 
 @pytest.mark.parametrize("entry", sorted(SYMBOL_ENTRY_POINTS))
+def test_entry_points_refuse_a_symbol_of_another_length(entry):
+    with pytest.raises(ValueError) as caught:
+        SYMBOL_ENTRY_POINTS[entry](np.ones(3))
+    assert str(caught.value) == (
+        "symbol needs shape (4,), one value per group element, got (3,)")
+
+
+@pytest.mark.parametrize("entry", sorted(SYMBOL_ENTRY_POINTS))
 def test_entry_points_refuse_non_finite_symbol_values(entry):
     with pytest.raises(ValueError, match="symbol values must be finite"):
         SYMBOL_ENTRY_POINTS[entry](np.array([1.0, np.nan, 1.0, 1.0]))
+
+
+#: the characters of cyclic(4) as the columns of exp(2 pi i j k / 4); a
+#: column is a strided view of a complex array
+FOURIER_MATRIX = np.exp(2j * np.pi * np.outer(np.arange(4), np.arange(4)) / 4)
+
+
+def test_entry_points_take_a_column_of_a_complex_matrix():
+    column = FOURIER_MATRIX[:, 1]
+    assert not column.flags.c_contiguous
+    assert classify_fourier(C4, column).status == "separating"
+    c, psi = fit_scalar_character(C4, column)
+    assert c == 1.0
+    np.testing.assert_array_equal(psi.values, fit_scalar_character(C4, column.copy())[1].values)
+    np.testing.assert_array_equal(herz_schur_symbol(C4, column),
+                                  herz_schur_symbol(C4, column.copy()))
+    np.testing.assert_array_equal(Character(C4, column).values, column)
+    np.testing.assert_array_equal(fourier_multiplier_map(C4, column).symbol,
+                                  column[C4.rebuild_grid])
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(1.0, np.inf)], ids=repr)
+@pytest.mark.parametrize("entry", sorted(SYMBOL_ENTRY_POINTS))
+def test_entry_points_refuse_non_finite_values_in_a_strided_view(entry, bad):
+    m = FOURIER_MATRIX.copy()
+    m[2, 1] = bad
+    with pytest.raises(ValueError, match="symbol values must be finite"):
+        SYMBOL_ENTRY_POINTS[entry](m[:, 1])
 
 
 GOOD_EXPONENTS = (np.int64(2), np.float32(2), np.float64(2), np.int32(1), 2, 2.0,
@@ -186,7 +226,7 @@ def test_suite_config_takes_a_numpy_trial_count_as_the_classifiers_do():
 def test_suite_config_refuses_a_bool_trial_count_or_matrix_dim():
     with pytest.raises(InvalidTrials, match="must be a positive integer"):
         SuiteConfig(trials=True)
-    with pytest.raises(SuiteError, match="not bools"):
+    with pytest.raises(SuiteError, match="matrix dimension must be an integer, got True"):
         SuiteConfig(matrix_dims=(2, True))
 
 

@@ -39,12 +39,19 @@ def _triple():
     return yeadon_extract(schur_multiplier_map(np.outer([1.0, 1j, -1.0], [1j, 1.0, 1.0])))
 
 
+def _fourier_triple():
+    g = builtin_group("dihedral(3)")
+    return yeadon_extract(fourier_multiplier_map(g, 2j * np.ones(g.order)))
+
+
 MAP_BUILDERS = {
     "fourier": lambda: fourier_multiplier_map(builtin_group("dihedral(3)"), np.arange(6.0)),
     "schur": lambda: schur_multiplier_map(np.arange(9.0).reshape(3, 3)),
     "transpose": lambda: transpose_map(3),
     "jmap": lambda: _triple().jmap,
     "reconstruct_map": lambda: _triple().reconstruct_map(),
+    "fourier jmap": lambda: _fourier_triple().jmap,
+    "fourier reconstruct_map": lambda: _fourier_triple().reconstruct_map(),
     "transpose jmap": lambda: yeadon_extract(transpose_map(3)).jmap,
     "transpose reconstruct_map": lambda: yeadon_extract(transpose_map(3)).reconstruct_map(),
 }

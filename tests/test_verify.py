@@ -62,11 +62,11 @@ def test_config_rejects_bad_values():
         SuiteConfig(trials=0)
     with pytest.raises(SuiteError):
         SuiteConfig(tol=0.0)
-    with pytest.raises(SuiteError):
+    with pytest.raises(SuiteError, match="matrix dimension must be at least 1, got 0"):
         SuiteConfig(matrix_dims=(0,))
     # no entry is cast: 2.7 would run dimension 2 and "3" dimension 3
     for dim in (2.7, "3"):
-        with pytest.raises(SuiteError, match="matrix dims must be integers"):
+        with pytest.raises(SuiteError, match="matrix dimension must be an integer"):
             SuiteConfig(matrix_dims=(dim,))
     with pytest.raises(SuiteError, match="groups lists cyclic\\(2\\) twice"):
         SuiteConfig(groups=("cyclic(2)", "cyclic(3)", "cyclic(2)"))

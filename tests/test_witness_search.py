@@ -171,7 +171,7 @@ def _schur_cases():
 def test_schur_search_matches_per_pair_reference(case):
     _, m, transposed = case
     m = np.asarray(m, dtype=np.complex128)
-    _assert_matches_reference(LinearMap(m, "matrix", transposed=transposed),
+    _assert_matches_reference(LinearMap(m, transposed=transposed),
                               _dense_schur(m, transposed))
 
 
