@@ -38,15 +38,17 @@ Three questions are answered:
 
 Witness searches run a deterministic probe family first (Hadamard-rotated
 coordinate splittings, involution pairs lambda(e) +- lambda(s)), then seeded
-random disjoint pairs.  Pairs are evaluated as stacks, in chunks of 1, 32,
-32, ... pairs with early exit.  The chunks, and each isometry sample with
-its singular values, are kept in one least-recently-used cache capped in
-bytes (``PAIR_CACHE``), shared by every map on the same algebra, because
-suite runs reuse the same seed across many symbols.
+random disjoint pairs.  A probe's image defect is read off the 2 x 2 block
+of the symbol it meets; trial pairs are evaluated as stacks, in chunks of
+1, 32, 32, ... pairs with early exit.  The trial chunks, and each isometry
+sample with its singular values, are kept in one least-recently-used cache
+capped in bytes (``PAIR_CACHE``), shared by every map on the same algebra,
+because suite runs reuse the same seed across many symbols.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -78,6 +80,7 @@ from .vna import (
     derive_seed,
     disjointness_defects,
     random_disjoint_pairs,
+    regular_representation,
     symbol_to_json,
 )
 
@@ -291,10 +294,10 @@ def verdict_to_json(v):
 # ---------------------------------------------------------------------------
 # disjoint pair supply
 #
-# The witness search reads pairs in chunks: a (2, K, n, n) stack holding the
-# first legs and the second legs of K pairs, together with the disjointness
-# defect of each pair.  Chunks hold 1, 32, 32, ... pairs, so a map refuted by
-# its first pair pays for that pair only.
+# The witness search reads its trial pairs in chunks: a (2, K, n, n) stack
+# holding the first legs and the second legs of K pairs, together with the
+# disjointness defect of each pair.  Chunks hold 1, 32, 32, ... pairs, so a
+# map refuted by its first trial pays for that pair only.
 
 _FIRST_CHUNK = 1
 _CHUNK = 32
@@ -341,14 +344,14 @@ class PairCache:
         return entry
 
 
-#: the probe and trial chunks and the isometry samples of every algebra,
-#: keyed by the algebra's dimension or group table (``_algebra_key``), so
-#: equal algebras share them
+#: the trial chunks and the isometry samples of every algebra, keyed by the
+#: algebra's dimension or group table (``_algebra_key``), so equal algebras
+#: share them; probes are read off the symbol and need no pairs
 PAIR_CACHE = PairCache(64 << 20)
 
 
 def _algebra_key(t):
-    return t.group.mul.tobytes() if t.algebra == "group" else t.matrix_dim
+    return t.group.table_bytes if t.group is not None else t.matrix_dim
 
 
 def _chunks(total):
@@ -428,71 +431,92 @@ def _trial_stack(t, seed, start, stop):
     return random_disjoint_pairs_matrix(t.matrix_dim, seeds)
 
 
-def _probe_count(t):
-    if t.algebra == "group":
-        return len(t.group.involutions())
+def _probe_keys(t):
+    """The probes in search order: the involutions s of a group algebra in
+    index order, or the index pairs (i, j), i < j, in row-major order."""
+    if t.group is not None:
+        return t.group.involutions()
+    return itertools.combinations(range(t.matrix_dim), 2)
+
+
+def _probe_label(t, probe):
+    if t.group is not None:
+        return "probe:involution:%s" % t.group.names[probe]
+    return "probe:hadamard:%d,%d" % probe
+
+
+def _probe_pair(t, probe):
+    """The probe's pair legs as a (2, n, n) stack: 1 +- lambda(s) for an
+    involution s, (e_i +- e_j)(e_i +- e_j)* / 2 for (i, j)."""
     n = t.matrix_dim
-    return n * (n - 1) // 2
+    if t.group is not None:
+        lam = regular_representation(t.group, probe)
+        return np.stack([np.eye(n) + lam, np.eye(n) - lam])
+    i, j = probe
+    r = 1.0 / math.sqrt(2.0)
+    pair = np.zeros((2, n, n), dtype=np.complex128)
+    # 1/2 as r * r, as the outer products of the rotated columns give it
+    pair[:, (i, i, j, j), (i, j, i, j)] = r * r
+    pair[1, (i, j), (j, i)] = -r * r
+    return pair
 
 
-def _hadamard_indices(n, k):
-    """(i, j) of the k-th index pair i < j < n in row-major order; k may be
-    an array."""
-    rows = np.arange(n - 1)
-    starts = rows * (n - 1) - rows * (rows - 1) // 2
-    i = np.searchsorted(starts, k, side="right") - 1
-    return i, k - starts[i] + i + 1
+def _probe_violation(t, probe):
+    """The disjointness defect of the probe's images, read off the 2 x 2
+    principal block of the symbol S that the probe meets.
 
+    The probes are disjoint by construction: (1 + lambda(s))(1 - lambda(s))
+    = 1 - lambda(s^2) = 0 with both legs self-adjoint, and the rotated
+    coordinate projections are orthogonal.  A Hadamard probe (i, j) has
+    images A/2 and B/2 on rows and columns {i, j}, 0 elsewhere, for A =
+    [[a, b], [c, d]] = [[S_ii, S_ij], [S_ji, S_jj]] and B = [[a, -b], [-c,
+    d]], for the transposed map too as both legs are symmetric.  1 +-
+    lambda(s) is the direct sum of n/2 copies of [[1, +-1], [+-1, 1]], one
+    per coset {u, s u}, on each of which S reads A = [[phi(e), phi(s)],
+    [phi(s), phi(e)]], so the defect is sqrt(2/n) times the block's.  With
+    N = |a|^2 + |b|^2 + |c|^2 + |d|^2 = ||A||^2 = ||B||^2,
 
-def _probe_label(t, k):
-    if t.algebra == "group":
-        return "probe:involution:%s" % t.group.names[t.group.involutions()[k]]
-    return "probe:hadamard:%d,%d" % _hadamard_indices(t.matrix_dim, k)
+        ||A* B||^2 = (|a|^2 - |c|^2)^2 + (|d|^2 - |b|^2)^2 + 2 |conj(a) b - conj(c) d|^2,
+        ||A B*||^2 = (|a|^2 - |b|^2)^2 + (|d|^2 - |c|^2)^2 + 2 |a conj(c) - b conj(d)|^2,
 
-
-def _probe_stack(t, start, stop):
-    """Probes start..stop-1 as a (2, K, n, n) stack of pair legs.
-
-    Every pair is disjoint by construction: for an involution s both legs
-    are self-adjoint and (1 + lambda(s))(1 - lambda(s)) = 1 - lambda(s^2)
-    = 0, and the two rotated coordinate projections are orthogonal.  The
-    search therefore takes their disjointness defects as 0 rather than
-    computing them.
+    and the block's defect is sqrt(max of the two) / N, 0 when A = 0.  The
+    entries are first divided by the power of two that brings their largest
+    real or imaginary part into [0.5, 1): that is exact, so no square under-
+    or overflows, and rescaling S by 2^k leaves the defect bit for bit.
     """
-    n = t.matrix_dim
-    k = np.arange(stop - start)
-    pairs = np.zeros((2, stop - start, n, n), dtype=np.complex128)
-    if t.algebra == "group":
-        # 1 + lambda(s) and 1 - lambda(s) for the involutions s, in index
-        # order; lambda(s) has no diagonal entry
-        g = t.group
-        cols = np.arange(n)
-        rows = g.mul[g.involutions()[start:stop]]
-        pairs[:, :, cols, cols] = 1.0
-        pairs[0, k[:, None], rows, cols] = 1.0
-        pairs[1, k[:, None], rows, cols] = -1.0
+    s = t.symbol
+    if t.group is not None:
+        i, j, weight = t.group.identity, probe, math.sqrt(2.0 / t.matrix_dim)
     else:
-        # the coordinate split {i}, {j} rotated by the Hadamard block on
-        # (i, j), for i < j in row-major order: (e_i +- e_j)(e_i +- e_j)* / 2
-        i, j = _hadamard_indices(n, np.arange(start, stop))
-        r = 1.0 / math.sqrt(2.0)
-        half = r * r    # as the outer products of the rotated columns give it
-        pairs[:, k, i, i] = half
-        pairs[:, k, j, j] = half
-        pairs[0, k, i, j] = pairs[0, k, j, i] = half
-        pairs[1, k, i, j] = pairs[1, k, j, i] = -half
-    return pairs
+        (i, j), weight = probe, 1.0
+    return weight * _block_defect(s.item(i, i), s.item(i, j), s.item(j, i), s.item(j, j))
+
+
+def _block_defect(a, b, c, d):
+    """The defect of [[a, b], [c, d]] and [[a, -b], [-c, d]], in the closed
+    form of :func:`_probe_violation`."""
+    parts = (a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)
+    peak = max(map(abs, parts))
+    if peak == 0.0:
+        return 0.0
+    e = -math.frexp(peak)[1]
+    ar, ai, br, bi, cr, ci, dr, di = [math.ldexp(x, e) for x in parts]
+    aa, bb, cc, dd = ar * ar + ai * ai, br * br + bi * bi, cr * cr + ci * ci, dr * dr + di * di
+    # conj(a) b - conj(c) d and a conj(c) - b conj(d), real and imaginary parts
+    xr, xi = ar * br + ai * bi - cr * dr - ci * di, ar * bi - ai * br - cr * di + ci * dr
+    yr, yi = ar * cr + ai * ci - br * dr - bi * di, ai * cr - ar * ci - bi * dr + br * di
+    left = (aa - cc) ** 2 + (dd - bb) ** 2 + 2.0 * (xr * xr + xi * xi)
+    right = (aa - bb) ** 2 + (dd - cc) ** 2 + 2.0 * (yr * yr + yi * yi)
+    return math.sqrt(max(left, right)) / (aa + bb + cc + dd)
 
 
 def deterministic_probes(t):
     """The fixed probe pairs checked before any random draw, as (a, b, label).
 
     Involution pairs 1 +- lambda(s) for group algebras, Hadamard-rotated
-    coordinate splittings for matrix algebras.
+    coordinate splittings for matrix algebras (see ``_probe_pair``).
     """
-    count = _probe_count(t)
-    pairs = _probe_stack(t, 0, count)
-    return [(pairs[0, k], pairs[1, k], _probe_label(t, k)) for k in range(count)]
+    return [(*_probe_pair(t, probe), _probe_label(t, probe)) for probe in _probe_keys(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +561,13 @@ def separating_test(t, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL):
     positive answer must pair this with an algebraic certificate.  The
     exponent p is recorded for reporting and does not influence the search.
 
-    Pairs are evaluated in chunks (see ``_chunks``), each with one batched
-    application of ``t``; chunks come from ``PAIR_CACHE``, the probes with
-    zero disjointness defects (see ``_probe_stack``).  The defects of
-    each chunk's images are read on the images divided by a power of two
-    (``over_power_of_two``), so no square under- or overflows and the
-    verdict does not depend on the scale of ``t``.
+    Each probe's image defect is read off the 2 x 2 block of the symbol it
+    meets, in O(1) (``_probe_violation``); only a witness's pair and images
+    are built.  Trial pairs are evaluated in chunks (see ``_chunks``) from
+    ``PAIR_CACHE``, each with one batched application of ``t``.  Every
+    defect is read on entries divided by a power of two, so no square
+    under- or overflows and the verdict does not depend on the scale of
+    ``t``.
 
     A one-dimensional algebra has no disjoint pair with two nonzero legs,
     so every map on it is separating outright (trials recorded as 0).
@@ -554,17 +579,14 @@ def separating_test(t, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL):
     if t.algebra_dim == 1:
         return Verdict(SEPARATING, p=p, trials=0, seed=seed,
                        note="one-dimensional algebra: separating vacuously")
-    algebra = _algebra_key(t)
-    for start, stop in _chunks(_probe_count(t)):
-        pairs, defects = PAIR_CACHE.get(
-            ("probe", algebra, start, stop),
-            lambda: (_probe_stack(t, start, stop), np.zeros(stop - start)))
-        hit = _first_witness(t, pairs, defects, tol)
-        if hit is not None:
-            k, witness = hit
-            witness.label = _probe_label(t, start + k)
+    for probe in _probe_keys(t):
+        violation = _probe_violation(t, probe)
+        if violation > tol:
+            pair = _probe_pair(t, probe)
+            witness = Witness(*pair, *t.apply(pair), violation, _probe_label(t, probe))
             return Verdict(NOT_SEPARATING, p=p, trials=trials, seed=seed,
                            witness=witness)
+    algebra = _algebra_key(t)
     for start, stop in _chunks(trials):
         pairs, defects = PAIR_CACHE.get(
             ("trial", algebra, seed, start, stop),

@@ -51,8 +51,8 @@ class FiniteGroup:
 
     ``mul[s][t]`` is the index of the product s*t.  The identity and the
     inverse table are derived, not stored.  ``names`` is a parallel list of
-    element labels used only for I/O.  ``rebuild_grid`` is built on first
-    read.
+    element labels used only for I/O.  ``rebuild_grid``, ``table_bytes``
+    and the involutions are computed on first read.
     """
 
     def __init__(self, mul, names=None):
@@ -99,6 +99,8 @@ class FiniteGroup:
         self.names = names
         self._characters = None
         self._rebuild_grid = None
+        self._table_bytes = None
+        self._involutions = None
 
     @property
     def order(self):
@@ -118,6 +120,13 @@ class FiniteGroup:
             self._rebuild_grid = grid
         return self._rebuild_grid
 
+    @property
+    def table_bytes(self):
+        """The Cayley table's bytes, equal exactly when the tables are."""
+        if self._table_bytes is None:
+            self._table_bytes = self.mul.tobytes()
+        return self._table_bytes
+
     def multiply(self, s, t):
         return int(self.mul[s, t])
 
@@ -132,10 +141,12 @@ class FiniteGroup:
         return k
 
     def involutions(self):
-        """Indices of the order-2 elements."""
-        squares_to_identity = self.mul.diagonal() == self.identity
-        squares_to_identity[self.identity] = False
-        return np.flatnonzero(squares_to_identity).tolist()
+        """Indices of the order-2 elements, in index order."""
+        if self._involutions is None:
+            squares_to_identity = self.mul.diagonal() == self.identity
+            squares_to_identity[self.identity] = False
+            self._involutions = tuple(np.flatnonzero(squares_to_identity).tolist())
+        return list(self._involutions)
 
     def is_abelian(self):
         return bool(np.array_equal(self.mul, self.mul.T))
@@ -389,20 +400,25 @@ def fit_scalar_character(g, phi, tol=DEFAULT_TOL):
 
     psi takes at each element the |G|-th root of unity nearest
     phi(s) / phi(e).  It is accepted when ``max |phi - c psi| <= tol *
-    max |phi|`` (relative, so rescaling phi changes nothing) and its
-    exponent vector passes :func:`_homomorphisms`.  Returns ``(c, psi)``,
-    psi an exact character, or ``None``; the zero symbol fits as
-    ``(0, trivial character)``.  O(|G|^2), with no list of characters and
+    max |phi|`` (relative, so rescaling phi changes nothing; a modulus
+    |phi(s)| that far from |c| fails before any rounding) and its exponent
+    vector passes :func:`_homomorphisms`.  Returns ``(c, psi)``, psi an
+    exact character, or ``None``; the zero symbol fits as ``(0, trivial
+    character)``.  O(|G|^2), with no list of characters and
     no order cap.  Whenever tol < 1/|G| it agrees with a search of the
     enumerated characters: at most one then lies within ``tol``, and its
     value at each element is the root of unity nearest phi(s) / phi(e).
     """
     tol = check_tol(tol)
     phi = as_symbol(g, phi)
-    scale = float(np.max(np.abs(phi)))
+    modulus = np.abs(phi)
+    scale = float(np.max(modulus))
     if scale == 0.0:
         return 0j, trivial_character(g)
     c = complex(phi[g.identity])
+    # |phi(s) - c psi(s)| >= ||phi(s)| - |c||, up to round-off on either side
+    if float(np.max(np.abs(modulus - abs(c)))) > (tol + 64 * np.finfo(float).eps) * scale:
+        return None
     k = _nearest_exponents(g, phi)
     psi = _roots_of_unity(g.order, k)
     if float(np.max(np.abs(phi - c * psi))) > tol * scale:

@@ -122,6 +122,18 @@ def test_involutions():
     assert len(builtin_group("symmetric(3)").involutions()) == 3
 
 
+def test_involutions_and_table_bytes_are_computed_once():
+    g = builtin_group("dihedral(4)")
+    first = g.involutions()
+    first.append(0)      # each call returns a list of its own
+    assert g.involutions() == [2, 4, 5, 6, 7]
+    assert g.involutions() is not g.involutions()
+    assert g.table_bytes is g.table_bytes
+    assert g.table_bytes == g.mul.tobytes()
+    assert builtin_group("dihedral(4)").table_bytes == g.table_bytes
+    assert builtin_group("quaternion8").table_bytes != g.table_bytes
+
+
 def test_closure_generates_subgroup():
     g = builtin_group("symmetric(3)")
     invol = g.involutions()[0]
@@ -407,6 +419,66 @@ def test_fit_on_large_groups_never_enumerates(name, monkeypatch):
     bent = 3j * chi
     bent[5] *= np.exp(2j * np.pi / g.order)
     assert fit_scalar_character(g, bent) is None
+
+
+def _reference_fit(g, phi, tol):
+    """The fit without its modulus pre-check: every symbol rounds its
+    angles and takes the residual test."""
+    phi = groups.as_symbol(g, phi)
+    scale = float(np.max(np.abs(phi)))
+    if scale == 0.0:
+        return 0j, trivial_character(g)
+    c = complex(phi[g.identity])
+    k = groups._nearest_exponents(g, phi)
+    psi = groups._roots_of_unity(g.order, k)
+    if float(np.max(np.abs(phi - c * psi))) > tol * scale:
+        return None
+    if not groups._homomorphisms(g, k[None])[0]:
+        return None
+    return c, Character(g, psi)
+
+
+def _fit_symbols(g, rng, tol):
+    """Gaussian symbols, unimodular non-characters, scaled characters, and
+    scaled characters with one modulus moved to about tol times the
+    largest, on either side and either way."""
+    n = g.order
+    chars = [chi.values for chi in enumerate_characters(g)]
+    out = []
+    for _ in range(4):
+        out.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        out.append(np.exp(2j * np.pi * rng.random(n)))
+        c = complex(*rng.standard_normal(2)) * 10.0 ** rng.integers(-150, 150)
+        out.append(c * chars[rng.integers(len(chars))])
+    for f in (0.5, 1 - 1e-6, 1 - 1e-12, 1 + 1e-12, 1 + 1e-6, 2.0):
+        for sign in (1.0, -1.0):
+            c = complex(*rng.standard_normal(2))
+            phi = c * chars[rng.integers(len(chars))]
+            s = rng.integers(n)
+            phi[s] *= 1.0 + sign * f * tol
+            out.append(phi)
+    return out
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-3])
+def test_fit_modulus_precheck_changes_no_result(tol):
+    # |phi(s) - c psi(s)| >= ||phi(s)| - |c||, so the pre-check refuses only
+    # what the residual test refuses
+    rng = np.random.default_rng(52)
+    names = ACCEPTANCE_GROUPS + ("dihedral(5)", "cyclic(16)", "quaternion8xcyclic(2)")
+    count = 0
+    for name in names:
+        g = builtin_group(name)
+        for _ in range(3):
+            for phi in _fit_symbols(g, rng, tol):
+                got, want = fit_scalar_character(g, phi, tol), _reference_fit(g, phi, tol)
+                count += 1
+                if want is None:
+                    assert got is None
+                else:
+                    assert got[0] == want[0]
+                    assert np.array_equal(got[1].values, want[1].values)
+    assert count >= 1000
 
 
 def test_fit_rejects_bad_symbols():

@@ -1,5 +1,5 @@
-"""The chunked witness search against a per-pair reference, its pair cache
-and its memory use."""
+"""The witness search against a per-pair reference, its closed-form probe
+violations, its pair cache and its memory use."""
 
 import tracemalloc
 
@@ -20,6 +20,7 @@ from sepmult.classify import (
     random_disjoint_pair_matrix,
     schur_multiplier_map,
     separating_test,
+    transpose_map,
     verdict_to_json,
 )
 from sepmult.groups import builtin_group, enumerate_characters
@@ -198,9 +199,11 @@ def test_late_trial_witness_matches_reference(kind):
     assert int(verdict.witness.label.split(":")[1]) >= 40
 
 
-@pytest.mark.parametrize("algebra", ["cyclic(2)", "cyclic(8)", "cyclic(2)xcyclic(2)",
-                                     "dihedral(4)", "quaternion8", "symmetric(3)",
-                                     "symmetric(4)", 2, 3, 8, 24])
+_PROBE_GROUPS = ("cyclic(2)", "cyclic(8)", "cyclic(2)xcyclic(2)", "dihedral(4)",
+                 "quaternion8", "symmetric(3)", "symmetric(4)")
+
+
+@pytest.mark.parametrize("algebra", _PROBE_GROUPS + (2, 3, 8, 24))
 def test_probe_pairs_are_disjoint_to_round_off(algebra):
     # the search takes every probe's disjointness defect as 0; the defect
     # computed on the probe legs is round-off only
@@ -209,9 +212,73 @@ def test_probe_pairs_are_disjoint_to_round_off(algebra):
         t = fourier_multiplier_map(g, np.ones(g.order))
     else:
         t = schur_multiplier_map(np.ones((algebra, algebra)))
-    count = classify._probe_count(t)
-    assert count > 0
-    assert disjointness_defects(classify._probe_stack(t, 0, count)).max() <= 1e-30
+    probes = deterministic_probes(t)
+    assert len(probes) > 0
+    legs = np.array([[a for a, _, _ in probes], [b for _, b, _ in probes]])
+    assert disjointness_defects(legs).max() <= 1e-30
+
+
+def _probe_maps():
+    """(label, map) of Fourier maps of Gaussian symbols, Schur maps of
+    Gaussian symbols, plain and transposed, and the transpose."""
+    rng = np.random.default_rng(47)
+    cases = []
+    for label in _PROBE_GROUPS:
+        g = builtin_group(label)
+        phi = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
+        cases.append((label, fourier_multiplier_map(g, phi)))
+    for n in (2, 3, 8, 24):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        cases.append(("%d/random" % n, LinearMap(m)))
+        cases.append(("%d/random-transposed" % n, LinearMap(m, transposed=True)))
+        cases.append(("%d/transpose" % n, transpose_map(n)))
+    return cases
+
+
+@pytest.mark.parametrize("case", _probe_maps(), ids=lambda case: case[0])
+def test_every_probe_violation_matches_the_dense_defect(case):
+    # the closed form read off each probe's 2 x 2 block against the defect
+    # of the probe's n x n images, relative to 1e-12 (the transpose's
+    # violations are 0, which the dense defect reads as round-off, below
+    # 1e-15 at every scale); a power-of-two rescaling leaves every
+    # violation bit for bit
+    _, t = case
+    unscaled = None
+    for scale in (1.0, 2.0 ** 600, 2.0 ** -600, 1e160, 1e-160):
+        ts = t if scale == 1.0 else classify._map_like(t, scale * t.symbol)
+        closed = [classify._probe_violation(ts, probe) for probe in classify._probe_keys(ts)]
+        dense = [disjointness_defect(ts.apply(a), ts.apply(b))
+                 for a, b, _ in deterministic_probes(ts)]
+        assert len(closed) == len(dense) > 0
+        np.testing.assert_allclose(closed, dense, rtol=1e-12, atol=1e-15)
+        if unscaled is None:
+            unscaled = closed
+        elif scale in (2.0 ** 600, 2.0 ** -600):
+            assert closed == unscaled
+
+
+def test_zero_blocks_read_zero_and_give_no_witness():
+    # a zero 2 x 2 block reads violation 0 (not NaN), so the search passes
+    # over its probe to the next one
+    m = np.ones((3, 3), dtype=np.complex128)
+    m[:2, :2] = 0.0
+    t = schur_multiplier_map(m)
+    assert classify._probe_violation(t, (0, 1)) == 0.0
+    verdict = separating_test(t, trials=TRIALS, seed=SEED)
+    assert verdict.witness.label == "probe:hadamard:0,2"
+    # phi(e) = phi(s) = 0 for the one involution s of cyclic(4): no probe
+    # witness, so a trial refutes
+    g = builtin_group("cyclic(4)")
+    t = fourier_multiplier_map(g, np.array([0.0, 1.0, 0.0, 1j]))
+    assert classify._probe_violation(t, 2) == 0.0
+    assert separating_test(t, trials=TRIALS, seed=SEED).witness.label.startswith("trial:")
+    # the zero symbol: every probe and trial reads 0
+    for t in (schur_multiplier_map(np.zeros((4, 4))),
+              fourier_multiplier_map(builtin_group("dihedral(4)"), np.zeros(8))):
+        assert all(classify._probe_violation(t, probe) == 0.0
+                   for probe in classify._probe_keys(t))
+        verdict = separating_test(t, trials=8, seed=SEED)
+        assert verdict.status == SEPARATING and verdict.witness is None
 
 
 @pytest.mark.parametrize("total", [0, 1, 2, 32, 33, 34, 65, 200])
@@ -300,6 +367,41 @@ def test_certified_large_schur_symbol_draws_no_pairs(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # memory
+
+
+def test_block_symbol_probe_sweep_stays_small():
+    # every 2 x 2 principal block is rank-one unimodular, so all 8,128
+    # probes run before trial 0 refutes; each is read off its block, so no
+    # probe stack is built
+    n = 128
+    m = np.ones((n, n), dtype=np.complex128)
+    m[0, n - 1] = m[n - 1, 0] = -1.0
+    tracemalloc.start()
+    try:
+        verdict = classify_schur(m, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.status == NOT_SEPARATING
+    assert verdict.witness.label == "trial:0"
+    assert peak < 8 * 2 ** 20
+
+
+def test_searches_cache_no_probes(monkeypatch):
+    cache = PairCache(PAIR_CACHE.cap_bytes)
+    monkeypatch.setattr(classify, "PAIR_CACHE", cache)
+    rng = np.random.default_rng(48)
+    g = builtin_group("dihedral(4)")
+    block = np.ones((5, 5), dtype=np.complex128)
+    block[0, 4] = block[4, 0] = -1.0
+    labels = [separating_test(t, trials=40, seed=SEED).witness.label for t in (
+        fourier_multiplier_map(g, rng.standard_normal(8)),
+        schur_multiplier_map(rng.standard_normal((4, 4))),
+        schur_multiplier_map(block),
+        fourier_multiplier_map(builtin_group("cyclic(5)"), np.exp(2j * rng.random(5))))]
+    assert [label.split(":")[0] for label in labels] == ["probe", "probe", "trial", "trial"]
+    assert len(cache) > 0
+    assert all(key[0] == "trial" for key in cache._entries)
 
 
 def test_large_schur_refutation_stays_small():
