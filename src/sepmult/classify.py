@@ -80,7 +80,6 @@ from .vna import (
     derive_seed,
     disjointness_defects,
     random_disjoint_pairs,
-    regular_representation,
     symbol_to_json,
 )
 
@@ -346,7 +345,8 @@ class PairCache:
 
 #: the trial chunks and the isometry samples of every algebra, keyed by the
 #: algebra's dimension or group table (``_algebra_key``), so equal algebras
-#: share them; probes are read off the symbol and need no pairs
+#: share them; a trial chunk holds its pairs, their defects and seeds;
+#: probes are read off the symbol and need no pairs
 PAIR_CACHE = PairCache(64 << 20)
 
 
@@ -424,11 +424,11 @@ def random_disjoint_pairs_matrix(n, seeds):
 
 def _trial_stack(t, seed, start, stop):
     """Trial pairs start..stop-1, drawn from derive_seed(seed, i): the
-    (2, K, n, n) stack of pair legs and the disjointness defect of each."""
+    (2, K, n, n) stack of pair legs, the defect of each and its seed."""
     seeds = [derive_seed(seed, i) for i in range(start, stop)]
-    if t.algebra == "group":
-        return random_disjoint_pairs(t.group, seeds)
-    return random_disjoint_pairs_matrix(t.matrix_dim, seeds)
+    drawn = (random_disjoint_pairs(t.group, seeds) if t.algebra == "group"
+             else random_disjoint_pairs_matrix(t.matrix_dim, seeds))
+    return (*drawn, np.array(seeds, dtype=np.uint64))
 
 
 def _probe_keys(t):
@@ -447,17 +447,21 @@ def _probe_label(t, probe):
 
 def _probe_pair(t, probe):
     """The probe's pair legs as a (2, n, n) stack: 1 +- lambda(s) for an
-    involution s, (e_i +- e_j)(e_i +- e_j)* / 2 for (i, j)."""
+    involution s, (e_i +- e_j)(e_i +- e_j)* / 2 for (i, j); lambda(s) has
+    its 1s at (s t, t), off the diagonal, read from the row ``mul[s]``."""
     n = t.matrix_dim
-    if t.group is not None:
-        lam = regular_representation(t.group, probe)
-        return np.stack([np.eye(n) + lam, np.eye(n) - lam])
-    i, j = probe
-    r = 1.0 / math.sqrt(2.0)
     pair = np.zeros((2, n, n), dtype=np.complex128)
+    if t.group is not None:
+        cols = np.arange(n)
+        pair[:, cols, cols] = 1.0
+        pair[:, t.group.mul[probe], cols] = ((1.0,), (-1.0,))
+        return pair
+    i, j = probe
     # 1/2 as r * r, as the outer products of the rotated columns give it
-    pair[:, (i, i, j, j), (i, j, i, j)] = r * r
-    pair[1, (i, j), (j, i)] = -r * r
+    r = 1.0 / math.sqrt(2.0)
+    half = r * r
+    pair[:, i, i] = pair[:, j, j] = pair[0, i, j] = pair[0, j, i] = half
+    pair[1, i, j] = pair[1, j, i] = -half
     return pair
 
 
@@ -511,12 +515,14 @@ def _block_defect(a, b, c, d):
 
 
 def deterministic_probes(t):
-    """The fixed probe pairs checked before any random draw, as (a, b, label).
+    """The fixed probe pairs checked before any random draw: an iterator of
+    (a, b, label), one probe built at a time in search order.
 
     Involution pairs 1 +- lambda(s) for group algebras, Hadamard-rotated
     coordinate splittings for matrix algebras (see ``_probe_pair``).
     """
-    return [(*_probe_pair(t, probe), _probe_label(t, probe)) for probe in _probe_keys(t)]
+    for probe in _probe_keys(t):
+        yield (*_probe_pair(t, probe), _probe_label(t, probe))
 
 
 # ---------------------------------------------------------------------------
@@ -588,14 +594,14 @@ def separating_test(t, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL):
                            witness=witness)
     algebra = _algebra_key(t)
     for start, stop in _chunks(trials):
-        pairs, defects = PAIR_CACHE.get(
+        pairs, defects, seeds = PAIR_CACHE.get(
             ("trial", algebra, seed, start, stop),
             lambda: _trial_stack(t, seed, start, stop))
         hit = _first_witness(t, pairs, defects, tol)
         if hit is not None:
             k, witness = hit
             witness.label = "trial:%d" % (start + k)
-            witness.seed = derive_seed(seed, start + k)
+            witness.seed = int(seeds[k])
             return Verdict(NOT_SEPARATING, p=p, trials=trials, seed=seed,
                            witness=witness)
     return Verdict(SEPARATING, p=p, trials=trials, seed=seed)
@@ -838,6 +844,8 @@ def positive_definite_test(g, phi, tol=DEFAULT_TOL):
     return ok, min_eig
 
 
+_EPS = float(np.finfo(float).eps)
+
 #: largest disjointness defect of a pair the witness search examines at any
 #: tol: trial pairs are drawn within 1e-10, probes are exactly disjoint
 _PAIR_DEFECT_CAP = 1e-10
@@ -872,7 +880,7 @@ def _search_cannot_refute(tmap, certificate, tol):
     rho += 2.0 * eta + eta * eta
     if not rho < 1.0:
         return False
-    delta = min(tol, _PAIR_DEFECT_CAP) + 64 * tmap.matrix_dim * np.finfo(float).eps
+    delta = min(tol, _PAIR_DEFECT_CAP) + 64 * tmap.matrix_dim * _EPS
     return (delta + 2.0 * rho + rho * rho) / (1.0 - rho) ** 2 <= tol
 
 
@@ -917,6 +925,9 @@ def _classify(tmap, certificate, ps, trials, seed, tol, isometry_trials):
                           seed=verdict.seed, certificate=certificate)
         if abs(abs(certificate["c"]) - 1.0) <= tol:
             deviations = _isometry_deviations(tmap, ps, isometry_trials, seed)
+    if len(ps) == 1:
+        verdict.max_deviation = deviations[0]
+        return [verdict]
     return [replace(verdict, p=p, max_deviation=dev) for p, dev in zip(ps, deviations)]
 
 

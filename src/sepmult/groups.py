@@ -19,15 +19,21 @@ sets the cost.
 """
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, check_tol, complex_gaussians, hermitian_eig
+from .linalg import DEFAULT_TOL, check_tol, complex_gaussians, hermitian_eig, ldexp
 
 #: fixed internal seed of the element whose eigenvectors hold the characters
 _SPECTRAL_SEED = 0xC4A7
+
+_EPS = float(np.finfo(float).eps)
+
+#: the least subnormal double: the absolute round-off of a product near 0
+_UNIT = 2.0 ** -1074
 
 #: table lookups per block of the associativity sweep and the character
 #: test (a row of the table is one block when it alone is larger)
@@ -400,14 +406,21 @@ def fit_scalar_character(g, phi, tol=DEFAULT_TOL):
 
     psi takes at each element the |G|-th root of unity nearest
     phi(s) / phi(e).  It is accepted when ``max |phi - c psi| <= tol *
-    max |phi|`` (relative, so rescaling phi changes nothing; a modulus
-    |phi(s)| that far from |c| fails before any rounding) and its exponent
-    vector passes :func:`_homomorphisms`.  Returns ``(c, psi)``, psi an
-    exact character, or ``None``; the zero symbol fits as ``(0, trivial
-    character)``.  O(|G|^2), with no list of characters and
-    no order cap.  Whenever tol < 1/|G| it agrees with a search of the
-    enumerated characters: at most one then lies within ``tol``, and its
-    value at each element is the root of unity nearest phi(s) / phi(e).
+    max |phi|`` (relative, so rescaling phi changes nothing) and its
+    exponent vector passes :func:`_homomorphisms`.  Returns ``(c, psi)``,
+    psi an exact character, or ``None``; the zero symbol fits as ``(0,
+    trivial character)``.  O(|G|^2), with no list of characters and no order
+    cap.  Whenever tol < 1/|G| it agrees with a search of the enumerated
+    characters: at most one then lies within ``tol``, and its value at each
+    element is the root of unity nearest phi(s) / phi(e).
+
+    Before any angle is rounded, necessary conditions reject: a modulus
+    |phi(s)| farther than tol max|phi| from |c|; c = 0 (tol < 1); and, for
+    z = phi / c and t = tol max|phi| / |c|, |z(s) z(s^-1) - 1| > 2 t + t^2,
+    as an accepted fit has |z - psi| <= t and psi(s) psi(s^-1) = 1.  The
+    bound adds 64 eps (1 + t)^2, and t 64 least subnormals over |c|, for
+    round-off; z and t are read on phi over the power of two nearest |c|
+    (exact), so they neither under- nor overflow nor lose subnormal bits.
     """
     tol = check_tol(tol)
     phi = as_symbol(g, phi)
@@ -416,8 +429,13 @@ def fit_scalar_character(g, phi, tol=DEFAULT_TOL):
     if scale == 0.0:
         return 0j, trivial_character(g)
     c = complex(phi[g.identity])
-    # |phi(s) - c psi(s)| >= ||phi(s)| - |c||, up to round-off on either side
-    if float(np.max(np.abs(modulus - abs(c)))) > (tol + 64 * np.finfo(float).eps) * scale:
+    if c == 0 or float(np.max(np.abs(modulus - abs(c)))) > (tol + 64 * _EPS) * scale:
+        return None
+    e = math.frexp(abs(c))[1]
+    unit = ldexp(phi, -e)
+    z = unit / unit[g.identity]
+    t = math.ldexp(tol * scale + 64 * _UNIT, -e) / abs(unit[g.identity])
+    if float(np.abs(z * z[g.inv] - 1.0).max()) > 2.0 * t + t * t + 64 * _EPS * (1.0 + t) ** 2:
         return None
     k = _nearest_exponents(g, phi)
     psi = _roots_of_unity(g.order, k)

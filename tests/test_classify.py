@@ -232,13 +232,13 @@ def test_matrix_pair_dimension_one_raises():
 def test_probes_are_disjoint_pairs():
     g = builtin_group("symmetric(3)")
     t = fourier_multiplier_map(g, np.ones(6))
-    probes = deterministic_probes(t)
+    probes = list(deterministic_probes(t))
     assert len(probes) == len(g.involutions())
     for a, b, label in probes:
         assert label.startswith("probe:involution:")
         assert is_disjoint(a, b, 1e-12)
     s = schur_multiplier_map(np.ones((3, 3)))
-    probes = deterministic_probes(s)
+    probes = list(deterministic_probes(s))
     assert len(probes) == 3
     for a, b, label in probes:
         assert label.startswith("probe:hadamard:")

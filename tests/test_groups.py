@@ -21,6 +21,7 @@ from sepmult.groups import (
     same_group,
     trivial_character,
 )
+from sepmult.linalg import DEFAULT_TOL
 
 DISTINCT_FLOOR = 0.5
 
@@ -438,6 +439,17 @@ def _reference_fit(g, phi, tol):
     return c, Character(g, psi)
 
 
+def _assert_fit_matches_reference(g, phi, tol):
+    """The fit's c and psi values equal the reference's, or both are None;
+    returns whether the reference accepts."""
+    got, want = fit_scalar_character(g, phi, tol), _reference_fit(g, phi, tol)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got[0] == want[0]
+        assert np.array_equal(got[1].values, want[1].values)
+    return want is not None
+
+
 def _fit_symbols(g, rng, tol):
     """Gaussian symbols, unimodular non-characters, scaled characters, and
     scaled characters with one modulus moved to about tol times the
@@ -471,14 +483,99 @@ def test_fit_modulus_precheck_changes_no_result(tol):
         g = builtin_group(name)
         for _ in range(3):
             for phi in _fit_symbols(g, rng, tol):
-                got, want = fit_scalar_character(g, phi, tol), _reference_fit(g, phi, tol)
+                _assert_fit_matches_reference(g, phi, tol)
                 count += 1
-                if want is None:
-                    assert got is None
-                else:
-                    assert got[0] == want[0]
-                    assert np.array_equal(got[1].values, want[1].values)
     assert count >= 1000
+
+
+INVERSE_PAIR_GROUPS = ACCEPTANCE_GROUPS + ("dihedral(5)", "cyclic(16)",
+                                           "quaternion8xcyclic(2)", "cyclic(3)xcyclic(5)")
+
+
+def _inverse_pair_symbols(g, rng, tol):
+    """Gaussian symbols, unimodular non-characters, characters at scales 1,
+    2^+-600 and 1e+-160, and characters with one value moved in modulus or
+    in phase to just inside or just outside tol; for an involution s,
+    z(s) z(s^-1) = z(s)^2 meets the bound 2 t + t^2 at the edge of the
+    residual test when |phi(s)| grows by tol / (1 - tol)."""
+    n = g.order
+    chars = [chi.values for chi in enumerate_characters(g)]
+    out = []
+    for _ in range(3):
+        out.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        out.append(np.exp(2j * np.pi * rng.random(n)))
+    for scale in (1.0, 2.0 ** 600, 2.0 ** -600, 1e160, 1e-160):
+        c = scale * np.exp(2j * np.pi * rng.random())
+        out.append(c * chars[rng.integers(len(chars))])
+    edges = (tol, tol / (1.0 - tol))
+    for f in (1 - 1e-6, 1 - 1e-12, 1 + 1e-12, 1 + 1e-6):
+        for s in (rng.integers(n), (g.involutions() or [g.identity])[0]):
+            for edge in edges:
+                phi = complex(*rng.standard_normal(2)) * chars[rng.integers(len(chars))]
+                moved = phi.copy()
+                moved[s] *= 1.0 + f * edge
+                out.append(moved)
+                moved = phi.copy()
+                moved[s] *= 1.0 - f * edge
+                out.append(moved)
+            phi = complex(*rng.standard_normal(2)) * chars[rng.integers(len(chars))]
+            for sign in (1.0, -1.0):
+                moved = phi.copy()
+                moved[s] *= np.exp(1j * sign * f * tol)
+                out.append(moved)
+    return out
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-3, 0.25])
+def test_fit_inverse_pair_reject_changes_no_result(tol):
+    # an accepted fit has |z(s) z(s^-1) - 1| <= 2 t + t^2, so the reject
+    # refuses only what the residual test refuses
+    rng = np.random.default_rng(61)
+    count = 0
+    for name in INVERSE_PAIR_GROUPS:
+        g = builtin_group(name)
+        for _ in range(3):
+            for phi in _inverse_pair_symbols(g, rng, tol):
+                _assert_fit_matches_reference(g, phi, tol)
+                count += 1
+    assert count >= 2000
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 1018, 2.0 ** -1050, 2.0 ** -1064])
+def test_fit_inverse_pair_reject_at_the_ends_of_the_float_range(scale):
+    # one value grown by about tol / (1 - tol), the edge of the residual
+    # test: phi / c would overflow near the top, and near the bottom |c| and
+    # phi / c would keep only the bits of a subnormal
+    accepted = 0
+    for name in ("cyclic(2)", "cyclic(3)", "cyclic(8)", "dihedral(4)", "quaternion8"):
+        g = builtin_group(name)
+        for tol in (0.5, 0.9):
+            for chi in enumerate_characters(g):
+                for s in range(g.order):
+                    for f in (1 - 1e-6, 1 + 1e-6):
+                        phi = scale * chi.values
+                        phi[s] *= 1.0 + f * tol / (1.0 - tol)
+                        accepted += _assert_fit_matches_reference(g, phi, tol)
+    assert accepted > 0
+
+
+def test_fit_refuses_unimodular_non_characters_before_rounding(monkeypatch):
+    rounded = []
+    nearest = groups._nearest_exponents
+    monkeypatch.setattr(groups, "_nearest_exponents",
+                        lambda g, phi: rounded.append(phi) or nearest(g, phi))
+    rng = np.random.default_rng(62)
+    for name in INVERSE_PAIR_GROUPS[1:]:
+        g = builtin_group(name)
+        for _ in range(20):
+            assert fit_scalar_character(g, np.exp(2j * np.pi * rng.random(g.order))) is None
+    assert not rounded
+
+
+def test_fit_with_zero_at_the_identity_fails_near_tol_one():
+    # tol just below 1 lets phi(e) = 0 pass the modulus test
+    g = builtin_group("cyclic(3)")
+    assert fit_scalar_character(g, np.array([0.0, 1.0, 1.0]), tol=1.0 - 2.0 ** -53) is None
 
 
 def test_fit_rejects_bad_symbols():

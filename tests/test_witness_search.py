@@ -1,6 +1,7 @@
 """The witness search against a per-pair reference, its closed-form probe
 violations, its pair cache and its memory use."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -212,10 +213,77 @@ def test_probe_pairs_are_disjoint_to_round_off(algebra):
         t = fourier_multiplier_map(g, np.ones(g.order))
     else:
         t = schur_multiplier_map(np.ones((algebra, algebra)))
-    probes = deterministic_probes(t)
+    probes = list(deterministic_probes(t))
     assert len(probes) > 0
     legs = np.array([[a for a, _, _ in probes], [b for _, b, _ in probes]])
     assert disjointness_defects(legs).max() <= 1e-30
+
+
+@pytest.mark.parametrize("algebra", _PROBE_GROUPS + (2, 3, 8, 24))
+def test_probe_legs_match_their_definitions(algebra):
+    # 1 +- lambda(s) from the translation matrix, and the rotated coordinate
+    # projections (e_i +- e_j)(e_i +- e_j)* / 2 as dense outer products
+    if isinstance(algebra, str):
+        g = builtin_group(algebra)
+        t = fourier_multiplier_map(g, np.ones(g.order))
+        eye = np.eye(g.order)
+        expected = [(eye + regular_representation(g, s), eye - regular_representation(g, s))
+                    for s in g.involutions()]
+    else:
+        t = schur_multiplier_map(np.ones((algebra, algebra)))
+        eye = np.eye(algebra)
+        r = 1.0 / np.sqrt(2.0)
+        expected = []
+        for i, j in itertools.combinations(range(algebra), 2):
+            plus, minus = r * (eye[i] + eye[j]), r * (eye[i] - eye[j])
+            expected.append((np.outer(plus, plus), np.outer(minus, minus)))
+    legs = [(a, b) for a, b, _ in deterministic_probes(t)]
+    assert len(legs) == len(expected) > 0
+    for (a, b), (want_a, want_b) in zip(legs, expected):
+        assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+
+
+@pytest.mark.parametrize("case", ["cyclic(5)", "cyclic(7)", "cyclic(3)xcyclic(5)", "block"])
+def test_trial_witnesses_carry_their_pair_seed(case):
+    # raising tol to each witness's violation moves the search to a later
+    # pair, through the first chunk and the chunks of 32; every trial
+    # witness's seed is the one its pair was drawn from
+    rng = np.random.default_rng(49)
+    if case == "block":
+        m = np.ones((6, 6))
+        m[0, 5] = m[5, 0] = -1.0
+        t = schur_multiplier_map(m)
+    else:
+        g = builtin_group(case)
+        t = fourier_multiplier_map(g, np.ones(g.order) + 0.3 * (
+            rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)))
+    indices = []
+    for seed in (3, 11):
+        tol = DEFAULT_TOL
+        while True:
+            verdict = separating_test(t, trials=TRIALS, seed=seed, tol=tol)
+            if verdict.witness is None or verdict.witness.violation >= 1.0:
+                break
+            kind, index = verdict.witness.label.split(":")
+            assert kind == "trial"
+            assert verdict.witness.seed == derive_seed(seed, int(index))
+            assert type(verdict.witness.seed) is int
+            indices.append(int(index))
+            tol = verdict.witness.violation
+    assert 0 in indices and max(indices) >= 32
+
+
+def test_probe_iteration_builds_one_pair_at_a_time():
+    # 1,128 probes of 73 KB each: the whole family would take 80 MB
+    t = schur_multiplier_map(np.ones((48, 48)))
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in deterministic_probes(t))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 48 * 47 // 2
+    assert peak < 2 ** 20
 
 
 def _probe_maps():
