@@ -409,7 +409,8 @@ def fit_scalar_character(g, phi, tol=DEFAULT_TOL):
     max |phi|`` (relative, so rescaling phi changes nothing) and its
     exponent vector passes :func:`_homomorphisms`.  Returns ``(c, psi)``,
     psi an exact character, or ``None``; the zero symbol fits as ``(0,
-    trivial character)``.  O(|G|^2), with no list of characters and no order
+    trivial character)``; a modulus beyond the float range raises
+    ``ValueError``.  O(|G|^2), with no list of characters and no order
     cap.  Whenever tol < 1/|G| it agrees with a search of the enumerated
     characters: at most one then lies within ``tol``, and its value at each
     element is the root of unity nearest phi(s) / phi(e).
@@ -428,6 +429,8 @@ def fit_scalar_character(g, phi, tol=DEFAULT_TOL):
     scale = float(np.max(modulus))
     if scale == 0.0:
         return 0j, trivial_character(g)
+    if scale == math.inf:
+        raise ValueError("symbol moduli exceed the float range")
     c = complex(phi[g.identity])
     if c == 0 or float(np.max(np.abs(modulus - abs(c)))) > (tol + 64 * _EPS) * scale:
         return None

@@ -52,7 +52,8 @@ def rank_one_unimodular_factor(m, tol=DEFAULT_TOL) -> Optional[RankOneCertificat
     """Factor m = c * outer(alpha, beta) with unimodular alpha, beta, or None.
 
     All entry moduli must agree within ``tol`` relative to the largest one
-    (the zero symbol factors as c = 0 with all-ones vectors).  Gauge:
+    (the zero symbol factors as c = 0 with all-ones vectors; a modulus beyond
+    the float range raises ``ValueError``).  Gauge:
     alpha_1 = 1, c = m_11; the candidate is verified entrywise before being
     returned, so near-misses come back as None rather than a bad certificate.
     """
@@ -64,6 +65,8 @@ def rank_one_unimodular_factor(m, tol=DEFAULT_TOL) -> Optional[RankOneCertificat
     if mmax == 0.0:
         ones = np.ones(n, dtype=np.complex128)
         return RankOneCertificate(0.0, ones, ones.copy())
+    if mmax == np.inf:
+        raise ValueError("symbol moduli exceed the float range")
     if float(mmax - moduli.min()) > tol * mmax:
         return None
     c = complex(mm[0, 0])

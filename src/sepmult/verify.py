@@ -44,13 +44,16 @@ from .groups import (
 )
 from .linalg import (
     check_tol,
+    complex_gaussians,
     frobenius,
+    frobenius_each,
     hermitian_eig,
     lapack_backend,
     matrix_from_json,
     polar_decompose,
-    random_unitary,
-    schatten_norm,
+    random_unitaries,
+    singular_value_norm,
+    singular_values,
     svd,
 )
 from .schur import herz_schur_symbol, rank_one_unimodular_factor, recover_character
@@ -433,10 +436,12 @@ def _cell_herz_schur(g, label, config):
 
 
 def _cell_vna_norms(g, label, config):
+    """lambda is multiplicative and unitary, and M_psi preserves the
+    Schatten norms.  The elements x are drawn in order, then checked as one
+    stack: the singular values of x and of M_psi(x) give every p."""
     rng = _rng(config, "vna-norms", label)
     worst = 0.0
     n = g.order
-    # the left regular representation is multiplicative and unitary
     pairs = [(s, t) for s in range(min(n, 4)) for t in range(min(n, 4))]
     for s, t in pairs:
         ls = regular_representation(g, s)
@@ -447,16 +452,15 @@ def _cell_vna_norms(g, label, config):
                                      - regular_representation(g, g.inv[s])))
     chars = enumerate_characters(g)
     psi = fourier_multiplier_map(g, chars[-1].values)
-    for _ in range(_NORM_SAMPLES):
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        xm = x[g.rebuild_grid]
-        euclid = float(np.linalg.norm(x))
-        worst = max(worst, abs(schatten_norm(xm, 2.0, 1.0 / n) - euclid)
-                    / max(euclid, 1e-300))
-        for p in (1.0, 2.0, 3.0):
-            base = schatten_norm(xm, p, 1.0 / n)
-            moved = schatten_norm(psi.apply(xm), p, 1.0 / n)
-            worst = max(worst, abs(moved - base) / max(base, 1e-300))
+    x = complex_gaussians([rng] * _NORM_SAMPLES, (n,))
+    xm = x[:, g.rebuild_grid]
+    sigma, moved = singular_values(xm), singular_values(psi.apply(xm))
+    checks = [(singular_value_norm(sigma, 2.0, 1.0 / n), np.linalg.norm(x, axis=-1))]
+    for p in (1.0, 2.0, 3.0):
+        checks.append((singular_value_norm(moved, p, 1.0 / n),
+                       singular_value_norm(sigma, p, 1.0 / n)))
+    for value, base in checks:  # a NaN anywhere in a stack makes worst NaN
+        worst = float(np.max(np.abs(value - base) / np.maximum(base, 1e-300), initial=worst))
     ok = worst <= config.tol
     detail = "representation and norm identities within %.3g" % worst
     return ok, worst, detail
@@ -482,17 +486,17 @@ def _cell_schur_factor(n, config):
         else:
             c = complex(rng.standard_normal() + 1j * rng.standard_normal())
         m = c * np.outer(alpha, beta)
-        cert = rank_one_unimodular_factor(m, config.tol)
-        if cert is None:
-            return False, math.inf, "constructed rank-one symbol not factored"
-        scale = max(float(np.max(np.abs(m))), 1e-300)
-        worst_recon = max(worst_recon, float(
-            np.max(np.abs(cert.reconstruct() - m))) / scale)
         verdict = classify_schur(m, p=2.0, trials=config.trials,
                                  seed=config.seed, tol=config.tol,
                                  isometry_trials=4)
+        cert = verdict.certificate
+        if cert is None:
+            return False, math.inf, "constructed rank-one symbol not factored"
         if verdict.status != SEPARATING:
             return False, math.inf, "factored symbol classified %s" % verdict.status
+        scale = max(float(np.max(np.abs(m))), 1e-300)
+        worst_recon = max(worst_recon, float(np.max(np.abs(
+            cert["c"] * np.outer(cert["alpha"], cert["beta"]) - m))) / scale)
         if verdict.max_deviation is not None:
             worst_dev = max(worst_dev, verdict.max_deviation)
     ok = worst_recon <= 1e-10 and worst_dev <= config.tol
@@ -575,54 +579,49 @@ def _cell_yeadon_matrix(n, config):
 
 
 def _cell_linalg(config):
+    """SVD, eigenvalues, polar decomposition, Hölder and unitary invariance
+    on random matrices.  The samples (n, a, b, u1, u2) are drawn first, in
+    order, then checked per size as stacks: one decomposition of each kind
+    per size, every norm read off the singular values of a, b and u1 a u2."""
     rng = _rng(config, "linalg")
-    worst_sigma = 0.0
-    worst_polar = 0.0
-    worst_norm = 0.0
-    worst_holder = 0.0
-    worst_unitary = 0.0
+    draws = []
     for _ in range(_LINALG_SAMPLES):
         n = int(rng.integers(1, 13))
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        scale = max(frobenius(a), 1e-300)
+        draws.append((n, *complex_gaussians([rng, rng], (n, n)),
+                      *random_unitaries(n, [rng, rng])))
+    worst = dict.fromkeys(("sigma", "polar", "trace", "holder", "unitary"), 0.0)
 
-        u_mat, sigma, v_mat = svd(a)
-        gram = a.conj().T @ a
-        vals, _ = hermitian_eig(0.5 * (gram + gram.conj().T))
-        roots = np.sqrt(np.clip(vals[::-1], 0.0, None))
-        worst_sigma = max(worst_sigma, float(np.max(np.abs(sigma - roots))) / scale)
+    def note(key, values):  # a NaN anywhere in a stack makes worst[key] NaN
+        worst[key] = float(np.max(values, initial=worst[key]))
 
+    for n in sorted({draw[0] for draw in draws}):
+        a, b, u1, u2 = map(np.stack, zip(*(d[1:] for d in draws if d[0] == n)))
+        scale = np.maximum(frobenius_each(a), 1e-300)
+        gram = a.conj().swapaxes(-1, -2) @ a
+        _, sigma, _ = svd(a)
+        vals, _ = hermitian_eig(0.5 * (gram + gram.conj().swapaxes(-1, -2)))
+        roots = np.sqrt(np.clip(vals[..., ::-1], 0.0, None))
+        note("sigma", np.max(np.abs(sigma - roots), axis=-1) / scale)
         w_mat, b_mat = polar_decompose(a)
-        worst_polar = max(worst_polar, frobenius(a - w_mat @ b_mat) / scale)
-
-        two = schatten_norm(a, 2.0, 1.0)
-        trace = float(np.real(np.trace(a.conj().T @ a)))
-        worst_norm = max(worst_norm, abs(two * two - trace) / max(trace, 1e-300))
-
+        note("polar", frobenius_each(a - w_mat @ b_mat) / scale)
+        sa, sb = singular_values(a), singular_values(b)
+        trace = np.trace(gram, axis1=-2, axis2=-1).real
+        two = singular_value_norm(sa, 2.0, 1.0)
+        note("trace", np.abs(two * two - trace) / np.maximum(trace, 1e-300))
         weight = 1.0 if n % 2 else 1.0 / n
-        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        lhs = np.abs(weight * np.trace(a @ b, axis1=-2, axis2=-1))
         for p in (1.0, 1.5, 2.0, 3.0):
             q = math.inf if p == 1.0 else p / (p - 1.0)
-            lhs = abs(weight * np.trace(a @ b))
-            rhs = schatten_norm(a, p, weight) * schatten_norm(b, q, weight)
-            if lhs > rhs:
-                worst_holder = max(worst_holder,
-                                   (lhs - rhs) / max(rhs, 1e-300))
-
-        u1 = random_unitary(n, rng)
-        u2 = random_unitary(n, rng)
-        base = schatten_norm(a, 1.5, weight)
-        moved = schatten_norm(u1 @ a @ u2, 1.5, weight)
-        worst_unitary = max(worst_unitary, abs(moved - base) / max(base, 1e-300))
-    ok = (worst_sigma <= 1e-10 and worst_polar <= 1e-10
-          and worst_norm <= config.tol and worst_holder <= config.tol
-          and worst_unitary <= config.tol)
-    detail = ("sigma %.3g, polar %.3g, trace %.3g, holder %.3g, unitary %.3g"
-              % (worst_sigma, worst_polar, worst_norm, worst_holder,
-                 worst_unitary))
-    residual = max(worst_sigma, worst_polar, worst_norm, worst_holder,
-                   worst_unitary)
-    return ok, residual, detail
+            rhs = singular_value_norm(sa, p, weight) * singular_value_norm(sb, q, weight)
+            note("holder", np.maximum(lhs - rhs, 0.0) / np.maximum(rhs, 1e-300))
+        base = singular_value_norm(sa, 1.5, weight)
+        moved = singular_value_norm(singular_values(u1 @ a @ u2), 1.5, weight)
+        note("unitary", np.abs(moved - base) / np.maximum(base, 1e-300))
+    ok = (worst["sigma"] <= 1e-10 and worst["polar"] <= 1e-10
+          and max(worst["trace"], worst["holder"], worst["unitary"]) <= config.tol)
+    detail = "sigma %.3g, polar %.3g, trace %.3g, holder %.3g, unitary %.3g" % (
+        tuple(worst.values()))
+    return ok, float(np.max(list(worst.values()))), detail
 
 
 def _cell_injected(item, config):

@@ -146,6 +146,22 @@ def test_entry_points_refuse_non_finite_symbol_values(entry):
         SYMBOL_ENTRY_POINTS[entry](np.array([1.0, np.nan, 1.0, 1.0]))
 
 
+#: finite real and imaginary parts whose modulus is not a finite float
+HUGE = complex(1.5e308, 1.5e308)
+
+
+@pytest.mark.parametrize("classify", [
+    lambda: classify_fourier(builtin_group("cyclic(2)"), [HUGE] * 2),
+    lambda: classify_schur([[HUGE] * 2] * 2),
+    lambda: fit_scalar_character(C4, [1.0, HUGE, 1.0, 1.0]),
+    lambda: rank_one_unimodular_factor([[1.0, 1.0], [1.0, HUGE]]),
+], ids=["classify_fourier", "classify_schur", "fit_scalar_character",
+        "rank_one_unimodular_factor"])
+def test_symbols_whose_moduli_exceed_the_float_range_are_refused(classify):
+    with pytest.raises(ValueError, match="symbol moduli exceed the float range"):
+        classify()
+
+
 #: the characters of cyclic(4) as the columns of exp(2 pi i j k / 4); a
 #: column is a strided view of a complex array
 FOURIER_MATRIX = np.exp(2j * np.pi * np.outer(np.arange(4), np.arange(4)) / 4)
