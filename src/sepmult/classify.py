@@ -39,11 +39,11 @@ Three questions are answered:
 Witness searches run a deterministic probe family first (Hadamard-rotated
 coordinate splittings, involution pairs lambda(e) +- lambda(s)), then seeded
 random disjoint pairs.  A probe's image defect is read off the 2 x 2 block
-of the symbol it meets; trial pairs are evaluated as stacks, in chunks of
-1, 32, 32, ... pairs with early exit.  The trial chunks, and each isometry
-sample with its singular values, are kept in one least-recently-used cache
-capped in bytes (``PAIR_CACHE``), shared by every map on the same algebra,
-because suite runs reuse the same seed across many symbols.
+of the symbol it meets; trial pairs are drawn and checked one at a time,
+stopping at the first witness.  Each trial pair, and each isometry sample
+with its singular values, is kept in one least-recently-used cache capped
+in bytes (``PAIR_CACHE``), shared by every map on the same algebra, because
+suite runs reuse the same seed across many symbols.
 """
 
 from __future__ import annotations
@@ -69,8 +69,7 @@ from .linalg import (
     hermitian_eig,
     matrix_to_json,
     over_power_of_two,
-    random_unitaries,
-    redraw_rejected,
+    random_unitary,
     singular_value_norm,
     singular_values,
 )
@@ -79,7 +78,7 @@ from .vna import (
     ExhaustedRetries,
     derive_seed,
     disjointness_defects,
-    random_disjoint_pairs,
+    random_disjoint_pair,
     symbol_to_json,
 )
 
@@ -203,8 +202,8 @@ class LinearMap:
         coefficients."""
         n = self.matrix_dim
         if self.group is not None:
-            return complex_gaussians([rng] * count, (n,))[:, self.group.rebuild_grid]
-        return complex_gaussians([rng] * count, (n, n))
+            return complex_gaussians(rng, count, (n,))[:, self.group.rebuild_grid]
+        return complex_gaussians(rng, count, (n, n))
 
 
 def fourier_multiplier_map(g, phi):
@@ -292,18 +291,10 @@ def verdict_to_json(v):
 
 # ---------------------------------------------------------------------------
 # disjoint pair supply
-#
-# The witness search reads its trial pairs in chunks: a (2, K, n, n) stack
-# holding the first legs and the second legs of K pairs, together with the
-# disjointness defect of each pair.  Chunks hold 1, 32, 32, ... pairs, so a
-# map refuted by its first trial pays for that pair only.
-
-_FIRST_CHUNK = 1
-_CHUNK = 32
 
 
 class PairCache:
-    """Least-recently-used store of pair chunks and isometry samples,
+    """Least-recently-used store of trial pairs and isometry samples,
     capped in bytes.
 
     ``get(key, build)`` returns the stored tuple of arrays for ``key`` or
@@ -343,24 +334,15 @@ class PairCache:
         return entry
 
 
-#: the trial chunks and the isometry samples of every algebra, keyed by the
+#: the trial pairs and the isometry samples of every algebra, keyed by the
 #: algebra's dimension or group table (``_algebra_key``), so equal algebras
-#: share them; a trial chunk holds its pairs, their defects and seeds;
+#: share them; a trial entry holds one pair, its defect and its seed;
 #: probes are read off the symbol and need no pairs
 PAIR_CACHE = PairCache(64 << 20)
 
 
 def _algebra_key(t):
     return t.group.table_bytes if t.group is not None else t.matrix_dim
-
-
-def _chunks(total):
-    """(start, stop) bounds that cover range(total) in order: 1, 32, 32, ..."""
-    start, size = 0, _FIRST_CHUNK
-    while start < total:
-        stop = min(start + size, total)
-        yield start, stop
-        start, size = stop, _CHUNK
 
 
 def _random_subset_mask(rng, n):
@@ -375,60 +357,37 @@ def random_disjoint_pair_matrix(n, seed):
     """Disjoint pair in a full matrix algebra from unitary coordinate splits.
 
     p = u e_S u* and q = u e_{S^c} u* for a random unitary u and random
-    proper subset S (and an independent split (r, s)); the pair is
-    a = p x r, b = q y s for Gaussian x, y.  Requires n >= 2.
-    """
-    legs, _ = random_disjoint_pairs_matrix(n, [seed])
-    return legs[0, 0], legs[1, 0]
-
-
-def random_disjoint_pairs_matrix(n, seeds):
-    """:func:`random_disjoint_pair_matrix` for each seed, drawn together.
-
-    Returns the (2, K, n, n) stack of the legs a and b for the K seeds, and
-    the disjointness defect of each pair (the acceptance check's,
-    ``disjointness_defects`` of that stack).
-    Each seed's generator draws, per attempt, u, then v (see
-    ``random_unitaries``), the subsets S and T, then x and y; the pairs
-    rejected as degenerate or not disjoint within 1e-10 retry together, up
-    to 64 attempts.
+    proper subset S, and (r, s) likewise from v and T; the pair is a = p x r,
+    b = q y s for Gaussian x, y.  Each attempt draws u, then v (see
+    ``random_unitary``), S and T, then x and y from the generator of
+    ``seed``; a pair with a vanishing leg or a ``disjointness_defects``
+    above 1e-10 is drawn again, up to 64 attempts.  Requires n >= 2.
     """
     if n < 2:
         raise ExhaustedRetries("no nonzero disjoint pairs exist in dimension %d" % n)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-
-    def draw(_, rows):
-        live = [rngs[i] for i in rows]
-        u = random_unitaries(n, live)
-        v = random_unitaries(n, live)
-        subsets = np.array([[_random_subset_mask(rng, n), _random_subset_mask(rng, n)]
-                            for rng in live])[:, :, None, :]
-        x = complex_gaussians(live, (n, n))
-        y = complex_gaussians(live, (n, n))
-        scale = np.maximum(frobenius_each(x), frobenius_each(y))
+    rng = np.random.default_rng(seed)
+    for _ in range(64):
+        u, v = random_unitary(n, rng), random_unitary(n, rng)
+        subset_u, subset_v = _random_subset_mask(rng, n), _random_subset_mask(rng, n)
+        xy = complex_gaussians(rng, 2, (n, n))
         # a = p x r and b = q y s: the projections keep the columns of u
         # and v in the subsets (p, r) or in their complements (q, s)
-        uh, vh = u.conj().swapaxes(-1, -2), v.conj().swapaxes(-1, -2)
-        legs = np.empty((2, len(rows), n, n), dtype=np.complex128)
-        np.matmul((u * subsets[:, 0]) @ uh @ x, (v * subsets[:, 1]) @ vh, out=legs[0])
-        np.matmul((u * ~subsets[:, 0]) @ uh @ y, (v * ~subsets[:, 1]) @ vh, out=legs[1])
-        ok = (frobenius_each(legs) > 1e-8 * scale).all(axis=0)
-        defects = disjointness_defects(legs)
-        ok &= defects <= 1e-10
-        return (legs.swapaxes(0, 1), defects), ok
-
-    legs, defects = redraw_rejected(len(rngs), 64, draw, ExhaustedRetries(
-        "could not draw a matrix-algebra disjoint pair"))
-    return legs.swapaxes(0, 1), defects
+        uh, vh = u.conj().T, v.conj().T
+        legs = np.stack([(u * subset_u) @ uh @ xy[0] @ ((v * subset_v) @ vh),
+                         (u * ~subset_u) @ uh @ xy[1] @ ((v * ~subset_v) @ vh)])
+        if ((frobenius_each(legs) > 1e-8 * np.max(frobenius_each(xy))).all()
+                and disjointness_defects(legs) <= 1e-10):
+            return legs[0], legs[1]
+    raise ExhaustedRetries("could not draw a matrix-algebra disjoint pair")
 
 
-def _trial_stack(t, seed, start, stop):
-    """Trial pairs start..stop-1, drawn from derive_seed(seed, i): the
-    (2, K, n, n) stack of pair legs, the defect of each and its seed."""
-    seeds = [derive_seed(seed, i) for i in range(start, stop)]
-    drawn = (random_disjoint_pairs(t.group, seeds) if t.algebra == "group"
-             else random_disjoint_pairs_matrix(t.matrix_dim, seeds))
-    return (*drawn, np.array(seeds, dtype=np.uint64))
+def _trial_pair(t, seed, i):
+    """Trial pair i, drawn from derive_seed(seed, i): its (2, n, n) legs,
+    their disjointness defect and that seed."""
+    pair_seed = derive_seed(seed, i)
+    pair = np.stack(random_disjoint_pair(t.group, pair_seed) if t.group is not None
+                    else random_disjoint_pair_matrix(t.matrix_dim, pair_seed))
+    return pair, disjointness_defects(pair), np.array(pair_seed, dtype=np.uint64)
 
 
 def _probe_keys(t):
@@ -569,8 +528,8 @@ def separating_test(t, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL):
 
     Each probe's image defect is read off the 2 x 2 block of the symbol it
     meets, in O(1) (``_probe_violation``); only a witness's pair and images
-    are built.  Trial pairs are evaluated in chunks (see ``_chunks``) from
-    ``PAIR_CACHE``, each with one batched application of ``t``.  Every
+    are built.  Trial pairs are read one at a time from ``PAIR_CACHE``,
+    drawn on a miss, and ``t`` is applied to both legs at once.  Every
     defect is read on entries divided by a power of two, so no square
     under- or overflows and the verdict does not depend on the scale of
     ``t``.
@@ -593,33 +552,19 @@ def separating_test(t, p=2.0, trials=200, seed=0, tol=DEFAULT_TOL):
             return Verdict(NOT_SEPARATING, p=p, trials=trials, seed=seed,
                            witness=witness)
     algebra = _algebra_key(t)
-    for start, stop in _chunks(trials):
-        pairs, defects, seeds = PAIR_CACHE.get(
-            ("trial", algebra, seed, start, stop),
-            lambda: _trial_stack(t, seed, start, stop))
-        hit = _first_witness(t, pairs, defects, tol)
-        if hit is not None:
-            k, witness = hit
-            witness.label = "trial:%d" % (start + k)
-            witness.seed = int(seeds[k])
+    for i in range(trials):
+        pair, defect, pair_seed = PAIR_CACHE.get(("trial", algebra, seed, i),
+                                                 lambda: _trial_pair(t, seed, i))
+        if defect > tol:
+            continue
+        images = t.apply(pair)
+        violation = float(disjointness_defects(over_power_of_two(images)[0]))
+        if violation > tol:
+            witness = Witness(*pair.copy(), *images, violation, "trial:%d" % i,
+                              int(pair_seed))
             return Verdict(NOT_SEPARATING, p=p, trials=trials, seed=seed,
                            witness=witness)
     return Verdict(SEPARATING, p=p, trials=trials, seed=seed)
-
-
-def _first_witness(t, pairs, defects, tol):
-    """(index, Witness) of the chunk's first disjoint pair with non-disjoint
-    images, or None; the defects are read on the images divided by a power
-    of two, which is exact."""
-    images = t.apply(pairs)
-    violations = disjointness_defects(over_power_of_two(images)[0])
-    hits = np.flatnonzero((defects <= tol) & (violations > tol))
-    if hits.size == 0:
-        return None
-    k = int(hits[0])
-    return k, Witness(pairs[0, k].copy(), pairs[1, k].copy(),
-                      images[0, k].copy(), images[1, k].copy(),
-                      float(violations[k]))
 
 
 def isometry_test(t, p=2.0, trials=50, seed=0, tol=DEFAULT_TOL):
@@ -700,18 +645,14 @@ def _worst(stack):
     return peak * float(np.max(frobenius_each(parts / peak)))
 
 
-def _jordan_defects(jmap, samples):
-    """Largest ||J(x^2) - J(x)^2|| and ||J(x*) - J(x)*|| over a stack of
-    samples, each first divided in place by its Frobenius norm."""
+def _jordan_square_defect(jmap, samples):
+    """Largest ||J(x^2) - J(x)^2|| over a stack of samples, each first
+    divided in place by its Frobenius norm."""
     samples /= np.maximum(frobenius_each(samples), 1e-300)[:, None, None]
     j_samples = jmap.apply(samples)
     square = jmap.apply(samples @ samples)
     square -= j_samples @ j_samples
-    worst_square = _worst(square)
-    del square
-    star = jmap.apply(np.conj(samples.swapaxes(-1, -2), order="C"))
-    star -= j_samples.conj().swapaxes(-1, -2)
-    return worst_square, _worst(star)
+    return _worst(square)
 
 
 # an S_ij / S_ii that overflows leaves K infinite and the residuals inf or
@@ -766,7 +707,9 @@ def _symbol_triple(t):
         residuals["jordan_square"] = float(np.max(np.abs(kd - kd * kd)))
     # J(x*) - J(x)* is (K_ji - conj K_ij) e_ji on e_ij, and on lambda(s) /
     # sqrt(n) it is (psi(s^-1) - conj psi(s)) lambda(s^-1) / sqrt(n), of the
-    # norm of K - K* at every (u, t) with t u^-1 = s
+    # norm of K - K* at every (u, t) with t u^-1 = s.  On any x it is (K -
+    # K*) * x* (entrywise; * conj(x) when J is transposed), of norm at most
+    # max|K - K*| ||x||, so this basis maximum bounds every sample
     residuals["jordan_adjoint"] = float(np.max(np.abs(k - k.conj().T)))
     w = np.diag(phase)
     b = np.diag(modulus.astype(np.complex128))
@@ -783,16 +726,18 @@ def yeadon_extract(t, tol=DEFAULT_TOL):
     * w* w = J(1) = support(B),
     * T(a) = w B J(a) on the whole basis,
     * every spectral projection of B commutes with every J(basis element),
-    * J(a^2) = J(a)^2 and J(a*) = J(a)* on the normalized basis and on
-      ``_EXTRACT_SAMPLES`` normalized seeded random elements.
+    * J(a^2) = J(a)^2 on the normalized basis and on ``_EXTRACT_SAMPLES``
+      normalized seeded random elements, and J(a*) = J(a)* on the
+      normalized basis, whose largest defect bounds it on every normalized
+      element.
 
     The triple is read off T's symbol S in O(n^2) memory: T(1) = diag(S),
     so w and B are diagonal, J is the symbol map S_ij / S_ii and
     ``YeadonTriple.reconstruct_map()`` the symbol map diag(w B) J, both
     transposed when T is; each basis residual is a formula in S and J's
-    symbol, and J is applied to the random elements as one stack.  A
-    symbol whose S_ij / S_ii overflows has no finite J, and its
-    reconstruction residual reads infinity.  Any breach beyond ``tol`` raises
+    symbol, and J is applied to the random elements as one stack for the
+    Jordan square.  A symbol whose S_ij / S_ii overflows has no finite J,
+    and its reconstruction residual reads infinity.  Any breach beyond ``tol`` raises
     ``NotSeparating`` carrying the residual table and naming the first
     residual of ``_RESIDUAL_ORDER`` within round-off of the largest, so a
     successful return is a deterministic structural certificate.
@@ -802,9 +747,8 @@ def yeadon_extract(t, tol=DEFAULT_TOL):
     if np.isfinite(k).all():
         jmap = _map_like(t, k)
         rng = np.random.default_rng(derive_seed(_EXTRACT_SEED))
-        square, star = _jordan_defects(jmap, t.random_elements(rng, _EXTRACT_SAMPLES))
+        square = _jordan_square_defect(jmap, t.random_elements(rng, _EXTRACT_SAMPLES))
         residuals["jordan_square"] = max(residuals["jordan_square"], square)
-        residuals["jordan_adjoint"] = max(residuals["jordan_adjoint"], star)
     else:
         residuals["reconstruction"] = math.inf
 

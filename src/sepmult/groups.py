@@ -382,7 +382,7 @@ def enumerate_characters(g):
     if g._characters is not None:
         return g._characters
     n = g.order
-    f = complex_gaussians([np.random.default_rng(_SPECTRAL_SEED)], (n,))[0]
+    f = complex_gaussians(np.random.default_rng(_SPECTRAL_SEED), 1, (n,))[0]
     _, vecs = hermitian_eig((f + np.conj(f[g.inv]))[g.rebuild_grid])
     k = _nearest_exponents(g, vecs.T)
     # a set: vectors of a degenerate eigenvalue may round to one character
@@ -422,6 +422,8 @@ def fit_scalar_character(g, phi, tol=DEFAULT_TOL):
     bound adds 64 eps (1 + t)^2, and t 64 least subnormals over |c|, for
     round-off; z and t are read on phi over the power of two nearest |c|
     (exact), so they neither under- nor overflow nor lose subnormal bits.
+    The residual is read on phi over that power of two when |c| >= 1, so it
+    does not overflow either.
     """
     tol = check_tol(tol)
     phi = as_symbol(g, phi)
@@ -442,7 +444,12 @@ def fit_scalar_character(g, phi, tol=DEFAULT_TOL):
         return None
     k = _nearest_exponents(g, phi)
     psi = _roots_of_unity(g.order, k)
-    if float(np.max(np.abs(phi - c * psi))) > tol * scale:
+    # |phi - c psi| on phi over 2^e when |c| >= 1 does not overflow near
+    # the top of the float range; below, phi is read as it is, since scaling
+    # it up would keep subnormal bits and could change a fit
+    shift = max(e, 0)
+    top = ldexp(phi, -shift)
+    if float(np.max(np.abs(top - top[g.identity] * psi))) > math.ldexp(tol * scale, -shift):
         return None
     if not _homomorphisms(g, k[None])[0]:
         return None

@@ -315,70 +315,29 @@ def psd_pseudo_inverse(b, tol=DEFAULT_TOL):
     return (vecs * inv) @ vecs.conj().T
 
 
-def complex_gaussians(rngs, shape):
-    """One complex Gaussian array of the given shape per generator, stacked.
+def complex_gaussians(rng, count, shape):
+    """``count`` complex Gaussian arrays of the given shape, stacked.
 
-    Each generator draws what ``rng.standard_normal(shape) + 1j *
-    rng.standard_normal(shape)`` draws: the real parts, then the imaginary
+    Each draws what ``rng.standard_normal(shape) + 1j *
+    rng.standard_normal(shape)`` draws: its real parts, then its imaginary
     parts.
     """
-    out = np.empty((len(rngs),) + tuple(shape), dtype=np.complex128)
-    for row, rng in zip(out, rngs):
-        row.real, row.imag = rng.standard_normal((2,) + tuple(shape))
+    parts = rng.standard_normal((count, 2) + tuple(shape))
+    out = np.empty((count,) + tuple(shape), dtype=np.complex128)
+    out.real, out.imag = parts[:, 0], parts[:, 1]
     return out
 
 
 def random_unitary(n, rng):
-    """Haar-ish random unitary: polar factor of a Gaussian complex matrix."""
-    return random_unitaries(n, [rng])[0]
-
-
-def random_unitaries(n, rngs):
-    """One :func:`random_unitary` per generator, as a (K, n, n) stack.
-
-    Each generator draws exactly what ``random_unitary`` would draw from it:
-    a Gaussian matrix, redrawn while its polar factor is not unitary within
-    1e-10 sqrt(n), at most 8 times.  The polar factors of each round's
-    draws come from one stacked SVD.
-    """
+    """Haar-ish random unitary: the polar factor of a Gaussian complex
+    matrix, redrawn while it is not unitary within 1e-10 sqrt(n), at most 8
+    times."""
     eye = np.eye(n)
-
-    def draw(_, rows):
-        z = complex_gaussians([rngs[i] for i in rows], (n, n))
-        w = _partial_isometry(*svd(z), DEFAULT_TOL)
-        gram = _adjoint(w) @ w
-        gram -= eye
-        return (w,), frobenius_each(gram) <= 1e-10 * math.sqrt(n)
-
-    (w,) = redraw_rejected(len(rngs), 8, draw, NoConvergence(
-        "failed to draw an invertible Gaussian matrix"))
-    return w
-
-
-def redraw_rejected(count, attempts, draw, failure):
-    """Rows 0..count-1 of a rejection sampler that draws rows together.
-
-    ``draw(attempt, rows)`` returns a tuple of arrays, each holding one value
-    per entry of ``rows`` on its axis 0, and a mask of the accepted entries;
-    the rejected rows are drawn again, together, at the next attempt.
-    Returns the tuple of (count, ...) stacks of accepted values, each laid
-    out in memory like the first draw's, and raises ``failure`` when rows
-    are still rejected after ``attempts`` attempts.
-    """
-    rows = np.arange(count)
-    out = None
-    for attempt in range(attempts):
-        values, ok = draw(attempt, rows)
-        if out is None:
-            if ok.all():
-                return values
-            out = tuple(np.empty_like(v, shape=(count,) + v.shape[1:]) for v in values)
-        for stack, v in zip(out, values):
-            stack[rows[ok]] = v[ok]
-        rows = rows[~ok]
-        if rows.size == 0:
-            return out
-    raise failure
+    for _ in range(8):
+        w = _partial_isometry(*svd(complex_gaussians(rng, 1, (n, n))[0]), DEFAULT_TOL)
+        if frobenius_each(_adjoint(w) @ w - eye) <= 1e-10 * math.sqrt(n):
+            return w
+    raise NoConvergence("failed to draw an invertible Gaussian matrix")
 
 
 def matrix_to_json(a):

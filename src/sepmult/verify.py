@@ -51,7 +51,6 @@ from .linalg import (
     lapack_backend,
     matrix_from_json,
     polar_decompose,
-    random_unitaries,
     singular_value_norm,
     singular_values,
     svd,
@@ -452,7 +451,7 @@ def _cell_vna_norms(g, label, config):
                                      - regular_representation(g, g.inv[s])))
     chars = enumerate_characters(g)
     psi = fourier_multiplier_map(g, chars[-1].values)
-    x = complex_gaussians([rng] * _NORM_SAMPLES, (n,))
+    x = complex_gaussians(rng, _NORM_SAMPLES, (n,))
     xm = x[:, g.rebuild_grid]
     sigma, moved = singular_values(xm), singular_values(psi.apply(xm))
     checks = [(singular_value_norm(sigma, 2.0, 1.0 / n), np.linalg.norm(x, axis=-1))]
@@ -580,22 +579,29 @@ def _cell_yeadon_matrix(n, config):
 
 def _cell_linalg(config):
     """SVD, eigenvalues, polar decomposition, Hölder and unitary invariance
-    on random matrices.  The samples (n, a, b, u1, u2) are drawn first, in
-    order, then checked per size as stacks: one decomposition of each kind
-    per size, every norm read off the singular values of a, b and u1 a u2."""
+    on random matrices.  The samples (n, then the Gaussians a, b, z1, z2)
+    are drawn first, in order, then checked per size as stacks: one
+    decomposition of each kind per size, u1 and u2 the polar factors of z1
+    and z2 from one stacked call, every norm read off the singular values
+    of a, b and u1 a u2.  A polar factor that is not unitary within 1e-10
+    sqrt(n) fails the cell; it is not drawn again."""
     rng = _rng(config, "linalg")
     draws = []
     for _ in range(_LINALG_SAMPLES):
         n = int(rng.integers(1, 13))
-        draws.append((n, *complex_gaussians([rng, rng], (n, n)),
-                      *random_unitaries(n, [rng, rng])))
+        draws.append((n, complex_gaussians(rng, 4, (n, n))))
     worst = dict.fromkeys(("sigma", "polar", "trace", "holder", "unitary"), 0.0)
+    drawn_unitary = True
 
     def note(key, values):  # a NaN anywhere in a stack makes worst[key] NaN
         worst[key] = float(np.max(values, initial=worst[key]))
 
     for n in sorted({draw[0] for draw in draws}):
-        a, b, u1, u2 = map(np.stack, zip(*(d[1:] for d in draws if d[0] == n)))
+        a, b, z1, z2 = np.stack([d[1] for d in draws if d[0] == n], axis=1)
+        w, _ = polar_decompose(np.stack([z1, z2]))
+        defect = frobenius_each(w.conj().swapaxes(-1, -2) @ w - np.eye(n))
+        drawn_unitary &= bool(np.all(defect <= 1e-10 * math.sqrt(n)))
+        u1, u2 = w
         scale = np.maximum(frobenius_each(a), 1e-300)
         gram = a.conj().swapaxes(-1, -2) @ a
         _, sigma, _ = svd(a)
@@ -617,10 +623,12 @@ def _cell_linalg(config):
         base = singular_value_norm(sa, 1.5, weight)
         moved = singular_value_norm(singular_values(u1 @ a @ u2), 1.5, weight)
         note("unitary", np.abs(moved - base) / np.maximum(base, 1e-300))
-    ok = (worst["sigma"] <= 1e-10 and worst["polar"] <= 1e-10
+    ok = (drawn_unitary and worst["sigma"] <= 1e-10 and worst["polar"] <= 1e-10
           and max(worst["trace"], worst["holder"], worst["unitary"]) <= config.tol)
     detail = "sigma %.3g, polar %.3g, trace %.3g, holder %.3g, unitary %.3g" % (
         tuple(worst.values()))
+    if not drawn_unitary:
+        detail += "; a drawn polar factor is not unitary"
     return ok, float(np.max(list(worst.values()))), detail
 
 

@@ -14,13 +14,12 @@ exact membership, no rounding drift out of the algebra); a matrix is
 projected onto the algebra through the coefficient extraction
 ``f(s) = normalized trace of lambda(s)* X`` (``coefficients``).
 
-Seeded randomness: every draw is a pure function of (group, seed).  Spectral
-projection pairs come from splitting the spectrum of a random self-adjoint
-element at the midpoint of its largest gap; disjoint pairs are ``p x r`` and
-``q y s`` for two independent projection splits.  Draws for many seeds run
-together (``random_projection_pairs``, ``random_disjoint_pairs``): one
-stacked eigendecomposition per round of splits, each seed drawing from its
-own generator exactly what a draw for that seed alone would.
+Seeded randomness: every draw is a pure function of (group, seed), and
+each call draws one pair.  Spectral projection pairs come from splitting the
+spectrum of a random self-adjoint element at the midpoint of its largest
+gap; disjoint pairs are ``p x r`` and ``q y s`` for two independent
+projection splits.  Both drawers are plain retry loops: a rejected draw is
+drawn again from where its generators stand.
 """
 
 import numpy as np
@@ -32,7 +31,6 @@ from .linalg import (
     frobenius_each,
     hermitian_eig,
     over_power_of_two,
-    redraw_rejected,
 )
 
 #: relative tolerance for "this matrix lies in the group algebra"
@@ -123,111 +121,72 @@ def is_disjoint(a, b, tol=DEFAULT_TOL):
 
 def random_projection_pair(g, seed):
     """The coefficients of two orthogonal projections (p, q) in the algebra
-    with p + q = 1: the row of :func:`random_projection_pairs` for ``seed``.
+    with p + q = 1.
 
     A random self-adjoint element is drawn, its spectrum split at the
     midpoint of the largest gap (which must exceed 1e-6 of the spectral
-    radius), and the spectral projection re-projected onto coefficients.
-    Retries internally up to 16 times, then raises ``DegenerateSpectrum``.
-    The one-element group has one-point spectra, so the only splits are
-    (0, 1) and (1, 0), chosen by the seed.
+    radius), and the spectral projection re-projected onto coefficients; a
+    split that fails the gap, membership or idempotence check is drawn
+    again, up to 16 times, then ``DegenerateSpectrum`` is raised.  The
+    one-element group has one-point spectra, so the only splits are (0, 1)
+    and (1, 0), chosen by the seed.
     """
-    p, q = random_projection_pairs(g, [seed])[0]
-    return p, q
-
-
-def random_projection_pairs(g, seeds):
-    """:func:`random_projection_pair` for each seed, drawn together.
-
-    Returns a (K, 2, n) array: the coefficients of p and of q for each of
-    the K seeds.  The splits rejected by the gap, membership or idempotence
-    check are redrawn together, each from where its generator stands.
-    """
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rng = np.random.default_rng(seed)
     n = g.order
-    if n == 1:
-        return np.array([[0.0, 1.0] if int(rng.integers(2)) == 0 else [1.0, 0.0]
-                         for rng in rngs], dtype=np.complex128).reshape(-1, 2, 1)
-    grid = g.rebuild_grid
-    cols = np.arange(n)
     unit = np.zeros(n, dtype=np.complex128)
     unit[g.identity] = 1.0
-
-    def draw(_, rows):
-        x = complex_gaussians([rngs[i] for i in rows], (n,))
-        vals, vecs = hermitian_eig((x + np.conj(x[:, g.inv]))[:, grid])
-        radius = np.max(np.abs(vals), axis=-1)
-        gaps = np.diff(vals, axis=-1)
-        cut = np.argmax(gaps, axis=-1)
-        ok = gaps[np.arange(cut.size), cut] > _GAP_FLOOR * radius
+    if n == 1:
+        return (0 * unit, unit) if int(rng.integers(2)) == 0 else (unit, 0 * unit)
+    for _ in range(_PROJECTION_RETRIES):
+        x = complex_gaussians(rng, 1, (n,))[0]
+        vals, vecs = hermitian_eig((x + np.conj(x[g.inv]))[g.rebuild_grid])
+        gaps = np.diff(vals)
+        cut = int(np.argmax(gaps))
+        if not gaps[cut] > _GAP_FLOOR * np.max(np.abs(vals)):
+            continue
         # the spectral projection onto the eigenvalues up to the cut
-        pmat = (vecs * (cols <= cut[:, None])[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-        del vecs
+        pmat = (vecs * (np.arange(n) <= cut)) @ vecs.conj().T
         p = coefficients(g, pmat)
-        ok &= (frobenius_each(p[:, grid] - pmat)
-               <= MEMBERSHIP_TOL * np.maximum(frobenius_each(pmat), 1e-300))
+        if not (frobenius_each(p[g.rebuild_grid] - pmat)
+                <= MEMBERSHIP_TOL * max(frobenius_each(pmat), 1e-300)):
+            continue
         # a matrix realized from n coefficients has sqrt(n) times their norm
-        ok &= (np.linalg.norm(convolve(g, p, p) - p, axis=-1)
-               <= 1e-9 * np.maximum(1.0 / np.sqrt(n), np.linalg.norm(p, axis=-1)))
-        return (np.stack([p, unit - p], axis=1),), ok
-
-    (pq,) = redraw_rejected(len(rngs), _PROJECTION_RETRIES, draw, DegenerateSpectrum(
-        "no spectral gap above %g of the radius after %d draws"
-        % (_GAP_FLOOR, _PROJECTION_RETRIES)))
-    return pq
+        residual = np.linalg.norm(convolve(g, p, p) - p)
+        if residual <= 1e-9 * max(1.0 / np.sqrt(n), np.linalg.norm(p)):
+            return p, unit - p
+    raise DegenerateSpectrum("no spectral gap above %g of the radius after %d draws"
+                             % (_GAP_FLOOR, _PROJECTION_RETRIES))
 
 
 def random_disjoint_pair(g, seed):
     """The matrices of a disjoint pair (a, b): a = p x r, b = q y s for
-    independent splits, the row of :func:`random_disjoint_pairs` for ``seed``.
+    independent splits.
 
-    Disjointness (a*b = ab* = 0) holds by construction since pq = rs = 0;
-    the stacked draw accepts only pairs whose ``disjointness_defects`` is at
-    most 1e-10.  Pairs with a vanishing factor are rejected and redrawn; on
-    the one-element group every pair degenerates, so ``ExhaustedRetries`` is
-    immediate.
-    """
-    legs, _ = random_disjoint_pairs(g, [seed])
-    return legs[0, 0], legs[1, 0]
-
-
-def random_disjoint_pairs(g, seeds):
-    """:func:`random_disjoint_pair` for each seed, drawn together.
-
-    Returns the (2, K, n, n) stack of the matrices of a and of b for the K
-    seeds, and the disjointness defect of each pair (the acceptance check's,
-    ``disjointness_defects`` of that stack).  Attempt k of the pair for
-    ``seed`` splits with ``derive_seed(seed, 2k)`` and
-    ``derive_seed(seed, 2k + 1)`` and draws x and y from the generator of
-    ``derive_seed(seed, 0x0E1E)``; the rejected pairs of an attempt retry
-    together, up to 64 attempts.
+    Attempt k splits with ``derive_seed(seed, 2k)`` and ``derive_seed(seed,
+    2k + 1)`` and draws x, then y from the generator of ``derive_seed(seed,
+    0x0E1E)``.  Disjointness (a*b = ab* = 0) holds by construction since pq
+    = rs = 0; a pair with a vanishing leg or a disjointness defect above
+    1e-10 is drawn again, up to 64 attempts, then ``ExhaustedRetries`` is
+    raised.  On the one-element group every pair degenerates, so it is
+    raised at once.
     """
     if g.order == 1:
         raise ExhaustedRetries(
             "the one-dimensional algebra has no nonzero disjoint pairs"
         )
-    seeds = list(seeds)
-    rngs = [np.random.default_rng(derive_seed(seed, 0x0E1E)) for seed in seeds]
-
-    def draw(attempt, rows):
-        # [p, q] from the even splits, [r, s] from the odd ones
-        splits = random_projection_pairs(
-            g, [derive_seed(seeds[i], 2 * attempt + e) for i in rows for e in (0, 1)])
-        live = [rngs[i] for i in rows]
-        xy = np.stack([complex_gaussians(live, (g.order,)),
-                       complex_gaussians(live, (g.order,))])
-        legs = convolve(g, convolve(g, splits[0::2].swapaxes(0, 1), xy),
-                        splits[1::2].swapaxes(0, 1))
-        scale = np.max(np.linalg.norm(xy, axis=-1), axis=0)
-        ok = (np.linalg.norm(legs, axis=-1) > 1e-8 * scale).all(axis=0)
-        mats = legs[..., g.rebuild_grid]
-        defects = disjointness_defects(mats)
-        ok &= defects <= 1e-10
-        return (mats.swapaxes(0, 1), defects), ok
-
-    mats, defects = redraw_rejected(len(rngs), _PAIR_RETRIES, draw, ExhaustedRetries(
-        "could not draw a nonzero disjoint pair in %d attempts" % _PAIR_RETRIES))
-    return mats.swapaxes(0, 1), defects
+    rng = np.random.default_rng(derive_seed(seed, 0x0E1E))
+    for attempt in range(_PAIR_RETRIES):
+        p, q = random_projection_pair(g, derive_seed(seed, 2 * attempt))
+        r, s = random_projection_pair(g, derive_seed(seed, 2 * attempt + 1))
+        xy = complex_gaussians(rng, 2, (g.order,))
+        legs = convolve(g, convolve(g, np.stack([p, q]), xy), np.stack([r, s]))
+        scale = np.max(np.linalg.norm(xy, axis=-1))
+        if (np.linalg.norm(legs, axis=-1) > 1e-8 * scale).all():
+            mats = legs[..., g.rebuild_grid]
+            if disjointness_defects(mats) <= 1e-10:
+                return mats[0], mats[1]
+    raise ExhaustedRetries(
+        "could not draw a nonzero disjoint pair in %d attempts" % _PAIR_RETRIES)
 
 
 def symbol_to_json(phi):

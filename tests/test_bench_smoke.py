@@ -25,3 +25,10 @@ def test_traced_refute_run_completes():
     # seed 3's refute rounds run 61 searches, and 61 pairs decide them
     assert metrics["classify.separating_test.calls"]["value"] == 61
     assert metrics["classify.pairs_examined"]["value"] == 61
+    # the search draws its trial pairs through the traced one-pair drawers,
+    # two projection splits or more per pair, and looks them up in the cache
+    draws = metrics["vna.random_disjoint_pair.calls"]["value"]
+    assert draws > 0
+    assert metrics["vna.random_projection_pair.calls"]["value"] >= 2 * draws
+    assert 0 < metrics["vna.pair_draw_yield"]["value"] <= 0.5
+    assert metrics["classify.pair_cache_hit_ratio"]["value"] < 1

@@ -37,6 +37,7 @@ from sepmult.linalg import (
     DEFAULT_TOL,
     InvalidExponent,
     frobenius,
+    frobenius_each,
     hermitian_eig,
     polar_decompose,
     psd_pseudo_inverse,
@@ -760,6 +761,36 @@ def test_stacked_extraction_matches_per_element_reference(cases, refusals):
             np.testing.assert_allclose(got.w, want.w, rtol=0, atol=1e-13)
             np.testing.assert_allclose(got.b, want.b, rtol=0, atol=1e-13)
     assert refused == refusals
+
+
+ADJOINT_GROUPS = ("cyclic(3)", "symmetric(3)", "quaternion8", "cyclic(2)xcyclic(4)")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("matrix", "transposed", "group")), st.integers(1, 8),
+       st.integers(0, 2 ** 32 - 1))
+def test_sampled_jordan_adjoint_defect_never_exceeds_the_basis_formula(kind, n, draw):
+    # J(x*) - J(x)* is (K - K*) * x* entrywise, or (K - K*) * conj(x) when J
+    # is transposed, so on a normalized x its norm is at most max|K - K*|,
+    # which extraction reads off the basis; that is why it samples only the
+    # Jordan square.  K has a unit diagonal, so it is J's own symbol
+    rng = np.random.default_rng(draw)
+    if kind == "group":
+        g = builtin_group(ADJOINT_GROUPS[n % len(ADJOINT_GROUPS)])
+        phi = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
+        phi[g.identity] = 1.0
+        jmap = LinearMap(phi, g)
+    else:
+        k = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        np.fill_diagonal(k, 1.0)
+        jmap = LinearMap(k, transposed=kind == "transposed")
+    k = jmap.symbol
+    formula = float(np.max(np.abs(k - k.conj().T)))
+    assert classify._symbol_triple(jmap)[3]["jordan_adjoint"] == formula
+    x = jmap.random_elements(rng, 16)
+    x /= frobenius_each(x)[:, None, None]
+    star = jmap.apply(x.conj().swapaxes(-1, -2)) - jmap.apply(x).conj().swapaxes(-1, -2)
+    assert frobenius_each(star).max() <= formula * (1.0 + 1e-12) + 1e-15
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Finite groups, character enumeration, scalar-character fitting."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -556,6 +557,29 @@ def test_fit_inverse_pair_reject_at_the_ends_of_the_float_range(scale):
                         phi = scale * chi.values
                         phi[s] *= 1.0 + f * tol / (1.0 - tol)
                         accepted += _assert_fit_matches_reference(g, phi, tol)
+    assert accepted > 0
+
+
+@pytest.mark.parametrize("name", ["cyclic(2)", "cyclic(3)"])
+def test_fit_near_the_top_of_the_float_range_does_not_warn(name):
+    # random phases of modulus 1.6e308 at tol 0.99: phi - c psi and c psi
+    # overflow on phi itself, so the fit reads its residual on phi over a
+    # power of two; it equals the reference's fit of phi / 16, on which
+    # nothing overflows, with c scaled by 16
+    g = builtin_group(name)
+    rng = np.random.default_rng(63)
+    accepted = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2000):
+            phi = 1.6e308 * np.exp(2j * np.pi * rng.random(g.order))
+            got = fit_scalar_character(g, phi, 0.99)
+            want = _reference_fit(g, phi / 16.0, 0.99)
+            assert (got is None) == (want is None)
+            if want is not None:
+                accepted += 1
+                assert got[0] == 16.0 * want[0]
+                assert np.array_equal(got[1].values, want[1].values)
     assert accepted > 0
 
 

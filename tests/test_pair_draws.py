@@ -1,13 +1,12 @@
-"""Batched disjoint-pair draws against a per-pair reference.
+"""One-pair disjoint-pair draws against an independent per-pair reference.
 
-The reference draws one pair at a time, the way the library did before its
-draws were batched: a Python loop over attempts and splits, one
+The reference is a Python loop over attempts and splits, one
 eigendecomposition or SVD per matrix, and group-algebra products summed
 term by term.  It uses numpy only, so it shares no drawing code with the
-library.  The batched drawers must give the same pairs to round-off, on
-every seed, whichever way the seeds are chunked.  Gaussian spectra almost
-never lack a gap, so the projection retries are exercised by raising the
-gap floor, which the reference reads from the library.
+library.  The library's one-pair drawers must give the same pairs to
+round-off, on every seed.  Gaussian spectra almost never lack a gap, so the
+projection retries are exercised by raising the gap floor, which the
+reference reads from the library.
 """
 
 import math
@@ -16,7 +15,7 @@ import numpy as np
 import pytest
 
 from sepmult import vna
-from sepmult.classify import random_disjoint_pair_matrix, random_disjoint_pairs_matrix
+from sepmult.classify import random_disjoint_pair_matrix
 from sepmult.groups import builtin_group
 from sepmult.vna import (
     DegenerateSpectrum,
@@ -24,9 +23,7 @@ from sepmult.vna import (
     convolve,
     derive_seed,
     random_disjoint_pair,
-    random_disjoint_pairs,
     random_projection_pair,
-    random_projection_pairs,
 )
 
 SEEDS = [derive_seed(17, i) for i in range(200)]
@@ -164,23 +161,26 @@ def _assert_close(got, want):
 
 
 # ---------------------------------------------------------------------------
-# batched draws against the reference
+# one-pair draws against the reference
 
 
-def _draw_in_chunks(draw):
-    """The legs and defects of SEEDS, drawn in chunks of 1, 32 and 167."""
-    chunks = [draw(SEEDS[start:stop]) for start, stop in ((0, 1), (1, 33), (33, 200))]
-    legs = np.concatenate([c[0] for c in chunks], axis=1)
-    defects = np.concatenate([c[1] for c in chunks])
-    # the defects are those of the returned legs, so a search can store them
-    np.testing.assert_allclose(defects, vna.disjointness_defects(legs), rtol=1e-12, atol=1e-16)
-    assert defects.max() <= 1e-10
+def _draw_each(draw):
+    """The (2, K, n, n) legs of the pairs of SEEDS, one ``draw(seed)`` each;
+    every pair is returned as two plain n x n arrays, disjoint within the
+    drawers' acceptance bound 1e-10."""
+    pairs = [draw(seed) for seed in SEEDS]
+    for pair in pairs:
+        assert len(pair) == 2
+        for leg in pair:
+            assert type(leg) is np.ndarray and leg.shape == (leg.shape[0],) * 2
+    legs = np.stack([np.stack(pair) for pair in pairs], axis=1)
+    assert vna.disjointness_defects(legs).max() <= 1e-10
     return legs
 
 
 def _assert_group_pairs_match(g):
     retries = {"projection": 0, "pair": 0}
-    legs = _draw_in_chunks(lambda seeds: random_disjoint_pairs(g, seeds))
+    legs = _draw_each(lambda seed: random_disjoint_pair(g, seed))
     for k, seed in enumerate(SEEDS):
         a, b = _reference_disjoint_pair(g, seed, retries)
         _assert_close(legs[0, k], _realize(g, a))
@@ -208,7 +208,7 @@ def test_exhausted_projection_retries_raise_like_the_reference(monkeypatch):
     monkeypatch.setattr(vna, "_GAP_FLOOR", 2.0)   # gaps never exceed 2 radii
     g = builtin_group("symmetric(3)")
     retries = {"projection": 0, "pair": 0}
-    for call in (lambda: random_disjoint_pairs(g, SEEDS[:3]),
+    for call in (lambda: random_disjoint_pair(g, 0),
                  lambda: random_projection_pair(g, 0),
                  lambda: _reference_disjoint_pair(g, 0, retries)):
         with pytest.raises(DegenerateSpectrum):
@@ -218,7 +218,7 @@ def test_exhausted_projection_retries_raise_like_the_reference(monkeypatch):
 @pytest.mark.parametrize("n", DIMS)
 def test_matrix_pairs_match_per_pair_reference(n):
     retries = {"projection": 0, "pair": 0}
-    legs = _draw_in_chunks(lambda seeds: random_disjoint_pairs_matrix(n, seeds))
+    legs = _draw_each(lambda seed: random_disjoint_pair_matrix(n, seed))
     for k, seed in enumerate(SEEDS):
         a, b = _reference_matrix_pair(n, seed, retries)
         _assert_close(legs[0, k], a)
@@ -236,58 +236,34 @@ def test_projection_pairs_match_per_pair_reference():
             _assert_close(q, want_q)
 
 
-def _assert_twin_row(pair, row):
-    """A one-seed wrapper returns plain arrays: the row of its stacked twin."""
-    assert len(pair) == len(row)
-    for leg, want in zip(pair, row):
-        assert type(leg) is np.ndarray
-        assert leg.shape == want.shape
-        np.testing.assert_array_equal(leg, want)
-
-
 @pytest.mark.parametrize("kind", ["group", "matrix"])
-def test_chunking_does_not_change_the_pairs(kind):
-    seeds = SEEDS[:64]
+def test_one_pair_draws_depend_on_the_seed_alone(kind):
+    # a pair is a pure function of (algebra, seed): drawing other seeds in
+    # between, or the same seed again, changes no bit of it
     if kind == "group":
         g = builtin_group("cyclic(3)")
 
-        def draw(chunk):
-            return random_disjoint_pairs(g, chunk)
-
-        def draw_one(seed):
+        def draw(seed):
             return random_disjoint_pair(g, seed)
-
-        for seed in seeds[:4]:
-            _assert_twin_row(random_projection_pair(g, seed),
-                             random_projection_pairs(g, [seed])[0])
     else:
-        def draw(chunk):
-            return random_disjoint_pairs_matrix(8, chunk)
-
-        def draw_one(seed):
+        def draw(seed):
             return random_disjoint_pair_matrix(8, seed)
 
-    single = [draw_one(seed) for seed in seeds]
-    for seed, pair in zip(seeds[:4], single):
-        _assert_twin_row(pair, draw([seed])[0][:, 0])
-    single = np.stack([np.stack(pair) for pair in single], axis=1)
-    chunks = [draw(seeds[:1]), draw(seeds[1:33]), draw(seeds[33:])]
-    whole = draw(seeds)
-    np.testing.assert_array_equal(np.concatenate([c[0] for c in chunks], axis=1), single)
-    np.testing.assert_array_equal(whole[0], single)
-    np.testing.assert_array_equal(np.concatenate([c[1] for c in chunks]), whole[1])
+    first = [draw(seed) for seed in SEEDS[:8]]
+    again = [draw(seed) for seed in reversed(SEEDS[:8])][::-1]
+    for pair, twin in zip(first, again):
+        for leg, want in zip(pair, twin):
+            np.testing.assert_array_equal(leg, want)
 
 
 def test_one_dimensional_algebras_raise_like_the_reference():
     g = builtin_group("cyclic(1)")
     retries = {"projection": 0, "pair": 0}
     for call in (lambda: random_disjoint_pair(g, 0),
-                 lambda: random_disjoint_pairs(g, SEEDS[:3]),
                  lambda: _reference_disjoint_pair(g, 0, retries)):
         with pytest.raises(ExhaustedRetries):
             call()
     for call in (lambda: random_disjoint_pair_matrix(1, 0),
-                 lambda: random_disjoint_pairs_matrix(1, SEEDS[:3]),
                  lambda: _reference_matrix_pair(1, 0, retries)):
         with pytest.raises(ExhaustedRetries):
             call()

@@ -3,6 +3,7 @@ violations, its pair cache and its memory use."""
 
 import itertools
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from sepmult.classify import (
     PairCache,
     PAIR_CACHE,
     LinearMap,
-    _chunks,
     classify_schur,
     deterministic_probes,
     fourier_multiplier_map,
@@ -110,7 +110,7 @@ def _fourier_cases():
     rng = np.random.default_rng(41)
     cases = []
     # refuted by an involution probe: random symbols, and a symbol that
-    # passes every involution probe but the last (a later chunk)
+    # passes every involution probe but the last
     for label in ("cyclic(2)", "cyclic(8)", "dihedral(4)", "symmetric(4)"):
         g = builtin_group(label)
         cases.append((label + "/random",
@@ -177,12 +177,11 @@ def test_schur_search_matches_per_pair_reference(case):
                               _dense_schur(m, transposed))
 
 
-@pytest.mark.parametrize("kind", ["fourier", "schur"])
-def test_late_trial_witness_matches_reference(kind):
-    # a tolerance above every violation of the first 40 trials pushes the
-    # first witness into a later chunk; it lies a relative 1e-9 above the
-    # largest, so that round-off between the batched and the per-pair
-    # evaluation of that pair cannot decide the comparison
+def _late_trial_case(kind):
+    """(map, dense map, tol) with no probe witness and the first trial
+    witness past trial 39: tol lies a relative 1e-9 above every violation
+    of the first 40 trials, so that round-off between the search's and the
+    reference's evaluation of a pair cannot decide the comparison."""
     if kind == "fourier":
         g = builtin_group("cyclic(5)")
         phi = np.exp(2j * np.pi * np.random.default_rng(46).random(5))
@@ -195,6 +194,12 @@ def test_late_trial_witness_matches_reference(kind):
               in _reference_pairs(t, dense, TRIALS, SEED) if label.startswith("trial:")]
     tol = max(violation for _, violation in scored[:40]) * (1.0 + 1e-9)
     assert any(violation > tol for _, violation in scored[40:])
+    return t, dense, tol
+
+
+@pytest.mark.parametrize("kind", ["fourier", "schur"])
+def test_late_trial_witness_matches_reference(kind):
+    t, dense, tol = _late_trial_case(kind)
     _assert_matches_reference(t, dense, tol)
     verdict = separating_test(t, trials=TRIALS, seed=SEED, tol=tol)
     assert int(verdict.witness.label.split(":")[1]) >= 40
@@ -246,8 +251,8 @@ def test_probe_legs_match_their_definitions(algebra):
 @pytest.mark.parametrize("case", ["cyclic(5)", "cyclic(7)", "cyclic(3)xcyclic(5)", "block"])
 def test_trial_witnesses_carry_their_pair_seed(case):
     # raising tol to each witness's violation moves the search to a later
-    # pair, through the first chunk and the chunks of 32; every trial
-    # witness's seed is the one its pair was drawn from
+    # pair, from trial 0 past trial 31; every trial witness's seed is the
+    # one its pair was drawn from
     rng = np.random.default_rng(49)
     if case == "block":
         m = np.ones((6, 6))
@@ -349,17 +354,6 @@ def test_zero_blocks_read_zero_and_give_no_witness():
         assert verdict.status == SEPARATING and verdict.witness is None
 
 
-@pytest.mark.parametrize("total", [0, 1, 2, 32, 33, 34, 65, 200])
-def test_chunks_cover_range_in_order(total):
-    bounds = list(_chunks(total))
-    covered = [i for start, stop in bounds for i in range(start, stop)]
-    assert covered == list(range(total))
-    sizes = [stop - start for start, stop in bounds]
-    assert sizes[:1] == [1][:total]
-    assert all(size == 32 for size in sizes[1:-1])
-    assert all(0 < size <= 32 for size in sizes[1:])
-
-
 # ---------------------------------------------------------------------------
 # pair cache
 
@@ -402,10 +396,73 @@ def test_pair_cache_stays_within_cap_across_seeds():
         assert separating_test(t, seed=seed).status == SEPARATING
         assert PAIR_CACHE.misses > misses
         assert PAIR_CACHE.nbytes <= PAIR_CACHE.cap_bytes
-    # the most recent seed's chunks are still there
+    # the most recent seed's pairs are still there
     misses = PAIR_CACHE.misses
     separating_test(t, seed=10)
     assert PAIR_CACHE.misses == misses
+
+
+def _count_draws(monkeypatch):
+    """Count the calls of the one-pair drawers the search draws its trial
+    pairs with, by name, and give the search an empty cache."""
+    counts = Counter()
+    for name in ("random_disjoint_pair", "random_disjoint_pair_matrix"):
+        def counted(*args, _draw=getattr(classify, name), _name=name):
+            counts[_name] += 1
+            return _draw(*args)
+        monkeypatch.setattr(classify, name, counted)
+    cache = PairCache(PAIR_CACHE.cap_bytes)
+    monkeypatch.setattr(classify, "PAIR_CACHE", cache)
+    return counts, cache
+
+
+_DRAWER = {"fourier": "random_disjoint_pair", "schur": "random_disjoint_pair_matrix",
+           "transpose": "random_disjoint_pair_matrix"}
+
+
+@pytest.mark.parametrize("kind", ["fourier", "schur"])
+def test_a_search_refuted_at_trial_k_draws_k_plus_one_pairs(monkeypatch, kind):
+    t, _, tol = _late_trial_case(kind)
+    counts, _ = _count_draws(monkeypatch)
+    verdict = separating_test(t, trials=TRIALS, seed=SEED, tol=tol)
+    k = int(verdict.witness.label.split(":")[1])
+    assert k >= 40
+    assert counts == {_DRAWER[kind]: k + 1}
+    # at the default tol the same map is refuted by trial 0, its one pair
+    # now cached
+    verdict = separating_test(t, trials=TRIALS, seed=SEED)
+    assert verdict.witness.label == "trial:0"
+    assert counts == {_DRAWER[kind]: k + 1}
+
+
+@pytest.mark.parametrize("kind", ["fourier", "schur", "transpose"])
+def test_a_full_sweep_draws_each_trial_pair_once(monkeypatch, kind):
+    # no witness: every trial runs; the cache holds one entry per trial,
+    # keyed ("trial", algebra, seed, i): the pair, its defect and its seed
+    if kind == "fourier":
+        g = builtin_group("cyclic(5)")
+        t = fourier_multiplier_map(g, (0.5 - 2j) * enumerate_characters(g)[-1].values)
+        algebra = g.table_bytes
+    elif kind == "schur":
+        phases = np.exp(0.3j * np.arange(4))
+        t = schur_multiplier_map(np.outer(phases, phases.conj() ** 2))
+        algebra = 4
+    else:
+        t, algebra = transpose_map(4), 4
+    counts, cache = _count_draws(monkeypatch)
+    trials = 40
+    assert separating_test(t, trials=trials, seed=SEED).status == SEPARATING
+    assert counts == {_DRAWER[kind]: trials}
+    assert list(cache._entries) == [("trial", algebra, SEED, i) for i in range(trials)]
+    n = t.matrix_dim
+    for (_, _, _, i), (pair, defect, seed) in cache._entries.items():
+        assert pair.shape == (2, n, n)
+        assert defect == disjointness_defects(pair) <= 1e-10
+        assert int(seed) == derive_seed(SEED, i)
+    hits = cache.hits
+    assert separating_test(t, trials=trials, seed=SEED).status == SEPARATING
+    assert counts == {_DRAWER[kind]: trials}
+    assert cache.hits == hits + trials
 
 
 def test_certified_large_schur_symbol_draws_no_pairs(monkeypatch):
