@@ -31,10 +31,10 @@ Three questions are answered:
 * what is the canonical factorization T(a) = w B J(a) (partial isometry,
   psd weight, Jordan *-homomorphism)?  ``yeadon_extract`` computes the
   triple from T(1) and validates every defining invariant, raising
-  ``NotSeparating`` when any fails, which makes a successful extraction a
-  deterministic structural check.  The triple is read off the symbol S in
-  O(n^2) memory: w and B from diag(S), and J the map with symbol S_ij /
-  S_ii, transposed when T is; no map is applied to the whole basis.
+  ``NotSeparating`` when any fails.  The triple is read off the symbol S in
+  O(n^2) memory and time, with no random number: w and B from diag(S), and
+  J the map with symbol K = S_ij / S_ii, transposed when T is, which is
+  Jordan exactly when K_ij = K_ik K_kj, decided at one pivot row of K.
 
 Witness searches run a deterministic probe family first (Hadamard-rotated
 coordinate splittings, involution pairs lambda(e) +- lambda(s)), then seeded
@@ -92,13 +92,6 @@ _PINV_CUTOFF = 1e-9
 #: relative spectral gap below which eigenvalues of the weight B are treated
 #: as one cluster when checking commutation of its spectral projections
 _CLUSTER_GAP = 1e-6
-
-#: fixed internal seed: extraction is a deterministic function of the map
-_EXTRACT_SEED = 0x9EAD07
-
-#: random elements on which extraction checks the Jordan identities, after
-#: the basis
-_EXTRACT_SAMPLES = 8
 
 #: a refusal names the first residual in this order whose value is within
 #: ``_TIE_RTOL`` of the largest, so that round-off cannot pick between
@@ -634,43 +627,16 @@ def _map_like(t, k):
     return LinearMap(k[:, t.group.identity], t.group, t.transposed)
 
 
-def _worst(stack):
-    """Largest Frobenius norm over a stack of matrices (0 for none), taken
-    on the stack divided by its largest real or imaginary part so that no
-    square underflows or overflows."""
-    parts = np.ascontiguousarray(stack).view(np.float64)
-    peak = float(np.max(np.abs(parts), initial=0.0))
-    if peak == 0.0:
-        return 0.0
-    return peak * float(np.max(frobenius_each(parts / peak)))
-
-
-def _jordan_square_defect(jmap, samples):
-    """Largest ||J(x^2) - J(x)^2|| over a stack of samples, each first
-    divided in place by its Frobenius norm."""
-    samples /= np.maximum(frobenius_each(samples), 1e-300)[:, None, None]
-    j_samples = jmap.apply(samples)
-    square = jmap.apply(samples @ samples)
-    square -= j_samples @ j_samples
-    return _worst(square)
-
-
-# an S_ij / S_ii that overflows leaves K infinite and the residuals inf or
-# NaN; yeadon_extract refuses such a K whatever they read, so nothing warns
+# an S_ij / S_ii or |S_ii| that overflows leaves K or B infinite and the
+# residuals inf or NaN, and yeadon_extract refuses it, so nothing warns
 @np.errstate(over="ignore", invalid="ignore")
 def _symbol_triple(t):
-    """(w, B, J's symbol K, residuals on the basis) of the symbol map T,
-    read off its symbol S.
-
-    T(1) = diag(S), so w = diag(S_ii / |S_ii|) on the support (the |S_ii|
-    above 1e-9 of the largest), B = diag|S_ii|, and J = B^+ w* T is the
-    symbol map K with K_ij = S_ij / S_ii on the support rows and 0 off
-    them, transposed when T is.  A basis element takes its entries of S
-    and K alone (e_ij the entry (i, j), lambda(s) the entries at u t^-1 =
-    s), so each basis residual is a formula in S and K.  Transposing T
-    moves e_ij to K_ji e_ji but reads the same set of entries of K for every
-    residual, so the formulas hold for both.
-    """
+    """(w, B, J's symbol K, residuals) of the symbol map T, read off its
+    symbol S: w = diag(S_ii / |S_ii|) on the support (the |S_ii| above 1e-9
+    of the largest), B = diag|S_ii| and K_ij = S_ij / S_ii on the support
+    rows, 0 off them.  A basis element takes its entries of S and K alone
+    (e_ij the entry (i, j), or (j, i) when T is transposed, lambda(s) the
+    entries at u t^-1 = s), so each residual is a formula in S and K."""
     s = t.symbol
     d = s.diagonal()
     modulus = np.abs(d)
@@ -685,35 +651,25 @@ def _symbol_triple(t):
     residuals["jordan_unit"] = frobenius(k.diagonal() - supp) / supp_scale
     residuals["reconstruction"] = (float(np.max(np.abs(s - (phase * modulus)[:, None] * k)))
                                    / (float(np.max(np.abs(s))) or 1.0))
-    # the projections onto the clusters of B's diagonal are diagonal too, so
-    # J(e_ij) = K_ij e_ij (or K_ji e_ji) commutes with all of them unless i
-    # and j lie in different clusters; a Fourier symbol's diagonal is the
-    # constant phi(e), so its B is one cluster
+    if not (math.isfinite(top) and np.isfinite(k).all()):
+        residuals["reconstruction"] = math.inf      # no finite triple
+    # B's spectral projections are diagonal, so J(e_ij) = K_ij e_ij (or K_ji
+    # e_ji) commutes with them unless i and j lie in different clusters; a
+    # Fourier symbol's diagonal is the constant phi(e), one cluster
     ranked = np.sort(modulus)
     starts = ranked[1:][np.diff(ranked) > _CLUSTER_GAP * top]
     cluster = np.searchsorted(starts, modulus, side="right")
-    size = np.abs(k)
     residuals["weight_commutation"] = float(np.max(np.where(
-        cluster[:, None] != cluster[None, :], size / np.maximum(size, 1.0), 0.0)))
-    if t.algebra == "group":
-        # lambda(s) / sqrt(n) squares to lambda(s^2) / n
-        g = t.group
-        psi = k[:, g.identity]
-        residuals["jordan_square"] = float(np.max(
-            np.abs(psi[g.mul.diagonal()] - psi * psi))) / math.sqrt(g.order)
-    else:
-        # e_ij squares to 0 unless i = j
-        kd = k.diagonal()
-        residuals["jordan_square"] = float(np.max(np.abs(kd - kd * kd)))
-    # J(x*) - J(x)* is (K_ji - conj K_ij) e_ji on e_ij, and on lambda(s) /
-    # sqrt(n) it is (psi(s^-1) - conj psi(s)) lambda(s^-1) / sqrt(n), of the
-    # norm of K - K* at every (u, t) with t u^-1 = s.  On any x it is (K -
-    # K*) * x* (entrywise; * conj(x) when J is transposed), of norm at most
-    # max|K - K*| ||x||, so this basis maximum bounds every sample
+        cluster[:, None] != cluster[None, :], np.minimum(np.abs(k), 1.0), 0.0)))
+    # J is Jordan exactly when K_ij = K_ik K_kj for all i, j, k, decided at
+    # the pivot r of largest |S_ii| (see yeadon_extract)
+    r = int(np.argmax(modulus))
+    residuals["jordan_square"] = max(float(np.max(np.abs(k - np.outer(k[:, r], k[r])))),
+                                     float(np.max(np.abs(k[r, r] - k[r] * k[:, r]))))
+    # J(x*) - J(x)* is (K - K*) * x* entrywise (* conj(x) when J is
+    # transposed), of norm at most max|K - K*| ||x||
     residuals["jordan_adjoint"] = float(np.max(np.abs(k - k.conj().T)))
-    w = np.diag(phase)
-    b = np.diag(modulus.astype(np.complex128))
-    return w, b, k, residuals
+    return np.diag(phase), np.diag(modulus.astype(np.complex128)), k, residuals
 
 
 def yeadon_extract(t, tol=DEFAULT_TOL):
@@ -726,43 +682,35 @@ def yeadon_extract(t, tol=DEFAULT_TOL):
     * w* w = J(1) = support(B),
     * T(a) = w B J(a) on the whole basis,
     * every spectral projection of B commutes with every J(basis element),
-    * J(a^2) = J(a)^2 on the normalized basis and on ``_EXTRACT_SAMPLES``
-      normalized seeded random elements, and J(a*) = J(a)* on the
-      normalized basis, whose largest defect bounds it on every normalized
-      element.
+    * J(a^2) = J(a)^2 and J(a*) = J(a)*, through formulas in J's symbol.
 
-    The triple is read off T's symbol S in O(n^2) memory: T(1) = diag(S),
-    so w and B are diagonal, J is the symbol map S_ij / S_ii and
-    ``YeadonTriple.reconstruct_map()`` the symbol map diag(w B) J, both
-    transposed when T is; each basis residual is a formula in S and J's
-    symbol, and J is applied to the random elements as one stack for the
-    Jordan square.  A symbol whose S_ij / S_ii overflows has no finite J,
-    and its reconstruction residual reads infinity.  Any breach beyond ``tol`` raises
-    ``NotSeparating`` carrying the residual table and naming the first
-    residual of ``_RESIDUAL_ORDER`` within round-off of the largest, so a
-    successful return is a deterministic structural certificate.
+    The triple is read off T's symbol S in O(n^2) memory and time, with no
+    random number: w and B are diagonal, and J and
+    ``YeadonTriple.reconstruct_map()`` are the symbol maps K = S_ij / S_ii
+    and diag(w B) K, transposed when T is.  The Jordan square reads
+    max(max_ij |K_ij - K_ir K_rj|, max_k |K_rr - K_rk K_kr|) at the r of
+    largest |S_ii|: 0 exactly when K_ij = K_ik K_kj for all i, j, k, that
+    is, when J is Jordan, and each term at most twice the defect of the
+    normalized (e_ir + e_rj) / sqrt 2 or (e_rk + e_kr) / sqrt 2.  On a
+    Fourier map it is max_{s,t} |psi(st) - psi(s) psi(t)|, which bounds
+    ||J(x^2) - J(x)^2|| / ||x||^2 for every x (Young's inequality); the
+    adjoint reads max|K - K*|, which bounds ||J(x*) - J(x)*|| / ||x||.  A
+    symbol whose S_ij / S_ii or |S_ii| overflows has no finite triple and an
+    infinite reconstruction residual.  A breach beyond ``tol`` raises
+    ``NotSeparating`` with the residual table, naming the first residual of
+    ``_RESIDUAL_ORDER`` within round-off of the largest.
     """
     tol = check_tol(tol)
     w, b, k, residuals = _symbol_triple(t)
-    if np.isfinite(k).all():
-        jmap = _map_like(t, k)
-        rng = np.random.default_rng(derive_seed(_EXTRACT_SEED))
-        square = _jordan_square_defect(jmap, t.random_elements(rng, _EXTRACT_SAMPLES))
-        residuals["jordan_square"] = max(residuals["jordan_square"], square)
-    else:
-        residuals["reconstruction"] = math.inf
-
+    # initial_projection and jordan_unit are finite, so a NaN residual,
+    # comparing false, is neither the largest nor the failing name
     worst = max(residuals.values())
     if worst > tol:
         failing = next(key for key in _RESIDUAL_ORDER
                        if residuals[key] >= (1.0 - _TIE_RTOL) * worst)
-        raise NotSeparating(
-            "triple invariants violated: %s residual %.3g exceeds %.3g"
-            % (failing, residuals[failing], tol),
-            residuals,
-            failing,
-        )
-    return YeadonTriple(w, b, jmap, residuals)
+        raise NotSeparating("triple invariants violated: %s residual %.3g exceeds %.3g"
+                            % (failing, residuals[failing], tol), residuals, failing)
+    return YeadonTriple(w, b, _map_like(t, k), residuals)
 
 
 # ---------------------------------------------------------------------------

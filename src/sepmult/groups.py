@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, check_tol, complex_gaussians, hermitian_eig, ldexp
+from .linalg import (DEFAULT_TOL, check_tol, complex_gaussians, hermitian_eig, json_array,
+                     ldexp)
 
 #: fixed internal seed of the element whose eigenvectors hold the characters
 _SPECTRAL_SEED = 0xC4A7
@@ -469,19 +470,17 @@ def group_to_json(g):
 
 
 def group_from_json(obj):
-    """Build a validated group from {"order", "mul", "names"?} JSON."""
+    """Build a validated group from {"order", "mul", "names"?} JSON: a JSON
+    integer order, a table of JSON integers and a list of strings."""
     if not isinstance(obj, dict):
         raise InvalidGroupTable("group JSON must be an object")
-    try:
-        order = int(obj["order"])
-        mul = obj["mul"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidGroupTable("group JSON needs integer 'order' and 'mul'") from exc
+    order = obj.get("order")
+    table = json_array(obj.get("mul"), (int,), 2, np.int64)
+    if type(order) is not int or table is None:
+        raise InvalidGroupTable("group JSON needs an integer 'order' and integer table 'mul'")
     names = obj.get("names")
-    try:
-        table = np.asarray(mul, dtype=np.int64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidGroupTable("'mul' must be a square integer table") from exc
+    if names is not None and json_array(names, (str,), 1, object) is None:
+        raise InvalidGroupTable("'names' must be a list of strings")
     if table.shape != (order, order):
         raise InvalidGroupTable(
             "declared order %d does not match table shape %r" % (order, table.shape)

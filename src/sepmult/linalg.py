@@ -350,16 +350,32 @@ def matrix_to_json(a):
     }
 
 
+def json_array(obj, kinds, depth, dtype=np.float64):
+    """``obj`` as a ``dtype`` array if it is a rectangular JSON array nested
+    ``depth`` deep with leaves of a type in ``kinds`` (a bool is no int)."""
+    leaves = [obj]
+    for _ in range(depth):
+        if not all(type(x) is list for x in leaves):
+            return None
+        leaves = [y for x in leaves for y in x]
+    if not all(type(x) in kinds for x in leaves):
+        return None
+    try:
+        return np.array(obj, dtype=dtype)
+    except (OverflowError, ValueError):     # ragged, or out of dtype's range
+        return None
+
+
 def matrix_from_json(obj):
-    """Inverse of :func:`matrix_to_json`; raises ``ValueError`` on bad input."""
+    """Inverse of :func:`matrix_to_json`; raises ``ValueError`` on bad input:
+    ``dim`` must be a JSON integer and ``re``, ``im`` tables of JSON numbers."""
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
-    try:
-        dim = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=np.float64)
-        im = np.asarray(obj["im"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError("matrix JSON needs numeric 'dim', 're', 'im'") from exc
+    dim = obj.get("dim")
+    re = json_array(obj.get("re"), (int, float), 2)
+    im = json_array(obj.get("im"), (int, float), 2)
+    if type(dim) is not int or re is None or im is None:
+        raise ValueError("matrix JSON needs an integer 'dim' and numeric 're', 'im'")
     if dim == 0 and re.size == im.size == 0:
         # matrix_to_json writes the 0 x 0 matrix as empty lists
         re = im = np.zeros((0, 0))

@@ -36,6 +36,7 @@ from .classify import (
     yeadon_extract,
 )
 from .groups import (
+    GroupError,
     builtin_group,
     commutator_subgroup,
     enumerate_characters,
@@ -632,19 +633,26 @@ def _cell_linalg(config):
     return ok, float(np.max(list(worst.values()))), detail
 
 
-def _cell_injected(item, config):
-    expect = item["expect"]
-    if item["kind"] == "fourier":
-        g = load_group(item["group"])
-        phi = symbol_from_json(item["symbol"], g.order)
-        verdict = classify_fourier(g, phi, p=2.0, trials=config.trials,
-                                   seed=config.seed, tol=config.tol)
-    else:
-        m = matrix_from_json(item["matrix"])
-        verdict = classify_schur(m, p=2.0, trials=config.trials,
-                                 seed=config.seed, tol=config.tol)
-    ok = verdict.status == expect
-    detail = "expected %s, classified %s" % (expect, verdict.status)
+def _injected_operands(index, item):
+    """The classifier operands of injected case ``index``, (group, symbol) or
+    (matrix,); a case that does not parse raises ``SuiteError``."""
+    try:
+        if item["kind"] == "fourier":
+            g = load_group(item["group"])
+            return g, symbol_from_json(item["symbol"], g.order)
+        return (matrix_from_json(item["matrix"]),)
+    except KeyError as exc:
+        raise SuiteError("injected case %d has no %s" % (index, exc)) from None
+    except (GroupError, SuiteError, ValueError) as exc:
+        raise SuiteError("injected case %d: %s" % (index, exc)) from None
+
+
+def _cell_injected(item, operands, config):
+    classify = classify_fourier if item["kind"] == "fourier" else classify_schur
+    verdict = classify(*operands, p=2.0, trials=config.trials, seed=config.seed,
+                       tol=config.tol)
+    ok = verdict.status == item["expect"]
+    detail = "expected %s, classified %s" % (item["expect"], verdict.status)
     return ok, 0.0 if ok else math.inf, detail
 
 
@@ -673,11 +681,12 @@ _DIM_CELLS = (
 
 
 def run_suite(config):
-    """Load every group, then run every cell; returns the report dict (see
-    ``report_passed``)."""
+    """Load every group and parse every injected case, then run every cell;
+    returns the report dict (see ``report_passed``)."""
     if not config.groups:
         raise EmptySuite("the group list is empty; running nothing is not success")
     groups = [(label, load_group(label)) for label in config.groups]
+    injected = [_injected_operands(index, item) for index, item in enumerate(config.injected)]
     results = []
     for label, g in groups:
         for family, cell in _GROUP_CELLS:
@@ -686,9 +695,9 @@ def run_suite(config):
         for family, cell in _DIM_CELLS:
             _run_cell(results, "%s/dim%d" % (family, n), cell, n, config)
     _run_cell(results, "linalg/invariants", _cell_linalg, config)
-    for index, item in enumerate(config.injected):
+    for index, (item, operands) in enumerate(zip(config.injected, injected)):
         _run_cell(results, "injected/%s/%d" % (item["kind"], index),
-                  _cell_injected, item, config)
+                  _cell_injected, item, operands, config)
     results.sort(key=lambda cell: cell.name)
     failed = [cell.name for cell in results if not cell.passed]
     from . import __version__

@@ -30,6 +30,7 @@ from .linalg import (
     complex_gaussians,
     frobenius_each,
     hermitian_eig,
+    json_array,
     over_power_of_two,
 )
 
@@ -195,13 +196,10 @@ def symbol_to_json(phi):
 
 
 def symbol_from_json(obj, expected_len=None):
-    """Parse a symbol from a JSON array of [re, im] pairs."""
-    try:
-        arr = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValueError("symbol JSON must be an array of [re, im] pairs") from exc
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("symbol JSON must be an array of [re, im] pairs")
+    """Parse a symbol from a JSON array of [re, im] pairs of finite numbers."""
+    arr = json_array(obj, (int, float), 2)
+    if arr is None or arr.ndim != 2 or arr.shape[1] != 2 or not np.isfinite(arr).all():
+        raise ValueError("symbol JSON must be an array of [re, im] pairs of finite numbers")
     values = arr[:, 0] + 1j * arr[:, 1]
     if expected_len is not None and values.shape[0] != expected_len:
         raise ValueError(

@@ -589,7 +589,8 @@ def _reference_basis(t):
 
 def _reference_yeadon(t):
     """Per-element Yeadon extraction: one ``apply`` of T or of the dense J
-    per basis element and per sample, one cluster cut at a time."""
+    per basis element, one cluster cut at a time, and the Jordan square's
+    pivot defects one entry at a time."""
     cutoff = classify._PINV_CUTOFF
     unit = np.eye(t.matrix_dim, dtype=np.complex128)
     w, b = polar_decompose(t.apply(unit), cutoff)
@@ -627,17 +628,31 @@ def _reference_yeadon(t):
                              / max(1.0, frobenius(img)))
     residuals["weight_commutation"] = worst_comm
 
-    rng = np.random.default_rng(derive_seed(classify._EXTRACT_SEED))
-    samples = [a / frobenius(a) for a in basis]
-    for x in t.random_elements(rng, 8):
-        samples.append(x / max(frobenius(x), 1e-300))
-    worst_square = worst_star = 0.0
-    for a in samples:
-        ja = jmap.apply(a)
-        worst_square = max(worst_square, frobenius(jmap.apply(a @ a) - ja @ ja))
-        worst_star = max(worst_star, frobenius(jmap.apply(a.conj().T) - ja.conj().T))
-    residuals["jordan_square"] = worst_square
+    worst_star = 0.0
+    for a in basis:
+        a = a / frobenius(a)
+        worst_star = max(worst_star,
+                         frobenius(jmap.apply(a.conj().T) - jmap.apply(a).conj().T))
     residuals["jordan_adjoint"] = worst_star
+
+    # J's symbol K, one basis image at a time: J(e_ij) is K_ij e_ij (K_ji
+    # e_ji when J is transposed) and J(lambda(s)) is K at the (u, t) with u
+    # t^-1 = s, so the images add up to K.  The pivot r is the support index
+    # of largest |T(1)_rr|, and an empty support leaves J = 0
+    n = t.matrix_dim
+    k = np.zeros((n, n), dtype=np.complex128)
+    for img in jmap.images:
+        k += img
+    diagonal = [abs(z) for z in np.diag(t.apply(unit))]
+    worst_square = 0.0
+    if max(diagonal) > 0.0:
+        r = diagonal.index(max(diagonal))
+        for i in range(n):
+            for j in range(n):
+                worst_square = max(worst_square, abs(k[i, j] - k[i, r] * k[r, j]))
+        for m in range(n):
+            worst_square = max(worst_square, abs(1.0 - k[r, m] * k[m, r]))
+    residuals["jordan_square"] = worst_square
 
     worst = max(residuals.values())
     if worst > 1e-9:
@@ -772,8 +787,8 @@ ADJOINT_GROUPS = ("cyclic(3)", "symmetric(3)", "quaternion8", "cyclic(2)xcyclic(
 def test_sampled_jordan_adjoint_defect_never_exceeds_the_basis_formula(kind, n, draw):
     # J(x*) - J(x)* is (K - K*) * x* entrywise, or (K - K*) * conj(x) when J
     # is transposed, so on a normalized x its norm is at most max|K - K*|,
-    # which extraction reads off the basis; that is why it samples only the
-    # Jordan square.  K has a unit diagonal, so it is J's own symbol
+    # which extraction reads off the basis.  K has a unit diagonal, so it is
+    # J's own symbol
     rng = np.random.default_rng(draw)
     if kind == "group":
         g = builtin_group(ADJOINT_GROUPS[n % len(ADJOINT_GROUPS)])
@@ -791,6 +806,67 @@ def test_sampled_jordan_adjoint_defect_never_exceeds_the_basis_formula(kind, n, 
     x /= frobenius_each(x)[:, None, None]
     star = jmap.apply(x.conj().swapaxes(-1, -2)) - jmap.apply(x).conj().swapaxes(-1, -2)
     assert frobenius_each(star).max() <= formula * (1.0 + 1e-12) + 1e-15
+
+
+def _jordan_square_defects(jmap, x):
+    """||J(x^2) - J(x)^2|| of each element of the stack x, normalized."""
+    x = x / frobenius_each(x)[:, None, None]
+    jx = jmap.apply(x)
+    return frobenius_each(jmap.apply(x @ x) - jx @ jx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("matrix", "transposed", "group")), st.integers(1, 8),
+       st.integers(0, 2 ** 32 - 1))
+def test_jordan_square_residual_is_backed_by_the_defects_it_bounds(kind, n, draw):
+    # on a group the residual is max|psi(st) - psi(s) psi(t)|, which bounds
+    # the defect of every normalized element; on matrices each of its terms
+    # is at most twice the defect of a normalized unit pair through the
+    # pivot r, and K = u (1/u)^T, a Jordan map, reads round-off
+    rng = np.random.default_rng(draw)
+    if kind == "group":
+        g = builtin_group(ADJOINT_GROUPS[n % len(ADJOINT_GROUPS)])
+        psi = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
+        psi[g.identity] = 1.0
+        jmap = LinearMap(psi, g)
+        residual = classify._symbol_triple(jmap)[3]["jordan_square"]
+        assert residual == float(np.max(np.abs(psi[g.mul] - np.outer(psi, psi))))
+        sampled = _jordan_square_defects(jmap, jmap.random_elements(rng, 16))
+        assert sampled.max() <= residual * (1.0 + 1e-12) + 1e-15
+        return
+    transposed = kind == "transposed"
+    s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    np.fill_diagonal(s, rng.uniform(0.5, 2.0, n) * _unimodular(rng, n))
+    residual = classify._symbol_triple(LinearMap(s, transposed=transposed))[3]["jordan_square"]
+    r = int(np.argmax(np.abs(s.diagonal())))
+    units = np.eye(n)[:, None, :, None] * np.eye(n)[None, :, None, :]    # units[i, j] = e_ij
+    pairs = np.concatenate([(units[:, r, None] + units[None, r]).reshape(-1, n, n),
+                            units[r] + units[:, r]])
+    jmap = LinearMap(s / s.diagonal()[:, None], transposed=transposed)
+    assert residual <= 2.0 * _jordan_square_defects(jmap, pairs).max() * (1.0 + 1e-12)
+    u = rng.uniform(0.5, 2.0, n) * _unimodular(rng, n)
+    jordan = LinearMap(np.outer(u, 1.0 / u), transposed=transposed)
+    assert classify._symbol_triple(jordan)[3]["jordan_square"] <= 1e-14
+
+
+def test_extraction_draws_no_random_number(monkeypatch):
+    rng = np.random.default_rng(41)
+    accepted = schur_multiplier_map(np.outer(_unimodular(rng, 5), _unimodular(rng, 5)))
+    refused = fourier_multiplier_map(builtin_group("symmetric(3)"),
+                                     rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    want = [_extraction_outcome(yeadon_extract, t) for t in (accepted, refused)]
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("yeadon_extract drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    got = [_extraction_outcome(yeadon_extract, t) for t in (accepted, refused)]
+    assert isinstance(got[1], NotSeparating) and got[1].failing == want[1].failing
+    for before, after in zip(want, got):
+        assert after.residuals == before.residuals
+    np.testing.assert_array_equal(got[0].jmap.symbol, want[0].jmap.symbol)
+    np.testing.assert_array_equal(got[0].w, want[0].w)
+    np.testing.assert_array_equal(got[0].b, want[0].b)
 
 
 @pytest.mark.parametrize(
@@ -827,8 +903,8 @@ def test_yeadon_triple_holds_no_dense_stack():
 def test_multiplier_extraction_reads_the_symbol_not_the_basis(kind):
     # a 48 x 48 Schur map or the transpose: T of the whole basis would be
     # one 85 MB stack.  Read off the symbol, the triple costs a few n x n
-    # arrays and the eight n x n random samples.  Distinct moduli give B =
-    # |T(1)| one spectral cluster per eigenvalue
+    # arrays.  Distinct moduli give B = |T(1)| one spectral cluster per
+    # eigenvalue
     n = 48
     rng = np.random.default_rng(39)
     alpha = _unimodular(rng, n)
@@ -864,6 +940,17 @@ def test_overflowing_jordan_symbol_is_refused():
         warnings.simplefilter("error")
         with pytest.raises(NotSeparating) as info:
             yeadon_extract(schur_multiplier_map(m))
+    assert info.value.failing == "reconstruction"
+    assert info.value.residuals["reconstruction"] == math.inf
+
+
+def test_overflowing_weight_is_refused():
+    # |S_00| = 1.7e308 sqrt 2 overflows: B has no finite entry, so the
+    # triple is refused rather than read off an empty support
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotSeparating) as info:
+            yeadon_extract(schur_multiplier_map([[1.7e308 + 1.7e308j]]))
     assert info.value.failing == "reconstruction"
     assert info.value.residuals["reconstruction"] == math.inf
 

@@ -395,6 +395,26 @@ def test_verify_injected_mismatch_fails_and_names_cell(tmp_path, capsys):
     assert "failing: injected/fourier/0" in out
 
 
+@pytest.mark.parametrize("case, message", [
+    ({"kind": "fourier", "symbol": [[1.0, 0.0], [1.0, 0.0]]}, "injected case 1 has no 'group'"),
+    ({"kind": "fourier", "group": "cyclic(2)", "symbol": [[1.0, 0.0]]},
+     "injected case 1: symbol has 1 entries, expected 2"),
+    ({"kind": "schur", "matrix": {"dim": 2}},
+     "injected case 1: matrix JSON needs an integer 'dim' and numeric 're', 'im'"),
+])
+def test_verify_malformed_injected_case_is_data_error(tmp_path, capsys, case, message):
+    # every injected case is parsed before the first cell runs, so a
+    # malformed one is a data error naming its index, not a failed cell
+    well_formed = {"kind": "schur", "matrix": matrix_to_json(np.ones((2, 2))),
+                   "expect": "separating"}
+    config = _write_json(tmp_path, "config.json", dict(
+        SMALL_SUITE, injected=[well_formed, dict(case, expect="separating")]))
+    code, out, err = _run(capsys, ["verify-theorems", "--config", config])
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
 def test_verify_empty_group_list_is_inconclusive(tmp_path, capsys):
     config = _write_json(tmp_path, "config.json", {"groups": []})
     code, _, err = _run(capsys, ["verify-theorems", "--config", config])
@@ -487,6 +507,65 @@ def test_group_file_errors_name_the_path(tmp_path, capsys, command):
     code, _, err = _run(capsys, command[:1] + ["--group", str(bad)] + command[1:])
     assert code == EXIT_DATA
     assert err.startswith("error: invalid JSON in %s: " % bad)
+
+
+@pytest.mark.parametrize("group", [
+    {"order": 2, "mul": [[0, 1], [1, 0.5]]},     # no longer truncated to cyclic(2)
+    {"order": 2.9, "mul": [[0, 1], [1, 0]]},
+    {"order": True, "mul": [[0]]},
+    {"order": "2", "mul": [[0, 1], [1, 0]]},
+    {"order": 2, "mul": [[0, 1], [1, "0"]]},
+    {"order": 2, "mul": [[False, True], [True, False]]},
+    {"order": 2, "mul": [[0, 1], [1, 0]], "names": "ab"},
+    {"order": 2, "mul": [[0, 1], [1, 0]], "names": ["e", 1]},
+], ids=repr)
+def test_group_file_that_is_not_integers_is_data_error(tmp_path, capsys, group):
+    path = _write_json(tmp_path, "g.json", group)
+    code, out, err = _run(capsys, ["list-characters", "--group", path])
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("symbol", [
+    [[1.0, 0.0], ["1", 0.0]], [[1.0, 0.0], [True, 0.0]], [[1.0, 0.0], [1.0, None]],
+    [[1.0, 0.0], [float("nan"), 0.0]],
+], ids=repr)
+def test_symbol_file_that_is_not_numbers_is_data_error(tmp_path, capsys, symbol):
+    path = _write_json(tmp_path, "phi.json", symbol)
+    code, out, err = _run(capsys, ["classify-fourier", "--group", "cyclic(2)",
+                                   "--symbol", path])
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.startswith("error: symbol JSON must be")
+
+
+@pytest.mark.parametrize("matrix", [
+    {"dim": "2", "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+    {"dim": 2.7, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+    {"dim": 2.0, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+    {"dim": True, "re": [[1]], "im": [[0]]},
+    {"dim": 2, "re": [[1, 0], [0, "1"]], "im": [[0, 0], [0, 0]]},
+    {"dim": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, True]]},
+], ids=repr)
+def test_matrix_file_that_is_not_numbers_is_data_error(tmp_path, capsys, matrix):
+    path = _write_json(tmp_path, "m.json", matrix)
+    code, out, err = _run(capsys, ["classify-schur", "--symbol", path])
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.startswith("error: matrix JSON needs")
+
+
+def test_integer_parts_are_json_numbers(tmp_path, capsys):
+    # an int is a JSON number as much as a float is
+    symbol = _write_json(tmp_path, "phi.json", [[1, 0], [-1, 0]])
+    code, _, _ = _run(capsys, ["classify-fourier", "--group", "cyclic(2)",
+                               "--symbol", symbol, "--trials", "10"])
+    assert code == EXIT_SEPARATING
+    matrix = _write_json(tmp_path, "m.json", {"dim": 2, "re": [[1, 1], [1, 1]],
+                                              "im": [[0, 0], [0, 0]]})
+    code, _, _ = _run(capsys, ["classify-schur", "--symbol", matrix, "--trials", "10"])
+    assert code == EXIT_SEPARATING
 
 
 @pytest.mark.parametrize("command", [
