@@ -15,14 +15,11 @@ from .linalg import (
     LinalgError,
     NoConvergence,
     NotHermitian,
-    NotPositive,
     hermitian_eig,
     polar_decompose,
-    psd_pseudo_inverse,
     random_unitary,
     schatten_norm,
     singular_values,
-    support_projection,
     svd,
 )
 from .groups import (

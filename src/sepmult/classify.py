@@ -67,6 +67,7 @@ from .linalg import (
     frobenius,
     frobenius_each,
     hermitian_eig,
+    ldexp,
     matrix_to_json,
     over_power_of_two,
     random_unitary,
@@ -615,7 +616,8 @@ class YeadonTriple:
     def reconstruct_map(self):
         """The map x -> w B J(x): J is the symbol map K and w, B are
         diagonal, so it is the symbol map diag(w B) K, transposed with J."""
-        return _map_like(self.jmap, (self.w @ self.b).diagonal()[:, None] * self.jmap.symbol)
+        wb = self.w.diagonal() * self.b.diagonal()
+        return _map_like(self.jmap, wb[:, None] * self.jmap.symbol)
 
 
 def _map_like(t, k):
@@ -636,8 +638,11 @@ def _symbol_triple(t):
     of the largest), B = diag|S_ii| and K_ij = S_ij / S_ii on the support
     rows, 0 off them.  A basis element takes its entries of S and K alone
     (e_ij the entry (i, j), or (j, i) when T is transposed, lambda(s) the
-    entries at u t^-1 = s), so each residual is a formula in S and K."""
-    s = t.symbol
+    entries at u t^-1 = s), so each residual is a formula in S and K, read
+    on S / 2^e for the exponent e of the largest finite |S_ii|: exact."""
+    modulus = np.abs(t.symbol.diagonal())
+    _, e = math.frexp(float(np.max(modulus, where=np.isfinite(modulus), initial=0.0)))
+    s = ldexp(t.symbol, -e)
     d = s.diagonal()
     modulus = np.abs(d)
     top = float(np.max(modulus))
@@ -669,7 +674,7 @@ def _symbol_triple(t):
     # J(x*) - J(x)* is (K - K*) * x* entrywise (* conj(x) when J is
     # transposed), of norm at most max|K - K*| ||x||
     residuals["jordan_adjoint"] = float(np.max(np.abs(k - k.conj().T)))
-    return np.diag(phase), np.diag(modulus.astype(np.complex128)), k, residuals
+    return np.diag(phase), np.diag(np.ldexp(modulus, e).astype(np.complex128)), k, residuals
 
 
 def yeadon_extract(t, tol=DEFAULT_TOL):
@@ -726,14 +731,14 @@ def positive_definite_test(g, phi, tol=DEFAULT_TOL):
     Hermiticity gate already fails).
     """
     tol = check_tol(tol)
-    m = herz_schur_symbol(g, phi)
-    # the defect is read on m / max|m| so that no square under- or overflows
-    unit = m / max(float(np.max(np.abs(m))), 1e-300)
-    hermitian_defect = frobenius(unit - unit.conj().T) / max(frobenius(unit), 1e-300)
-    vals, _ = hermitian_eig(0.5 * (m + m.conj().T))
+    # read on m / 2^e, largest part in [0.5, 1): nothing under- or overflows
+    unit, e = over_power_of_two(herz_schur_symbol(g, phi))
+    hermitian_defect = frobenius(unit - unit.conj().T) / (frobenius(unit) or 1.0)
+    vals, _ = hermitian_eig(0.5 * (unit + unit.conj().T))
     min_eig = float(vals[0])
     ok = hermitian_defect <= tol and min_eig >= -tol * float(np.max(np.abs(vals)))
-    return ok, min_eig
+    with np.errstate(over="ignore"):    # an eigenvalue below -1.8e308 reads -inf
+        return ok, float(np.ldexp(min_eig, e))
 
 
 _EPS = float(np.finfo(float).eps)
@@ -768,7 +773,10 @@ def _search_cannot_refute(tmap, certificate, tol):
     else:
         alpha, beta = certificate["alpha"], certificate["beta"]
     eta = max(float(np.max(np.abs(np.abs(v) - 1.0))) for v in (alpha, beta))
-    rho = float(np.max(np.abs(symbol / c - np.outer(alpha, beta))))
+    # S / c read as (S / 2^e) / (c / 2^e), |c| / 2^e in [0.5, 1): exact
+    _, e = math.frexp(abs(c))
+    ratio = ldexp(symbol, -e) / complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
+    rho = float(np.max(np.abs(ratio - np.outer(alpha, beta))))
     rho += 2.0 * eta + eta * eta
     if not rho < 1.0:
         return False

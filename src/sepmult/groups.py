@@ -140,13 +140,6 @@ class FiniteGroup:
     def inverse(self, s):
         return int(self.inv[s])
 
-    def element_order(self, s):
-        k, acc = 1, int(s)
-        while acc != self.identity:
-            acc = int(self.mul[acc, s])
-            k += 1
-        return k
-
     def involutions(self):
         """Indices of the order-2 elements, in index order."""
         if self._involutions is None:
@@ -154,9 +147,6 @@ class FiniteGroup:
             squares_to_identity[self.identity] = False
             self._involutions = tuple(np.flatnonzero(squares_to_identity).tolist())
         return list(self._involutions)
-
-    def is_abelian(self):
-        return bool(np.array_equal(self.mul, self.mul.T))
 
     def closure(self, seed):
         """Subgroup generated by ``seed`` (set of indices), as a sorted tuple."""
@@ -172,11 +162,6 @@ class FiniteGroup:
 
     def __repr__(self):
         return "FiniteGroup(order=%d)" % self.order
-
-
-def same_group(g1, g2):
-    """Structural identity: same multiplication table."""
-    return g1 is g2 or np.array_equal(g1.mul, g2.mul)
 
 
 def commutator_subgroup(g):
@@ -307,16 +292,6 @@ class Character:
 
     def __post_init__(self):
         self.values = as_symbol(self.group, self.values)
-
-    def validate(self, tol=DEFAULT_TOL):
-        """``ValueError`` unless the values are 1 at the identity and fit a
-        character within ``tol`` (:func:`fit_scalar_character`)."""
-        fit = fit_scalar_character(self.group, self.values, tol)
-        if fit is None or abs(fit[0] - 1.0) > tol:
-            raise ValueError("values are not a character within %.3g" % tol)
-
-    def __call__(self, s):
-        return complex(self.values[s])
 
 
 def as_symbol(g, phi):

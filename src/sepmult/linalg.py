@@ -5,7 +5,7 @@ eigensolver and the SVD are ``numpy.linalg.eigh`` and ``numpy.linalg.svd``
 behind this module's contracts (validated input, exact symmetrization,
 ascending eigenvalues, descending singular values, unitary factors, fixed
 answers for the zero matrix, and package exception types); polar
-decomposition / support projections / Schatten norms are built on those two.
+decomposition and Schatten norms are built on those two.
 The decompositions, ``schatten_norm`` and ``polar_decompose`` also take
 stacks of shape (..., n, n) and apply their contract to each matrix;
 ``singular_value_norm`` gives the Schatten norm from singular values already
@@ -14,15 +14,14 @@ Intended scale is dim <= ~200; no sparsity, no rectangular SVD.
 
 Tolerance convention: one package-wide default ``DEFAULT_TOL = 1e-9``, always
 interpreted relative to the Frobenius norm of the operand (so the zero matrix
-is Hermitian, positive, unitary-invariant, ... without special pleading).
-Every equality decision accepts an overriding ``tol`` argument, a finite
-number > 0 and < 1 (``check_tol``): a NaN or infinite one passes every test,
-and a relative tolerance of 1 or more lets a zero pass for any value.
+is Hermitian, positive, unitary-invariant, ... without special pleading); the
+Hermitian gate and the polar cutoff use it as it is.  Other equality decisions
+take a ``tol``, finite, > 0 and < 1 (``check_tol``): a NaN or infinite one
+passes every test, and one of 1 or more lets a zero pass for any value.
 Schatten exponents follow one rule too (``check_p``).
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,19 +45,8 @@ class InvalidExponent(LinalgError):
     """Schatten exponent outside [1, inf]."""
 
 
-class NotPositive(LinalgError):
-    """Input was required to be positive semidefinite and is not."""
-
-
 class DimMismatch(LinalgError):
     """Operands have incompatible dimensions."""
-
-
-class EigenDecomposition(NamedTuple):
-    """Eigenvalues (real, ascending) and matching unitary eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def check_tol(tol, error=ValueError):
@@ -150,20 +138,20 @@ def lapack_backend():
         return "numpy %s, LAPACK" % np.__version__
 
 
-def hermitian_eig(h, tol=DEFAULT_TOL):
+def hermitian_eig(h):
     """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
-    The input must satisfy ``||H - H*||_F <= tol * ||H||_F``; it is then
-    symmetrized exactly before decomposing, so returned eigenvalues are real
-    and the eigenvector matrix is unitary to machine precision.  Eigenvalues
-    come back ascending with eigenvector columns in matching order.  The zero
-    matrix returns ``(zeros, I)``.  A stack (..., n, n) is decomposed matrix
-    by matrix, and fails if any of its matrices does.
+    The input must satisfy ``||H - H*||_F <= DEFAULT_TOL * ||H||_F``; it is
+    then symmetrized exactly before decomposing, so returned eigenvalues are
+    real and the eigenvector matrix is unitary to machine precision.
+    Returns ``(values, vectors)``: eigenvalues ascending, eigenvector columns
+    in matching order.  The zero matrix returns ``(zeros, I)``.  A stack
+    (..., n, n) is decomposed matrix by matrix, and fails if any of its
+    matrices does.
 
     Raises ``NotHermitian`` on asymmetric input and ``NoConvergence`` if
     LAPACK reports failure.
     """
-    tol = check_tol(tol)
     a = _as_complex_stack(h)
     # the gate sees each matrix divided by its largest entry, so its norms
     # neither underflow nor overflow whatever the matrix's scale; only an
@@ -171,9 +159,10 @@ def hermitian_eig(h, tol=DEFAULT_TOL):
     peak = np.abs(a).max(axis=(-2, -1), initial=0.0)
     zero = peak == 0.0
     scaled = a / np.where(zero, 1.0, peak)[..., None, None]
-    if (frobenius_each(scaled - _adjoint(scaled)) > tol * frobenius_each(scaled)).any():
+    if (frobenius_each(scaled - _adjoint(scaled))
+            > DEFAULT_TOL * frobenius_each(scaled)).any():
         raise NotHermitian(
-            "matrix is not Hermitian within relative tolerance %g" % tol
+            "matrix is not Hermitian within relative tolerance %g" % DEFAULT_TOL
         )
     symmetrized = _adjoint(a)
     symmetrized += a
@@ -185,7 +174,7 @@ def hermitian_eig(h, tol=DEFAULT_TOL):
     if zero.any():
         vals[zero] = 0.0
         vecs[zero] = np.eye(a.shape[-1])
-    return EigenDecomposition(vals, vecs)
+    return vals, vecs
 
 
 def singular_values(a):
@@ -247,72 +236,44 @@ def schatten_norm(a, p, trace_weight=1.0):
 
 def singular_value_norm(sigma, p, trace_weight=1.0):
     """:func:`schatten_norm` of the matrix, or of each matrix of a stack,
-    with the descending singular values ``sigma`` (last axis)."""
+    with the descending singular values ``sigma`` (last axis).  Where
+    sigma_max = 2^e f, f in [0.5, 1), has |e| p >= 900, sigma^p could leave
+    the float range, and the sum is taken over (sigma / 2^e)^p instead."""
     p = check_p(p)
     weight = _check_trace_weight(trace_weight)
+    tops = sigma[..., :1].ravel().tolist() or [1.0]
+    lo, hi = min(tops), max(tops)
     if math.isinf(p):
         norms = sigma[..., 0] if sigma.shape[-1] else np.zeros(sigma.shape[:-1])
-    else:
+    elif lo > 0.0 and max(-math.frexp(lo)[1], math.frexp(hi)[1]) * p < 900:
         norms = (weight * np.sum(sigma ** p, axis=-1)) ** (1.0 / p)
+    else:
+        _, e = np.frexp(sigma[..., 0])
+        e = np.where(np.abs(e) * p >= 900, e, 0)
+        sums = np.sum(np.ldexp(sigma, -e[..., None]) ** p, axis=-1)
+        norms = np.ldexp((weight * sums) ** (1.0 / p), e)
     return float(norms) if sigma.ndim == 1 else norms
 
 
-def polar_decompose(a, tol=DEFAULT_TOL):
+def polar_decompose(a):
     """Polar decomposition ``A = w B`` with B psd and w a partial isometry.
 
     ``B = (A*A)^(1/2)`` and ``w`` carries the support of B onto the closure
-    of the range of A, so ``w* w = support_projection(B)``.  Singular values
-    at or below ``tol * sigma_max`` are treated as zero and excluded from w.
-    A stack (..., n, n) is decomposed matrix by matrix.
+    of the range of A, so ``w* w`` is the projection onto the range of B.
+    Singular values at or below ``DEFAULT_TOL * sigma_max`` are treated as
+    zero and excluded from w.  A stack (..., n, n) is decomposed matrix by
+    matrix.
     """
-    tol = check_tol(tol)
     u, sigma, v = svd(a)
     b = (v * sigma[..., None, :]) @ _adjoint(v)
     b = 0.5 * (b + _adjoint(b))
-    return _partial_isometry(u, sigma, v, tol), b
+    return _partial_isometry(u, sigma, v), b
 
 
-def _partial_isometry(u, sigma, v, tol):
-    """``U_k V_k*`` over the singular values above ``tol * sigma_max``."""
-    keep = sigma > tol * sigma[..., :1]
+def _partial_isometry(u, sigma, v):
+    """``U_k V_k*`` over the singular values above ``DEFAULT_TOL * sigma_max``."""
+    keep = sigma > DEFAULT_TOL * sigma[..., :1]
     return (u * keep[..., None, :]) @ _adjoint(v)
-
-
-def support_projection(b, tol=DEFAULT_TOL):
-    """Orthogonal projection onto the range of a psd matrix.
-
-    Eigenvalues below ``tol * max|eig|`` count as zero; an eigenvalue below
-    ``-tol * max|eig|`` means the input is not positive and raises
-    ``NotPositive``.  The zero matrix has zero support.
-    """
-    tol = check_tol(tol)
-    vals, vecs = hermitian_eig(b, tol)
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if scale == 0.0:
-        return np.zeros((vals.size, vals.size), dtype=np.complex128)
-    if vals[0] < -tol * scale:
-        raise NotPositive(
-            "matrix has eigenvalue %g below -tol*scale = %g"
-            % (vals[0], -tol * scale)
-        )
-    keep = vals > tol * scale
-    vk = vecs[:, keep]
-    return vk @ vk.conj().T
-
-
-def psd_pseudo_inverse(b, tol=DEFAULT_TOL):
-    """Moore-Penrose inverse of a psd matrix via its eigendecomposition.
-
-    ``tol`` is the Hermitian gate's tolerance and the cutoff: eigenvalues at
-    or below ``tol * max(eig)`` are treated as zero.
-    """
-    tol = check_tol(tol)
-    vals, vecs = hermitian_eig(b, tol)
-    scale = float(np.max(vals)) if vals.size else 0.0
-    if scale <= 0.0:
-        return np.zeros_like(vecs)
-    inv = np.where(vals > tol * scale, 1.0 / np.where(vals == 0, 1.0, vals), 0.0)
-    return (vecs * inv) @ vecs.conj().T
 
 
 def complex_gaussians(rng, count, shape):
@@ -334,7 +295,7 @@ def random_unitary(n, rng):
     times."""
     eye = np.eye(n)
     for _ in range(8):
-        w = _partial_isometry(*svd(complex_gaussians(rng, 1, (n, n))[0]), DEFAULT_TOL)
+        w = _partial_isometry(*svd(complex_gaussians(rng, 1, (n, n))[0]))
         if frobenius_each(_adjoint(w) @ w - eye) <= 1e-10 * math.sqrt(n):
             return w
     raise NoConvergence("failed to draw an invertible Gaussian matrix")

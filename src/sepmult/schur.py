@@ -16,13 +16,14 @@ way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .groups import FiniteGroup, as_symbol, fit_scalar_character
-from .linalg import DEFAULT_TOL, as_complex_matrix, check_tol
+from .linalg import DEFAULT_TOL, as_complex_matrix, check_tol, ldexp
 
 
 @dataclass
@@ -56,6 +57,8 @@ def rank_one_unimodular_factor(m, tol=DEFAULT_TOL) -> Optional[RankOneCertificat
     the float range raises ``ValueError``).  Gauge:
     alpha_1 = 1, c = m_11; the candidate is verified entrywise before being
     returned, so near-misses come back as None rather than a bad certificate.
+    Both are read on m / 2^e, e the exponent of max|m|: exact, so a
+    subnormal m factors as its normal multiples do.
     """
     tol = check_tol(tol)
     mm = as_complex_matrix(m)
@@ -69,14 +72,16 @@ def rank_one_unimodular_factor(m, tol=DEFAULT_TOL) -> Optional[RankOneCertificat
         raise ValueError("symbol moduli exceed the float range")
     if float(mmax - moduli.min()) > tol * mmax:
         return None
-    c = complex(mm[0, 0])
-    alpha = _unimodular(mm[:, 0] / c)
+    _, e = math.frexp(mmax)
+    unit = ldexp(mm, -e)
+    pivot = unit[0, 0]
+    alpha = _unimodular(unit[:, 0] / pivot)
     alpha[0] = 1.0
-    beta = _unimodular(mm[0, :] / c)
-    residual = np.max(np.abs(mm - c * np.outer(alpha, beta)))
-    if float(residual) > tol * mmax:
+    beta = _unimodular(unit[0, :] / pivot)
+    residual = float(np.max(np.abs(unit - pivot * np.outer(alpha, beta))))
+    if not residual <= tol * math.ldexp(mmax, -e):     # NaN fails
         return None
-    return RankOneCertificate(c, alpha, beta)
+    return RankOneCertificate(mm[0, 0], alpha, beta)
 
 
 def herz_schur_symbol(g: FiniteGroup, phi):

@@ -38,11 +38,8 @@ from sepmult.linalg import (
     InvalidExponent,
     frobenius,
     frobenius_each,
-    hermitian_eig,
     polar_decompose,
-    psd_pseudo_inverse,
     schatten_norm,
-    support_projection,
 )
 from sepmult.schur import RankOneCertificate
 from sepmult.vna import (
@@ -591,17 +588,22 @@ def _reference_yeadon(t):
     """Per-element Yeadon extraction: one ``apply`` of T or of the dense J
     per basis element, one cluster cut at a time, and the Jordan square's
     pivot defects one entry at a time."""
-    cutoff = classify._PINV_CUTOFF
     unit = np.eye(t.matrix_dim, dtype=np.complex128)
-    w, b = polar_decompose(t.apply(unit), cutoff)
-    bpw = psd_pseudo_inverse(b, cutoff) @ w.conj().T
+    w, b = polar_decompose(t.apply(unit))
+    # B^+ and supp(B) from one numpy eigendecomposition of B, cut at
+    # _PINV_CUTOFF of its largest eigenvalue modulus
+    vals, vecs = np.linalg.eigh(b)
+    scale = float(np.max(np.abs(vals)))
+    keep = vals > classify._PINV_CUTOFF * scale
+    vk = vecs[:, keep]
+    supp = vk @ vk.conj().T
+    bpw = (vk / vals[keep]) @ vk.conj().T @ w.conj().T
     basis = list(_reference_basis(t))
     t_images = [t.apply(a) for a in basis]
     jmap = DenseMap([bpw @ img for img in t_images], t.algebra, t.group)
 
     scale_t = max(frobenius(img) for img in t_images) or 1.0
     residuals = {}
-    supp = support_projection(b, cutoff)
     supp_scale = max(1.0, frobenius(supp))
     residuals["initial_projection"] = frobenius(w.conj().T @ w - supp) / supp_scale
     residuals["jordan_unit"] = frobenius(jmap.apply(unit) - supp) / supp_scale
@@ -609,8 +611,6 @@ def _reference_yeadon(t):
         frobenius(img - w @ b @ jmap.apply(a)) / scale_t
         for a, img in zip(basis, t_images))
 
-    vals, vecs = hermitian_eig(b)
-    scale = float(np.max(np.abs(vals)))
     projections = []
     if scale > 0.0:
         cuts = [0]
@@ -955,6 +955,23 @@ def test_overflowing_weight_is_refused():
     assert info.value.residuals["reconstruction"] == math.inf
 
 
+@pytest.mark.parametrize("k", [-1060, -1040, 0, 1020])
+def test_verdicts_and_triples_read_every_scale_as_scale_one(k):
+    # entries +-2^k and +-2^k i are exact at every k, subnormal ones too
+    scale = 2.0 ** k
+    verdict = classify_schur(scale * np.array([[1.0, 1.0], [1.0, -1.0]]))
+    assert verdict.status == NOT_SEPARATING
+    assert verdict.witness.label == "probe:hadamard:0,1"
+    verdict = classify_fourier(builtin_group("cyclic(4)"), scale * np.array([1, 1j, -1, -1j]))
+    assert (verdict.status, verdict.trials) == (SEPARATING, 0)
+    verdict = classify_schur(scale * np.ones((3, 3)))
+    assert (verdict.status, verdict.trials) == (SEPARATING, 0)
+    triple = yeadon_extract(schur_multiplier_map(scale * np.ones((3, 3))))
+    assert max(triple.residuals.values()) == 0.0
+    assert np.array_equal(triple.b, scale * np.eye(3))
+    assert np.array_equal(triple.w, np.eye(3))
+
+
 def _rescaling_cases():
     """(group or None, symbol, refused) for Schur and Fourier symbols; the
     rescaled rank-one Schur symbols are accepted by
@@ -1020,7 +1037,7 @@ def test_negative_spectrum_detected():
     assert min_eig == pytest.approx(-1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("scale", [1e-200, 1e-12, 1.0, 1e200])
+@pytest.mark.parametrize("scale", [1e-200, 1e-12, 1.0, 1e200, 2.0 ** 1023])
 def test_positive_definiteness_is_scale_invariant(scale):
     # (0, 1, 1) has Herz-Schur eigenvalues 2, -1, -1; no absolute floor may
     # pass it when small, and no overflowing norm may fail a large character

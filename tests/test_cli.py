@@ -117,6 +117,21 @@ def test_classify_schur_witness(tmp_path, capsys):
     assert json.loads(out)["witness"]["label"] == "probe:hadamard:0,1"
 
 
+def test_classify_schur_witness_on_a_subnormal_symbol(tmp_path, capsys):
+    # no NaN certificate: the output is strict JSON and the witness the
+    # one found at scale 1
+    matrix = _matrix_file(tmp_path, "m.json", 2.0 ** -1060 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+    code, out, _ = _run(capsys, [
+        "classify-schur", "--symbol", matrix, "--trials", "10", "--json"])
+    assert code == EXIT_WITNESS
+
+    def refuse(token):
+        raise ValueError("not JSON: %s" % token)
+
+    blob = json.loads(out, parse_constant=refuse)
+    assert blob["witness"]["label"] == "probe:hadamard:0,1"
+
+
 # ---------------------------------------------------------------------------
 # herz-schur
 

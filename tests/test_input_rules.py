@@ -30,11 +30,7 @@ from sepmult.groups import (
 from sepmult.linalg import (
     InvalidExponent,
     check_p,
-    hermitian_eig,
-    polar_decompose,
-    psd_pseudo_inverse,
     schatten_norm,
-    support_projection,
 )
 from sepmult.schur import (
     herz_schur_symbol,
@@ -49,9 +45,6 @@ C3 = builtin_group("cyclic(3)")
 #: neither a multiple of a character nor rank-one unimodular
 NON_CHARACTER = np.array([1.0, 1.0, 0.5])
 NON_FACTORABLE = np.array([[1.0, 1.0], [1.0, 0.5]])
-#: not Hermitian, so only a tolerance that passes every test would let it in
-NON_HERMITIAN = np.array([[0.0, 1.0], [0.0, 0.0]])
-SINGULAR_PSD = np.diag([0.0, 2.0])
 
 
 def _certificate():
@@ -76,10 +69,6 @@ TOL_ENTRY_POINTS = {
         NON_FACTORABLE, tol),
     "recover_character": lambda tol: recover_character(C3, _certificate(), tol),
     "positive_definite_test": lambda tol: positive_definite_test(C3, NON_CHARACTER, tol),
-    "hermitian_eig": lambda tol: hermitian_eig(NON_HERMITIAN, tol),
-    "support_projection": lambda tol: support_projection(SINGULAR_PSD, tol),
-    "psd_pseudo_inverse": lambda tol: psd_pseudo_inverse(SINGULAR_PSD, tol=tol),
-    "polar_decompose": lambda tol: polar_decompose(NON_HERMITIAN, tol),
 }
 
 

@@ -18,18 +18,15 @@ from sepmult.linalg import (
     InvalidExponent,
     NoConvergence,
     NotHermitian,
-    NotPositive,
     frobenius,
     hermitian_eig,
     matrix_from_json,
     matrix_to_json,
     polar_decompose,
-    psd_pseudo_inverse,
     random_unitary,
     schatten_norm,
     singular_value_norm,
     singular_values,
-    support_projection,
     svd,
 )
 
@@ -253,6 +250,17 @@ def test_schatten_matches_direct_formula():
     assert schatten_norm(a, math.inf, 0.2) == pytest.approx(sigma[0], rel=1e-11)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("k", [-700, 700])
+def test_schatten_norm_neither_underflows_nor_overflows(p, k):
+    # (2^k)^p leaves the float range, the norm of 2^k I does not
+    want = 2.0 ** k * (1.0 if math.isinf(p) else 2.0 ** (1.0 / p))
+    assert schatten_norm(2.0 ** k * np.eye(2), p) == pytest.approx(want, rel=1e-15)
+    stack = np.stack([2.0 ** k * np.eye(2), np.eye(2), np.zeros((2, 2))])
+    np.testing.assert_allclose(schatten_norm(stack, p), [want, want / 2.0 ** k, 0.0],
+                               rtol=1e-15, atol=0.0)
+
+
 def test_schatten_rejects_bad_exponent_and_weight():
     a = np.eye(2)
     with pytest.raises(InvalidExponent):
@@ -332,7 +340,7 @@ def test_schatten_unitary_invariance(n, p, seed):
 
 
 # ---------------------------------------------------------------------------
-# polar decomposition and support projections
+# polar decomposition
 
 
 def test_polar_positive_definite_is_identity_isometry():
@@ -368,47 +376,10 @@ def test_polar_redecompose_idempotent():
     w2, b2 = polar_decompose(w @ b)
     np.testing.assert_allclose(b2, b, atol=1e-9 * max(1.0, frobenius(b)))
     # compare the isometries on the support of B only; the kernel is gauge
-    supp = support_projection(b)
+    vals, vecs = np.linalg.eigh(b)
+    vk = vecs[:, vals > 1e-9 * vals[-1]]
+    supp = vk @ vk.conj().T
     np.testing.assert_allclose(w2 @ supp, w @ supp, atol=1e-8)
-
-
-def test_support_projection_frozen_cases():
-    np.testing.assert_allclose(support_projection(np.diag([0.0, 2.0])),
-                               np.diag([0.0, 1.0]), atol=ATOL)
-    np.testing.assert_allclose(support_projection(np.zeros((2, 2))),
-                               np.zeros((2, 2)), atol=ATOL)
-
-
-def test_support_projection_thresholds_tiny_eigenvalues():
-    rng = np.random.default_rng(20)
-    v = random_unitary(3, rng)
-    b = v @ np.diag([0.0, 1e-15, 3.0]) @ v.conj().T
-    proj = support_projection(b, tol=1e-9)
-    assert np.real(np.trace(proj)) == pytest.approx(1.0, abs=1e-9)
-    assert frobenius(proj @ proj - proj) < 1e-9
-    assert frobenius(proj - proj.conj().T) < 1e-9
-
-
-def test_support_projection_rejects_negative():
-    with pytest.raises(NotPositive):
-        support_projection(np.diag([-1.0, 2.0]))
-
-
-def test_psd_pseudo_inverse():
-    rng = np.random.default_rng(21)
-    v = random_unitary(3, rng)
-    b = v @ np.diag([0.0, 0.5, 4.0]) @ v.conj().T
-    bp = psd_pseudo_inverse(b)
-    supp = support_projection(b)
-    np.testing.assert_allclose(bp @ b, supp, atol=1e-9)
-    np.testing.assert_allclose(b @ bp, supp, atol=1e-9)
-
-
-def test_psd_pseudo_inverse_cuts_at_tol():
-    # eigenvalues at or below tol * max(eig) count as zero, negative ones too
-    b = np.diag([-1e-12, 1e-6, 1.0])
-    for tol, want in ((1e-9, [0.0, 1e6, 1.0]), (1e-3, [0.0, 0.0, 1.0])):
-        np.testing.assert_allclose(psd_pseudo_inverse(b, tol), np.diag(want), rtol=1e-12)
 
 
 def test_random_unitary_is_unitary():

@@ -132,6 +132,17 @@ def test_factor_tolerance_window():
     np.testing.assert_allclose(cert.reconstruct(), bumped, atol=1e-4)
 
 
+@pytest.mark.parametrize("k", [-1060, -1040, 0, 1020])
+def test_factor_reads_every_scale_as_scale_one(k):
+    # entries +-2^k and +-2^k i are exact at every k, subnormal ones too
+    scale = 2.0 ** k
+    cert = rank_one_unimodular_factor(scale * np.array([[1j, 1.0], [-1j, -1.0]]))
+    assert cert.c == scale * 1j
+    assert np.array_equal(cert.alpha, [1.0, -1.0])
+    assert np.array_equal(cert.beta, [1.0, -1j])
+    assert rank_one_unimodular_factor(scale * np.array([[1.0, 1.0], [1.0, -1.0]])) is None
+
+
 # ---------------------------------------------------------------------------
 # Herz-Schur symbols
 

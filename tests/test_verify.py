@@ -11,7 +11,7 @@ import pytest
 
 from sepmult import verify
 from sepmult.classify import InvalidTrials, fourier_multiplier_map
-from sepmult.groups import UnknownFamily, builtin_group, enumerate_characters, same_group
+from sepmult.groups import UnknownFamily, builtin_group, enumerate_characters
 from sepmult.linalg import (
     frobenius,
     hermitian_eig,
@@ -128,7 +128,7 @@ def test_load_group_dispatches_on_name_vs_path(tmp_path):
     g = builtin_group("dihedral(3)")
     path = tmp_path / "g.json"
     path.write_text(json.dumps(group_to_json(g)), encoding="utf-8")
-    assert same_group(load_group(str(path)), g)
+    assert np.array_equal(load_group(str(path)).mul, g.mul)
     with pytest.raises(UnknownFamily):
         load_group("octonion")
 
