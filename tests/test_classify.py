@@ -529,6 +529,20 @@ def test_triple_of_scaled_character_fourier():
     np.testing.assert_allclose(rebuilt.images, t.images, atol=1e-8)
 
 
+def test_reconstructed_symbol_is_the_dense_product_bit_for_bit():
+    # w and B are diagonal and B is real, so diag(w) * diag(B) is diag(w B)
+    rng = np.random.default_rng(9)
+    g = builtin_group("dihedral(3)")
+    maps = (schur_multiplier_map(2.5 * np.outer(_unimodular(rng, 4), _unimodular(rng, 4))),
+            fourier_multiplier_map(g, 1.5j * _sign_character(g).values),
+            transpose_map(3))
+    for t in maps:
+        triple = yeadon_extract(t)
+        dense = (triple.w @ triple.b).diagonal()
+        assert np.array_equal(triple.reconstruct_map().symbol,
+                              dense[:, None] * triple.jmap.symbol)
+
+
 def test_extracted_jordan_map_satisfies_polarized_identities():
     rng = np.random.default_rng(8)
     m = np.outer(_unimodular(rng, 4), _unimodular(rng, 4))

@@ -182,6 +182,13 @@ def test_name_length_mismatch():
         FiniteGroup([[0, 1], [1, 0]], names=["e"])
 
 
+def test_same_group():
+    # a group is its multiplication table: equal names build equal tables
+    assert np.array_equal(builtin_group("cyclic(3)").mul, builtin_group("cyclic(3)").mul)
+    assert builtin_group("cyclic(3)").mul.shape != builtin_group("cyclic(4)").mul.shape
+    assert not np.array_equal(builtin_group("cyclic(6)").mul, builtin_group("dihedral(3)").mul)
+
+
 # ---------------------------------------------------------------------------
 # commutator subgroup
 
@@ -335,6 +342,13 @@ def test_character_constructor_checks_length():
     g = builtin_group("cyclic(3)")
     with pytest.raises(ValueError):
         Character(g, np.ones(4))
+
+
+def test_character_validate_rejects_nonmultiplicative():
+    # Character keeps any values; fitting them as a character checks them
+    g = builtin_group("cyclic(3)")
+    bad = Character(g, np.array([1.0, 1.0, -1.0]))
+    assert fit_scalar_character(g, bad.values, 1e-12) is None
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ from sepmult.groups import (
 from sepmult.linalg import (
     InvalidExponent,
     check_p,
+    hermitian_eig,
+    polar_decompose,
     schatten_norm,
 )
 from sepmult.schur import (
@@ -77,6 +79,13 @@ TOL_ENTRY_POINTS = {
 def test_entry_points_refuse_a_tolerance_outside_the_open_unit_interval(entry, tol):
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         TOL_ENTRY_POINTS[entry](tol)
+
+
+@pytest.mark.parametrize("entry", [hermitian_eig, polar_decompose])
+def test_hermitian_gate_and_polar_cutoff_take_no_tolerance(entry):
+    # both read DEFAULT_TOL; a tolerance passed to them is an error
+    with pytest.raises(TypeError):
+        entry(np.eye(2), 1e-3)
 
 
 @pytest.mark.parametrize("tol", BAD_TOLS)

@@ -103,6 +103,24 @@ def test_eig_of_rescaled_matrix_rescales_eigenvalues(scale):
     assert frobenius(vecs.conj().T @ vecs - np.eye(4)) < 1e-12
 
 
+def test_eig_returns_a_plain_pair():
+    pair = hermitian_eig(np.diag([2.0, 1.0]))
+    assert type(pair) is tuple and len(pair) == 2
+    np.testing.assert_allclose(pair[0], [1.0, 2.0], atol=ATOL)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_eig_gate_is_default_tol(scale):
+    # ||H - H*||_F / ||H||_F is about d: half DEFAULT_TOL passes, twice is refused
+    def skewed(d):
+        return scale * np.array([[1.0, d], [0.0, 1.0]])
+
+    vals, _ = hermitian_eig(skewed(0.5 * DEFAULT_TOL))
+    np.testing.assert_allclose(vals / scale, [1.0, 1.0], atol=DEFAULT_TOL)
+    with pytest.raises(NotHermitian):
+        hermitian_eig(skewed(2.0 * DEFAULT_TOL))
+
+
 @pytest.mark.parametrize("scale", [1e-200, 1e-100, 1.0, 1e100, 1e200])
 def test_eig_rejects_non_hermitian_at_every_scale(scale):
     with pytest.raises(NotHermitian):
@@ -380,6 +398,41 @@ def test_polar_redecompose_idempotent():
     vk = vecs[:, vals > 1e-9 * vals[-1]]
     supp = vk @ vk.conj().T
     np.testing.assert_allclose(w2 @ supp, w @ supp, atol=1e-8)
+
+
+# w* w is the support projection of B: the projection onto its range, with
+# singular values at or below DEFAULT_TOL * sigma_max counted as zero
+
+
+def _support_projection(b):
+    w, _ = polar_decompose(b)
+    return w.conj().T @ w
+
+
+def test_support_projection_frozen_cases():
+    np.testing.assert_allclose(_support_projection(np.diag([0.0, 2.0])),
+                               np.diag([0.0, 1.0]), atol=ATOL)
+    np.testing.assert_allclose(_support_projection(np.zeros((2, 2))),
+                               np.zeros((2, 2)), atol=ATOL)
+
+
+def test_support_projection_thresholds_tiny_eigenvalues():
+    rng = np.random.default_rng(20)
+    v = random_unitary(3, rng)
+    b = v @ np.diag([0.0, 1e-15, 3.0]) @ v.conj().T
+    proj = _support_projection(b)
+    assert np.real(np.trace(proj)) == pytest.approx(1.0, abs=1e-9)
+    assert frobenius(proj @ proj - proj) < 1e-9
+    assert frobenius(proj - proj.conj().T) < 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_polar_cutoff_is_default_tol(scale):
+    # singular values at or below DEFAULT_TOL * sigma_max drop out of w
+    a = scale * np.diag([1.0, 2.0 * DEFAULT_TOL, 0.5 * DEFAULT_TOL, 0.0])
+    w, b = polar_decompose(a)
+    np.testing.assert_allclose(w, np.diag([1.0, 1.0, 0.0, 0.0]), atol=ATOL)
+    np.testing.assert_allclose(b / scale, a / scale, rtol=0.0, atol=ATOL)
 
 
 def test_random_unitary_is_unitary():
