@@ -639,9 +639,8 @@ def _symbol_triple(t):
     rows, 0 off them.  A basis element takes its entries of S and K alone
     (e_ij the entry (i, j), or (j, i) when T is transposed, lambda(s) the
     entries at u t^-1 = s), so each residual is a formula in S and K, read
-    on S / 2^e for the exponent e of the largest finite |S_ii|: exact."""
-    modulus = np.abs(t.symbol.diagonal())
-    _, e = math.frexp(float(np.max(modulus, where=np.isfinite(modulus), initial=0.0)))
+    on S / 2^e for 2^e the scale of the diagonal's largest part: exact."""
+    _, e = over_power_of_two(t.symbol.diagonal())
     s = ldexp(t.symbol, -e)
     d = s.diagonal()
     modulus = np.abs(d)
@@ -656,7 +655,7 @@ def _symbol_triple(t):
     residuals["jordan_unit"] = frobenius(k.diagonal() - supp) / supp_scale
     residuals["reconstruction"] = (float(np.max(np.abs(s - (phase * modulus)[:, None] * k)))
                                    / (float(np.max(np.abs(s))) or 1.0))
-    if not (math.isfinite(top) and np.isfinite(k).all()):
+    if not (np.isfinite(np.ldexp(top, e)) and np.isfinite(k).all()):
         residuals["reconstruction"] = math.inf      # no finite triple
     # B's spectral projections are diagonal, so J(e_ij) = K_ij e_ij (or K_ji
     # e_ji) commutes with them unless i and j lie in different clusters; a
@@ -773,9 +772,9 @@ def _search_cannot_refute(tmap, certificate, tol):
     else:
         alpha, beta = certificate["alpha"], certificate["beta"]
     eta = max(float(np.max(np.abs(np.abs(v) - 1.0))) for v in (alpha, beta))
-    # S / c read as (S / 2^e) / (c / 2^e), |c| / 2^e in [0.5, 1): exact
-    _, e = math.frexp(abs(c))
-    ratio = ldexp(symbol, -e) / complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
+    # S / c read as (S / 2^e) / (c / 2^e), c / 2^e of order 1: exact
+    unit, e = over_power_of_two(c)
+    ratio = ldexp(symbol, -e) / unit
     rho = float(np.max(np.abs(ratio - np.outer(alpha, beta))))
     rho += 2.0 * eta + eta * eta
     if not rho < 1.0:

@@ -110,12 +110,12 @@ def ldexp(z, e):
 
 
 def over_power_of_two(z):
-    """(z / 2**e, e) for a complex128 array, with e chosen so that the
-    largest real or imaginary part of the result lies in [0.5, 1); the
-    division is exact unless an entry falls below the normal range, and the
-    zero array gives (z, 0)."""
-    z = np.ascontiguousarray(z)
-    _, e = math.frexp(float(np.max(np.abs(z.view(np.float64)), initial=0.0)))
+    """(z / 2**e, e) for a complex array or scalar (as an array of at least
+    one axis), with e chosen so that the largest real or imaginary part of
+    the result lies in [0.5, 1); the division is exact unless an entry falls
+    below the normal range, and the zero array gives (z, 0)."""
+    z = np.ascontiguousarray(z, dtype=np.complex128)
+    _, e = math.frexp(float(abs(z.view(np.float64)).max(initial=0.0)))
     return ldexp(z, -e), e
 
 
@@ -241,16 +241,13 @@ def singular_value_norm(sigma, p, trace_weight=1.0):
     the float range, and the sum is taken over (sigma / 2^e)^p instead."""
     p = check_p(p)
     weight = _check_trace_weight(trace_weight)
-    tops = sigma[..., :1].ravel().tolist() or [1.0]
-    lo, hi = min(tops), max(tops)
+    top = sigma.max(axis=-1, initial=0.0)
     if math.isinf(p):
-        norms = sigma[..., 0] if sigma.shape[-1] else np.zeros(sigma.shape[:-1])
-    elif lo > 0.0 and max(-math.frexp(lo)[1], math.frexp(hi)[1]) * p < 900:
-        norms = (weight * np.sum(sigma ** p, axis=-1)) ** (1.0 / p)
+        norms = top
     else:
-        _, e = np.frexp(sigma[..., 0])
-        e = np.where(np.abs(e) * p >= 900, e, 0)
-        sums = np.sum(np.ldexp(sigma, -e[..., None]) ** p, axis=-1)
+        e = np.frexp(top)[1]
+        e = e * (abs(e) * p >= 900)
+        sums = (np.ldexp(sigma, -e[..., None]) ** p).sum(axis=-1)
         norms = np.ldexp((weight * sums) ** (1.0 / p), e)
     return float(norms) if sigma.ndim == 1 else norms
 

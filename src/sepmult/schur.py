@@ -16,14 +16,13 @@ way.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .groups import FiniteGroup, as_symbol, fit_scalar_character
-from .linalg import DEFAULT_TOL, as_complex_matrix, check_tol, ldexp
+from .linalg import DEFAULT_TOL, as_complex_matrix, check_tol, over_power_of_two
 
 
 @dataclass
@@ -57,8 +56,8 @@ def rank_one_unimodular_factor(m, tol=DEFAULT_TOL) -> Optional[RankOneCertificat
     the float range raises ``ValueError``).  Gauge:
     alpha_1 = 1, c = m_11; the candidate is verified entrywise before being
     returned, so near-misses come back as None rather than a bad certificate.
-    Both are read on m / 2^e, e the exponent of max|m|: exact, so a
-    subnormal m factors as its normal multiples do.
+    Both are read on m / 2^e (:func:`linalg.over_power_of_two`): exact, so
+    a subnormal m factors as its normal multiples do.
     """
     tol = check_tol(tol)
     mm = as_complex_matrix(m)
@@ -72,14 +71,13 @@ def rank_one_unimodular_factor(m, tol=DEFAULT_TOL) -> Optional[RankOneCertificat
         raise ValueError("symbol moduli exceed the float range")
     if float(mmax - moduli.min()) > tol * mmax:
         return None
-    _, e = math.frexp(mmax)
-    unit = ldexp(mm, -e)
+    unit, e = over_power_of_two(mm)
     pivot = unit[0, 0]
     alpha = _unimodular(unit[:, 0] / pivot)
     alpha[0] = 1.0
     beta = _unimodular(unit[0, :] / pivot)
     residual = float(np.max(np.abs(unit - pivot * np.outer(alpha, beta))))
-    if not residual <= tol * math.ldexp(mmax, -e):     # NaN fails
+    if not residual <= tol * np.ldexp(mmax, -e):     # NaN fails
         return None
     return RankOneCertificate(mm[0, 0], alpha, beta)
 

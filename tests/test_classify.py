@@ -960,13 +960,18 @@ def test_overflowing_jordan_symbol_is_refused():
 
 def test_overflowing_weight_is_refused():
     # |S_00| = 1.7e308 sqrt 2 overflows: B has no finite entry, so the
-    # triple is refused rather than read off an empty support
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NotSeparating) as info:
-            yeadon_extract(schur_multiplier_map([[1.7e308 + 1.7e308j]]))
-    assert info.value.failing == "reconstruction"
-    assert info.value.residuals["reconstruction"] == math.inf
+    # triple is refused rather than read off an empty support; and an
+    # |S_00| = a sqrt 2 just past the float range beside |S_11| = DBL_MAX,
+    # with K = ones, is refused all the same: B = diag(inf, DBL_MAX)
+    top = np.finfo(float).max
+    a = top / math.sqrt(2) * (1 + 5e-7)
+    for m in ([[1.7e308 + 1.7e308j]], [[a * (1 + 1j), a * (1 + 1j)], [top, top]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotSeparating) as info:
+                yeadon_extract(schur_multiplier_map(m))
+        assert info.value.failing == "reconstruction"
+        assert info.value.residuals["reconstruction"] == math.inf
 
 
 @pytest.mark.parametrize("k", [-1060, -1040, 0, 1020])
